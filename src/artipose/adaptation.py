@@ -422,7 +422,7 @@ def write_pseudo_labels(labels: PseudoLabelSet, path) -> None:
             {
                 "frame_id": int(lab.frame_id),
                 "class": int(lab.class_id),
-                "bbox": [float(lab.bbox.cx), float(lab.bbox.cy), float(lab.bbox.w), float(lab.bbox.h)],
+                "bbox": lab.bbox.as_list(),
                 "confidence": float(lab.confidence),
                 "refined": bool(lab.refined),
             }

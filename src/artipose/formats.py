@@ -61,7 +61,7 @@ def read_mask_pgm(path: str | Path) -> MaskImage:
             f"{path}: PGM payload holds {data.size} bytes, "
             f"expected {width * height}"
         )
-    if not np.isin(data, (0, 255)).all():
+    if not ((data == 0) | (data == 255)).all():
         raise ParseError(f"{path}: mask pixels must be 0 or 255")
     return MaskImage(width, height, (data == 255).reshape(height, width))
 

@@ -2,13 +2,31 @@
 
 Pixel (i, j) is sampled at its center (j + 0.5, i + 0.5); there is no
 antialiasing and no back-face culling.  Depth resolves overlaps: the
-nearest surface owns a pixel, with earlier meshes winning exact ties.
-Attribute interpolation is perspective-correct.
+nearest surface owns a pixel.  On an exact depth tie the earlier mesh
+wins, and within a mesh the earlier triangle.  Attribute interpolation
+is perspective-correct.
+
+Each mesh is rasterized in batched numpy passes over edge functions
+(Pineda, "A Parallel Algorithm for Polygon Rasterization", 1988) rather
+than one triangle at a time.  The candidate pixels are the rows of every
+triangle's clipped bounding box; the edge functions and the depth are
+evaluated for all of them at once, and a stable sort by pixel picks, per
+pixel, the nearest candidate and the earliest triangle among equal
+depths.  That winner must still be strictly nearer than the depth
+buffer, which holds the earlier meshes and chunks, and only winners get
+their attributes interpolated.  Every per-pixel value is computed with
+the same floating-point operations in the same order as a scalar
+evaluation of one triangle, so results do not depend on the batching.
+
+Candidates are processed in chunks of whole rows, in mesh and triangle
+order, of at most ``CHUNK_PIXELS`` plus one row.  That bounds the
+temporaries to about a megabyte whatever the scene: a triangle near the
+camera whose box covers the frame is split into bands of rows instead of
+allocating frame-sized arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +41,9 @@ from .meshes import TriMesh
 NEAR_PLANE = 1e-6
 # Screen-space triangles below this area (in squared pixels) are skipped.
 MIN_SCREEN_AREA = 1e-12
+# Candidate pixels evaluated together; a chunk holds fewer than this plus
+# one grid row.
+CHUNK_PIXELS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -143,11 +164,11 @@ def _raster_core(
     is None).
     """
     h, w = grid.height, grid.width
-    depth = np.full((h, w), np.inf)
-    owner = np.full((h, w), -1, dtype=np.int32)
+    depth = np.full(h * w, np.inf)
+    owner = np.full(h * w, -1, dtype=np.int32)
     attr = None
     if attributes is not None:
-        attr = np.zeros((h, w, attributes.shape[1]))
+        attr = np.zeros((h * w, attributes.shape[1]))
 
     for mesh_idx, (mesh, pose) in enumerate(meshes):
         cam_pts = mesh.vertices @ pose.R.T + pose.t
@@ -155,65 +176,130 @@ def _raster_core(
         # grid-space vertex coordinates
         gx = (camera.f * cam_pts[:, 0] / z + camera.px - grid.x0) / grid.sx
         gy = (camera.f * cam_pts[:, 1] / z + camera.py - grid.y0) / grid.sy
-        vert_attr = attributes if (attributes is not None and mesh_idx == attr_mesh) else None
-        for face in mesh.faces:
-            if z[face[0]] <= NEAR_PLANE or z[face[1]] <= NEAR_PLANE or z[face[2]] <= NEAR_PLANE:
-                continue
-            _fill_triangle(
-                depth,
-                owner,
-                attr,
-                mesh_idx,
-                gx[face],
-                gy[face],
-                z[face],
-                vert_attr[face] if vert_attr is not None else None,
-            )
+        faces, box, area2 = _triangle_boxes(mesh.faces, gx, gy, z, w, h)
+        if faces.shape[0] == 0:
+            continue
+        tri_attr = None
+        if attributes is not None and mesh_idx == attr_mesh:
+            tri_attr = attributes[faces] / z[faces][:, :, None]
+        for t, pix, w0, w1, w2, z_pix in _covered_pixels(faces, box, area2, gx, gy, z, w):
+            win = _front_most(pix, z_pix, depth)
+            depth[pix[win]] = z_pix[win]
+            owner[pix[win]] = mesh_idx
+            if tri_attr is not None:
+                t = t[win]
+                num = (
+                    w0[win, None] * tri_attr[t, 0]
+                    + w1[win, None] * tri_attr[t, 1]
+                    + w2[win, None] * tri_attr[t, 2]
+                )
+                attr[pix[win]] = num * z_pix[win, None]
+            elif attr is not None:
+                attr[pix[win]] = 0.0
 
-    return depth, owner, attr
+    if attr is not None:
+        attr = attr.reshape(h, w, -1)
+    return depth.reshape(h, w), owner.reshape(h, w), attr
 
 
-def _fill_triangle(depth, owner, attr, mesh_idx, tx, ty, tz, tri_attr):
-    h, w = depth.shape
-    x_lo = max(int(math.ceil(tx.min() - 0.5)), 0)
-    x_hi = min(int(math.floor(tx.max() - 0.5)), w - 1)
-    y_lo = max(int(math.ceil(ty.min() - 0.5)), 0)
-    y_hi = min(int(math.floor(ty.max() - 0.5)), h - 1)
-    if x_lo > x_hi or y_lo > y_hi:
-        return
-    ax, ay = tx[0], ty[0]
-    bx, by = tx[1], ty[1]
-    cx, cy = tx[2], ty[2]
+def _triangle_boxes(faces, gx, gy, z, width, height):
+    """The faces that can cover a pixel, in mesh order, with their boxes.
+
+    Drops faces with a vertex at or in front of ``NEAR_PLANE``, faces
+    whose pixel box is empty after clipping to the grid, and faces below
+    ``MIN_SCREEN_AREA``.  ``box`` is (4, T) int64: the inclusive
+    x_lo, x_hi, y_lo, y_hi of the pixel centers each face's box spans;
+    ``area2`` is each face's signed doubled screen area.
+    """
+    faces = faces[~(z[faces] <= NEAR_PLANE).any(axis=1)]
+    tx, ty = gx[faces], gy[faces]
+    box = np.stack(
+        [
+            np.maximum(np.ceil(tx.min(axis=1) - 0.5), 0.0),
+            np.minimum(np.floor(tx.max(axis=1) - 0.5), width - 1.0),
+            np.maximum(np.ceil(ty.min(axis=1) - 0.5), 0.0),
+            np.minimum(np.floor(ty.max(axis=1) - 0.5), height - 1.0),
+        ]
+    )
+    keep = (box[0] <= box[1]) & (box[2] <= box[3])
+    faces, tx, ty, box = faces[keep], tx[keep], ty[keep], box[:, keep]
+    ax, bx, cx = tx.T
+    ay, by, cy = ty.T
     area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if abs(area2) < MIN_SCREEN_AREA:
-        return
-    px = np.arange(x_lo, x_hi + 1) + 0.5
-    py = (np.arange(y_lo, y_hi + 1) + 0.5)[:, None]
-    # normalized edge functions; dividing by the signed area makes the
-    # inside test winding-independent
-    w0 = ((cx - bx) * (py - by) - (cy - by) * (px - bx)) / area2
-    w1 = ((ax - cx) * (py - cy) - (ay - cy) * (px - cx)) / area2
-    w2 = 1.0 - w0 - w1
-    inside = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
-    if not inside.any():
-        return
-    inv_z = w0 / tz[0] + w1 / tz[1] + w2 / tz[2]
-    z_pix = 1.0 / inv_z
-    window = np.s_[y_lo : y_hi + 1, x_lo : x_hi + 1]
-    closer = inside & (z_pix < depth[window])
-    if not closer.any():
-        return
-    depth[window][closer] = z_pix[closer]
-    owner[window][closer] = mesh_idx
-    if tri_attr is not None:
-        num = (
-            w0[..., None] * (tri_attr[0] / tz[0])
-            + w1[..., None] * (tri_attr[1] / tz[1])
-            + w2[..., None] * (tri_attr[2] / tz[2])
-        )
-        attr[window][closer] = num[closer] * z_pix[closer][:, None]
-    elif attr is not None:
-        attr[window][closer] = 0.0
+    keep = ~(np.abs(area2) < MIN_SCREEN_AREA)
+    return faces[keep], box[:, keep].astype(np.int64), area2[keep]
+
+
+def _covered_pixels(faces, box, area2, gx, gy, z, width):
+    """Yield the pixels inside each face, chunk by chunk in face order.
+
+    Each yield is (tri, pix, w0, w1, w2, z): per covered pixel, the index
+    of its face in ``faces``, its flat index, its barycentrics and its
+    perspective-correct depth.  Candidates are the pixel rows of the face
+    boxes, in face order and then row order; a chunk takes whole rows
+    until it reaches ``CHUNK_PIXELS``, so it holds fewer than
+    ``CHUNK_PIXELS + width`` candidates and a face larger than a chunk is
+    split into bands of rows.
+    """
+    ax, bx, cx = gx[faces].T
+    ay, by, cy = gy[faces].T
+    tz = z[faces]
+    x_lo, x_hi, y_lo, y_hi = box
+    rows_per_face = y_hi - y_lo + 1
+    row_tri = np.repeat(np.arange(faces.shape[0]), rows_per_face)
+    first_row = np.cumsum(rows_per_face) - rows_per_face
+    row_y = np.arange(row_tri.size) - np.repeat(first_row - y_lo, rows_per_face)
+    row_n = (x_hi - x_lo + 1)[row_tri]
+    row_start = np.cumsum(row_n) - row_n
+    cuts = np.flatnonzero(np.diff(row_start // CHUNK_PIXELS)) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, row_tri.size]):
+        t, y, n, start = row_tri[lo:hi], row_y[lo:hi], row_n[lo:hi], row_start[lo:hi]
+        k = np.arange(start[0], start[-1] + n[-1])
+        ix = np.repeat(x_lo[t] - start, n) + k
+        px = ix + 0.5
+        py = y + 0.5
+        # normalized edge functions; dividing by the signed area makes
+        # the inside test winding-independent.  The first products are
+        # constant along a row.
+        area = np.repeat(area2[t], n)
+        w0 = (
+            np.repeat((cx[t] - bx[t]) * (py - by[t]), n)
+            - np.repeat(cy[t] - by[t], n) * (px - np.repeat(bx[t], n))
+        ) / area
+        w1 = (
+            np.repeat((ax[t] - cx[t]) * (py - cy[t]), n)
+            - np.repeat(ay[t] - cy[t], n) * (px - np.repeat(cx[t], n))
+        ) / area
+        w2 = 1.0 - w0 - w1
+        inside = np.flatnonzero((w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0))
+        if inside.size == 0:
+            continue
+        tri = np.repeat(t, n)[inside]
+        pix = (np.repeat(y * width, n) + ix)[inside]
+        w0, w1, w2 = w0[inside], w1[inside], w2[inside]
+        z_pix = 1.0 / (w0 / tz[tri, 0] + w1 / tz[tri, 1] + w2 / tz[tri, 2])
+        yield tri, pix, w0, w1, w2, z_pix
+
+
+def _front_most(pix, z, depth):
+    """Indices of the candidates that take their pixel.
+
+    A candidate takes its pixel when it is the nearest candidate there,
+    the first one among equal depths, and strictly nearer than ``depth``
+    holds from earlier chunks.  The stable sort keeps the candidates of a
+    pixel in triangle order, so earlier triangles win ties.
+    """
+    order = np.argsort(pix, kind="stable")
+    pix_s, z_s = pix[order], z[order]
+    new_pix = np.ones(order.size, dtype=bool)
+    new_pix[1:] = pix_s[1:] != pix_s[:-1]
+    group = np.cumsum(new_pix) - 1
+    z_min = np.minimum.reduceat(z_s, np.flatnonzero(new_pix))
+    nearest = np.flatnonzero(z_s == z_min[group])
+    first = np.ones(nearest.size, dtype=bool)
+    first[1:] = group[nearest[1:]] != group[nearest[:-1]]
+    win = order[nearest[first]]
+    return win[z[win] < depth[pix[win]]]
 
 
 def rasterize_scene(

@@ -84,7 +84,6 @@ class SceneConfig:
     camera: CameraIntrinsics = DEFAULT_CAMERA
     depth_range: tuple = (0.75, 1.05)
     occluder: OccluderConfig = field(default_factory=OccluderConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -369,10 +368,6 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
     return frames
 
 
-def _bbox_list(box):
-    return None if box is None else [float(box.cx), float(box.cy), float(box.w), float(box.h)]
-
-
 def export_gt(frames, out_dir, camera: CameraIntrinsics, model_paths=()) -> Path:
     """Write all frame artifacts plus scene_gt.json and annotations.json.
 
@@ -414,10 +409,10 @@ def export_gt(frames, out_dir, camera: CameraIntrinsics, model_paths=()) -> Path
                     "R": [float(v) for v in obj.pose.R.reshape(9)],
                     "t_mm": [float(v * 1000.0) for v in obj.pose.t],
                     "articulation": float(obj.articulation),
-                    "bbox_amodal": _bbox_list(obj.bbox_amodal),
-                    "bbox_visible": _bbox_list(obj.bbox_visible),
+                    "bbox_amodal": obj.bbox_amodal.as_list(),
+                    "bbox_visible": None if obj.bbox_visible is None else obj.bbox_visible.as_list(),
                     "visibility": float(obj.visibility),
-                    "crop": _bbox_list(obj.corr.crop),
+                    "crop": obj.corr.crop.as_list(),
                     "visible_mask": vis_rel,
                     "amodal_mask": full_rel,
                     "corr_map": corr_rel,

@@ -37,9 +37,10 @@ class TestPgm:
         with pytest.raises(ParseError, match="binary PGM"):
             read_mask_pgm(path)
 
-    def test_rejects_gray_values(self, tmp_path):
+    @pytest.mark.parametrize("value", [1, 128, 254])
+    def test_rejects_gray_values(self, tmp_path, value):
         path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 128]))
+        path.write_bytes(b"P5\n2 1\n255\n" + bytes([0, value]))
         with pytest.raises(ParseError, match="0 or 255"):
             read_mask_pgm(path)
 

@@ -5,22 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from artipose.camera import BBox, CameraIntrinsics, Pose
+from artipose import raster
+from artipose.camera import BBox, CameraIntrinsics, Pose, random_rotation
 from artipose.errors import EmptyRender
 from artipose.meshes import (
+    ArticulationState,
     TriMesh,
+    articulate,
     box_mesh,
     ellipsoid_mesh,
+    merge_meshes,
     normalize_vertices,
     tight_bbox,
 )
 from artipose.raster import (
+    CHUNK_PIXELS,
+    MIN_SCREEN_AREA,
+    NEAR_PLANE,
     MaskImage,
+    _Grid,
+    _raster_core,
     rasterize_crop,
     rasterize_scene,
     render_amodal,
     render_correspondence,
 )
+from artipose.simulate import needle_holder_model, tweezers_model
 
 
 @pytest.fixture
@@ -208,3 +218,231 @@ class TestMaskImage:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
             MaskImage(2, 2, np.full((2, 2), 3, dtype=np.uint8))
+
+
+def _reference_core(meshes, camera, grid, attributes=None, attr_mesh=0):
+    """One triangle at a time: the loop the batched rasterizer replaced.
+
+    Same contract as ``_raster_core``; kept here only as its oracle.
+    """
+    h, w = grid.height, grid.width
+    depth = np.full((h, w), np.inf)
+    owner = np.full((h, w), -1, dtype=np.int32)
+    attr = None
+    if attributes is not None:
+        attr = np.zeros((h, w, attributes.shape[1]))
+    for mesh_idx, (mesh, pose) in enumerate(meshes):
+        cam_pts = mesh.vertices @ pose.R.T + pose.t
+        z = cam_pts[:, 2]
+        gx = (camera.f * cam_pts[:, 0] / z + camera.px - grid.x0) / grid.sx
+        gy = (camera.f * cam_pts[:, 1] / z + camera.py - grid.y0) / grid.sy
+        vert_attr = attributes if (attributes is not None and mesh_idx == attr_mesh) else None
+        for face in mesh.faces:
+            if z[face[0]] <= NEAR_PLANE or z[face[1]] <= NEAR_PLANE or z[face[2]] <= NEAR_PLANE:
+                continue
+            _reference_triangle(
+                depth,
+                owner,
+                attr,
+                mesh_idx,
+                gx[face],
+                gy[face],
+                z[face],
+                vert_attr[face] if vert_attr is not None else None,
+            )
+    return depth, owner, attr
+
+
+def _reference_triangle(depth, owner, attr, mesh_idx, tx, ty, tz, tri_attr):
+    h, w = depth.shape
+    x_lo = max(int(math.ceil(tx.min() - 0.5)), 0)
+    x_hi = min(int(math.floor(tx.max() - 0.5)), w - 1)
+    y_lo = max(int(math.ceil(ty.min() - 0.5)), 0)
+    y_hi = min(int(math.floor(ty.max() - 0.5)), h - 1)
+    if x_lo > x_hi or y_lo > y_hi:
+        return
+    ax, ay = tx[0], ty[0]
+    bx, by = tx[1], ty[1]
+    cx, cy = tx[2], ty[2]
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if abs(area2) < MIN_SCREEN_AREA:
+        return
+    px = np.arange(x_lo, x_hi + 1) + 0.5
+    py = (np.arange(y_lo, y_hi + 1) + 0.5)[:, None]
+    w0 = ((cx - bx) * (py - by) - (cy - by) * (px - bx)) / area2
+    w1 = ((ax - cx) * (py - cy) - (ay - cy) * (px - cx)) / area2
+    w2 = 1.0 - w0 - w1
+    inside = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
+    if not inside.any():
+        return
+    inv_z = w0 / tz[0] + w1 / tz[1] + w2 / tz[2]
+    z_pix = 1.0 / inv_z
+    window = np.s_[y_lo : y_hi + 1, x_lo : x_hi + 1]
+    closer = inside & (z_pix < depth[window])
+    if not closer.any():
+        return
+    depth[window][closer] = z_pix[closer]
+    owner[window][closer] = mesh_idx
+    if tri_attr is not None:
+        num = (
+            w0[..., None] * (tri_attr[0] / tz[0])
+            + w1[..., None] * (tri_attr[1] / tz[1])
+            + w2[..., None] * (tri_attr[2] / tz[2])
+        )
+        attr[window][closer] = num[closer] * z_pix[closer][:, None]
+    elif attr is not None:
+        attr[window][closer] = 0.0
+
+
+def _assert_matches_reference(meshes, camera, grid, attributes=None, attr_mesh=0):
+    got = _raster_core(meshes, camera, grid, attributes, attr_mesh)
+    want = _reference_core(meshes, camera, grid, attributes, attr_mesh)
+    for name, g, r in zip(("depth", "owner", "attr"), got, want):
+        if r is None:
+            assert g is None
+            continue
+        assert g.dtype == r.dtype and g.shape == r.shape, name
+        assert np.array_equal(g, r), f"{name} differs at {np.argwhere(g != r)[:5].tolist()}"
+    assert (want[1] >= 0).any(), "the scene must cover some pixel"
+    return want
+
+
+def _projected(mesh, pose, camera):
+    """Pixel coordinates and depths of a mesh's face vertices, (F, 3) each."""
+    cam_pts = mesh.vertices @ pose.R.T + pose.t
+    z = cam_pts[:, 2]
+    gx = camera.f * cam_pts[:, 0] / z + camera.px
+    gy = camera.f * cam_pts[:, 1] / z + camera.py
+    return gx[mesh.faces], gy[mesh.faces], z[mesh.faces]
+
+
+def _tool_scene(seed):
+    """Two articulated tools that overlap, with two ellipsoid occluders each."""
+    rng = np.random.default_rng(seed)
+    scene = []
+    for k, model in enumerate((needle_holder_model(), tweezers_model())):
+        mesh = articulate(model, ArticulationState(float(rng.uniform())))
+        t = np.array(
+            [(-1) ** k * 0.015 + rng.uniform(-0.01, 0.01), rng.uniform(-0.03, 0.03), rng.uniform(0.75, 1.05)]
+        )
+        scene.append((mesh, Pose(R=random_rotation(rng), t=t)))
+    for _, pose in list(scene):
+        for _ in range(2):
+            occ = ellipsoid_mesh((0.0, 0.0, 0.0), rng.uniform(0.008, 0.02, size=3), 2)
+            offset = np.append(rng.uniform(-0.03, 0.03, size=2), -rng.uniform(0.0, 0.05))
+            scene.append((occ, Pose(R=random_rotation(rng), t=pose.t + offset)))
+    return scene
+
+
+def _tool_crop(scene, camera, side=120.0):
+    t = scene[0][1].t
+    cx, cy = camera.f * t[0] / t[2] + camera.px, camera.f * t[1] / t[2] + camera.py
+    return BBox(cx=cx, cy=cy, w=side, h=side)
+
+
+def _awkward_mesh():
+    """Faces, in camera coordinates, that exercise every rule that drops one.
+
+    Per face: behind and straddling the near plane, a vertex exactly on
+    it, a far triangle whose box covers the whole frame, triangles wholly
+    off each side of the image and one across its edge, a sub-pixel
+    triangle that covers no pixel center, and edge-on faces whose screen
+    areas straddle ``MIN_SCREEN_AREA``: some of those below it would
+    cover pixel centers if they were not dropped.
+    """
+    tris = [
+        [(-0.5, -0.5, -0.2), (0.5, -0.4, 0.5), (0.0, 0.5, 0.6)],
+        [(-0.5, -0.5, -0.3), (0.5, -0.4, -0.2), (0.0, 0.5, -0.1)],
+        [(0.1, 0.1, NEAR_PLANE), (0.3, 0.1, 1.0), (0.1, 0.3, 1.0)],
+        [(-6.0, -6.0, 2.5), (6.0, -5.0, 3.0), (0.0, 6.0, 3.5)],
+        [(-1.2, -0.1, 1.0), (-0.9, 0.0, 1.0), (-1.0, 0.1, 1.0)],
+        [(1.0, -0.1, 1.0), (1.3, 0.0, 1.0), (1.1, 0.1, 1.0)],
+        [(-0.1, 0.8, 1.0), (0.1, 0.9, 1.0), (0.0, 1.1, 1.0)],
+        [(-0.1, -1.1, 1.0), (0.1, -0.9, 1.0), (0.0, -0.8, 1.0)],
+        [(0.35, -0.05, 0.9), (0.55, 0.0, 1.0), (0.36, 0.06, 0.95)],
+        [(0.0010, 0.0010, 1.0), (0.0012, 0.0010, 1.0), (0.0010, 0.0012, 1.0)],
+    ]
+    # edge-on faces along the pixel-center row 240.5 (for f = 800 px),
+    # their vertices a few ulps off the plane through the camera center
+    rng = np.random.default_rng(0)
+    for _ in range(64):
+        z = rng.uniform(0.8, 1.2, size=3)
+        y = z * (0.5 / 800.0) + rng.integers(-3, 4, size=3) * 1e-17
+        tris.append(np.column_stack([rng.uniform(-0.05, 0.05, size=3), y, z]))
+    vertices = np.array(tris, dtype=float).reshape(-1, 3)
+    return TriMesh(vertices, np.arange(vertices.shape[0]).reshape(-1, 3))
+
+
+class TestBatchedMatchesReference:
+    """The batched rasterizer gives the per-triangle loop's exact bits."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_frame(self, camera, seed):
+        scene = _tool_scene(seed)
+        _, owner, _ = _assert_matches_reference(scene, camera, _Grid.full_image(640, 480))
+        # the tools are partly hidden, by occluders or by each other
+        amodal = [_reference_core([s], camera, _Grid.full_image(640, 480))[1] >= 0 for s in scene[:2]]
+        assert any((a & (owner != k)).any() for k, a in enumerate(amodal))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_crop(self, camera, seed):
+        scene = _tool_scene(seed)
+        grid = _Grid.from_crop(_tool_crop(scene, camera), 64)
+        _assert_matches_reference(scene, camera, grid)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("attr_mesh", [0, 1])
+    def test_correspondence(self, camera, seed, attr_mesh):
+        scene = _tool_scene(seed)
+        grid = _Grid.from_crop(_tool_crop(scene, camera), 64)
+        coords = np.random.default_rng(seed).random((scene[attr_mesh][0].n_vertices, 3))
+        _assert_matches_reference(scene, camera, grid, coords, attr_mesh)
+
+    @pytest.mark.parametrize("chunk", [None, 100, 1 << 20])
+    def test_duplicated_meshes_tie_exactly(self, camera, monkeypatch, chunk):
+        # ties fall between chunks, or all inside one
+        if chunk is not None:
+            monkeypatch.setattr(raster, "CHUNK_PIXELS", chunk)
+        scene = _tool_scene(3)
+        mesh, pose = scene[0]
+        doubled = merge_meshes(mesh, mesh)
+        # the copy's faces tie the originals exactly but carry other values
+        coords = np.random.default_rng(3).random((doubled.n_vertices, 3))
+        tied = [(doubled, pose), (mesh, pose)] + scene[1:] + [scene[0]]
+        _, owner, _ = _assert_matches_reference(tied, camera, _Grid.full_image(640, 480))
+        assert not (owner == 1).any() and not (owner == len(tied) - 1).any()
+        grid = _Grid.from_crop(_tool_crop(scene, camera), 64)
+        _assert_matches_reference(tied, camera, grid, coords, 0)
+
+    def test_awkward_faces(self, camera):
+        mesh = _awkward_mesh()
+        pose = Pose(R=np.eye(3), t=np.zeros(3))
+        gx, gy, z = _projected(mesh, pose, camera)
+        near = (z <= NEAR_PLANE).any(axis=1)
+        assert near[:3].all() and (z[:3] == NEAR_PLANE).any()
+        # the far triangle's box alone holds more pixels than a chunk
+        assert 640 * 480 > CHUNK_PIXELS
+        assert gx[3].min() < 0 and gx[3].max() > 640 and gy[3].min() < 0 and gy[3].max() > 480
+        off = (gx.max(axis=1) < 0) | (gx.min(axis=1) > 640) | (gy.max(axis=1) < 0) | (gy.min(axis=1) > 480)
+        assert off[4:8].all() and not off[8]
+        assert np.floor(gx[9].max() - 0.5) < np.ceil(gx[9].min() - 0.5)
+        area2 = (gx[:, 1] - gx[:, 0]) * (gy[:, 2] - gy[:, 0]) - (gy[:, 1] - gy[:, 0]) * (gx[:, 2] - gx[:, 0])
+        sliver = np.abs(area2[10:]) < MIN_SCREEN_AREA
+        assert sliver.any() and not sliver.all()
+
+        scene = _tool_scene(4)
+        for grid in (_Grid.full_image(640, 480), _Grid.from_crop(_tool_crop(scene, camera), 64)):
+            _assert_matches_reference([(mesh, pose)], camera, grid)
+            _assert_matches_reference(scene + [(mesh, pose)], camera, grid)
+            coords = np.random.default_rng(4).random((mesh.n_vertices, 3))
+            _assert_matches_reference([(mesh, pose)] + scene, camera, grid, coords, 0)
+
+    def test_near_triangle_larger_than_a_chunk(self, camera):
+        near = TriMesh(
+            np.array([[-0.4, -0.4, 0.2], [0.5, -0.3, 0.25], [0.0, 0.5, 0.3], [0.0, 0.0, 0.3]]),
+            np.array([[0, 1, 2]]),
+        )
+        pose = Pose(R=np.eye(3), t=np.zeros(3))
+        scene = _tool_scene(5) + [(near, pose)]
+        _, owner, _ = _assert_matches_reference(scene, camera, _Grid.full_image(640, 480))
+        assert (owner == len(scene) - 1).sum() > CHUNK_PIXELS
