@@ -124,6 +124,33 @@ class RefineResult:
     estimate: PoseEstimate | None
 
 
+def solve_object(
+    pairs: CorrSet,
+    camera: CameraIntrinsics,
+    noise: NoiseConfig,
+    seed: int,
+    frame_id: int,
+    class_id: int,
+) -> tuple[PnPResult, float]:
+    """Pose of one object from its 2D-3D pairs, as the estimators report it.
+
+    Adds ``noise.corr_px_sigma`` px of Gaussian pixel noise drawn from
+    ``(seed, frame_id, class_id)``, solves with ``pnp_ransac`` seeded from
+    the same triple, and scores confidence per ``noise.detector_conf_model``:
+    1 for ``constant``, else the inlier fraction.
+
+    Returns:
+        (PnPResult, confidence)
+    """
+    if noise.corr_px_sigma > 0.0:
+        rng = np.random.default_rng([seed, frame_id, class_id])
+        jitter = noise.corr_px_sigma * rng.standard_normal(pairs.pts2d.shape)
+        pairs = CorrSet(pairs.pts3d, pairs.pts2d + jitter)
+    result = pnp_ransac(pairs, camera, seed=seed * 1000003 + frame_id * 1009 + class_id)
+    confidence = 1.0 if noise.detector_conf_model == "constant" else result.inlier_ratio
+    return result, float(confidence)
+
+
 class RenderEstimator:
     """Stand-in for the trained network: renders the known object into the
     requested crop, optionally perturbs the pixel observations, and solves
@@ -168,18 +195,9 @@ class RenderEstimator:
         mesh = articulate(model, ArticulationState(articulation))
         coords = normalize_vertices(mesh, box)
         cmap = render_correspondence(mesh, coords, pose, self.camera, crop, CROP_OUT_SIZE)
-        pairs = pairs_from_map(cmap, box)
-        if self.noise.corr_px_sigma > 0.0:
-            rng = np.random.default_rng([self.seed, frame_id, class_id])
-            jitter = self.noise.corr_px_sigma * rng.standard_normal(pairs.pts2d.shape)
-            pairs = CorrSet(pairs.pts3d, pairs.pts2d + jitter)
-        result = pnp_ransac(
-            pairs, self.camera, seed=self.seed * 1000003 + frame_id * 1009 + class_id
+        result, confidence = solve_object(
+            pairs_from_map(cmap, box), self.camera, self.noise, self.seed, frame_id, class_id
         )
-        if self.noise.detector_conf_model == "constant":
-            confidence = 1.0
-        else:
-            confidence = result.inlier_ratio
         return PoseEstimate(
             pose=result.pose,
             class_id=class_id,

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .adaptation import (
     adaptation_loop,
     load_detections,
     load_estimates,
+    solve_object,
     write_pseudo_labels,
 )
 from .camera import BBox, ego_to_allo, encode_translation, matrix_to_rot6d
@@ -56,7 +56,7 @@ from .metrics import (
     pose_ap_report,
     visibility_fraction,
 )
-from .pnp import CorrSet, pairs_from_map, pnp_ransac
+from .pnp import pairs_from_map
 from .raster import rasterize_crop, render_amodal, render_correspondence
 from .simulate import (
     CROP_OUT_SIZE,
@@ -117,10 +117,6 @@ def _dataset_models(ds):
         raise InputError("dataset lists no model manifests")
     models = [load_model_manifest(_require_file(p, "model manifest")) for p in ds.model_paths]
     return models, {m.class_id: m for m in models}
-
-
-def _solver_seed(seed, frame_id, class_id):
-    return seed * 1000003 + frame_id * 1009 + class_id
 
 
 # ---------------------------------------------------------------------------
@@ -188,35 +184,30 @@ def cmd_simgen(args):
 # estimate
 
 
-def _estimate_frame(frame, ds, models, boxes, sigma, conf_model, seed):
+def _estimate_frame(frame, ds, boxes, noise, seed):
     records = []
     skipped = 0
     for obj in frame.objects:
         cmap = load_correspondence(obj.corr_path, obj.crop)
         try:
-            pairs = pairs_from_map(cmap, boxes[obj.model_index])
-            if sigma > 0.0:
-                rng = np.random.default_rng([seed, frame.frame_id, obj.class_id])
-                pairs = CorrSet(
-                    pairs.pts3d,
-                    pairs.pts2d + sigma * rng.standard_normal(pairs.pts2d.shape),
-                )
-            res = pnp_ransac(
-                pairs,
+            res, confidence = solve_object(
+                pairs_from_map(cmap, boxes[obj.model_index]),
                 ds.camera,
-                seed=_solver_seed(seed, frame.frame_id, obj.class_id),
+                noise,
+                seed,
+                frame.frame_id,
+                obj.class_id,
             )
         except InputError:
             raise
         except ArtiposeError:
             skipped += 1
             continue
-        confidence = 1.0 if conf_model == "constant" else res.inlier_ratio
         records.append(
             {
                 "frame_id": frame.frame_id,
                 "class": obj.class_id,
-                "confidence": float(confidence),
+                "confidence": confidence,
                 "R": [float(v) for v in res.pose.R.reshape(9)],
                 "t_mm": [float(v * 1000.0) for v in res.pose.t],
                 "articulation": float(obj.articulation),
@@ -236,18 +227,7 @@ def cmd_estimate(args):
     noise = NoiseConfig(corr_px_sigma=args.noise_sigma, detector_conf_model=args.conf_model)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-
-    def work(frame):
-        return _estimate_frame(
-            frame, ds, models, boxes, noise.corr_px_sigma, noise.detector_conf_model, args.seed
-        )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, ds.frames))
-    else:
-        results = [work(frame) for frame in ds.frames]
-
+    results = [_estimate_frame(frame, ds, boxes, noise, args.seed) for frame in ds.frames]
     skipped = sum(s for _, s in results)
     lines = [json.dumps(rec, sort_keys=True) for recs, _ in results for rec in recs]
     out.write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -259,7 +239,6 @@ def cmd_estimate(args):
             "noise_sigma": args.noise_sigma,
             "conf_model": args.conf_model,
             "seed": args.seed,
-            "jobs": args.jobs,
         },
     )
     print(f"wrote {len(lines)} estimates to {out} ({skipped} skipped)")
@@ -663,7 +642,6 @@ def build_parser():
         help="how prediction confidence is derived",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")

@@ -5,6 +5,21 @@ coordinates with the rotation projected back onto SO(3); refinement runs
 Levenberg-Marquardt with rotation increments in the tangent space.  The
 robust loop scores hypotheses with a truncated quadratic (MSAC) and is
 deterministic for a fixed seed.
+
+The robust loop works on blocks of minimal samples rather than one at a
+time.  Block sizes double (1, 2, 4, ...) up to ``MAX_BLOCK``, and never
+exceed the number of samples the adaptive bound still asks for, so a
+loop that exits after a few samples solves few extra ones.  A block's
+linear solves are one stacked SVD, its hypotheses are scored in chunks
+of at most ``SCORE_CHUNK`` hypothesis-point pairs, and the samples that
+need a geometric polish share one masked, batched Levenberg-Marquardt
+run; so the temporaries stay near a megabyte whatever the block and map
+size.  The ordered part of the loop (local optimization, the best
+hypothesis and the adaptive exit) then walks the block sample by sample.
+Batching changes no arithmetic: a hypothesis's linear solve, polish and
+score come out bit for bit as when it is computed alone, and the samples
+come from the same stream as one-at-a-time draws, so the loop stops at
+the same sample and returns what a one-sample-at-a-time loop returns.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from .errors import (
     TooFewCorrespondences,
 )
 from .meshes import denormalize_coords
-from .raster import CorrespondenceMap
+from .raster import CHUNK_PIXELS, CorrespondenceMap
 
 MIN_CORRESPONDENCES = 6
 # Rank-deficiency guard: ratio between the largest singular value and the
@@ -43,6 +58,25 @@ LM_TOL = 1e-10
 # Iteration cap for polishing a minimal sample whose linear solve landed
 # outside every band; bounds worst-case cost at 400 samples per call.
 LM_SAMPLE_ITERS = 25
+# Damping increases tried per LM iteration before it counts as stalled.
+LM_DAMPING_TRIES = 8
+# Minimal samples solved together at most; blocks double up to this.
+MAX_BLOCK = 256
+# Hypothesis-point pairs scored together (the rasterizer's chunk bound).
+SCORE_CHUNK = CHUNK_PIXELS
+# Points closer to the camera plane than this count as behind it.
+MIN_DEPTH = 1e-9
+
+_EYE3 = np.eye(3)
+# Row i is [e_i]x flattened: (B, 3) @ _CROSS gives [v]x as (B, 9) rows.
+_CROSS = np.array(
+    [
+        [0, 0, 0, 0, 0, -1, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, -1, 0, 0],
+        [0, -1, 0, 1, 0, 0, 0, 0, 0],
+    ],
+    dtype=float,
+)
 
 
 @dataclass(frozen=True)
@@ -74,13 +108,18 @@ class CorrSet:
 
 @dataclass(frozen=True)
 class PnPResult:
-    """Robust solve outcome: pose plus support statistics."""
+    """Robust solve outcome: pose plus support statistics.
+
+    ``samples`` counts the minimal samples the robust loop went through
+    before it stopped (0 when the result did not come from the loop).
+    """
 
     pose: Pose
     inlier_count: int
     outlier_count: int
     mean_reproj_err: float
     converged: bool
+    samples: int = 0
 
     @property
     def inlier_ratio(self) -> float:
@@ -111,22 +150,39 @@ def pairs_from_map(
     return CorrSet(pts3d, np.stack([u, v], axis=1))
 
 
+def _project(pts3d, pts2d, camera, R, t):
+    """Camera points and pixel residuals of poses ``(R, t)``.
+
+    ``pts3d`` and ``pts2d`` are (N, 3) and (N, 2), shared by every pose,
+    or (B, N, 3) and (B, N, 2), one set per pose; ``R`` is (B, 3, 3) and
+    ``t`` (B, 3).  Returns the (B, N, 3) camera points, the (B, N) mask
+    of points at or behind ``MIN_DEPTH``, and the (B, N) residuals in u
+    and in v, which are finite placeholders on masked points.
+    """
+    pc = pts3d @ R.transpose(0, 2, 1) + t[:, None, :]
+    z = pc[..., 2]
+    behind = z <= MIN_DEPTH
+    z = np.where(behind, 1.0, z)
+    du = camera.f * pc[..., 0] / z + camera.px - pts2d[..., 0]
+    dv = camera.f * pc[..., 1] / z + camera.py - pts2d[..., 1]
+    return pc, behind, du, dv
+
+
+def _errors(pts3d, pts2d, camera, R, t):
+    """(B, N) pixel errors of poses ``(R, t)``; inf behind the camera."""
+    _, behind, du, dv = _project(pts3d, pts2d, camera, R, t)
+    err = np.sqrt(du * du + dv * dv)
+    err[behind] = np.inf
+    return err
+
+
 def _reproj_errors(
     corr: CorrSet, camera: CameraIntrinsics, pose: Pose, clamp: bool = False
 ) -> np.ndarray:
     """Per-point pixel errors; behind-camera points become inf when clamped."""
-    pc = corr.pts3d @ pose.R.T + pose.t
-    z = pc[:, 2]
-    bad = z <= 1e-9
-    if bad.any():
-        if not clamp:
-            raise PointBehindCamera("pose places correspondences behind the camera")
-        z = np.where(bad, 1.0, z)
-    du = camera.f * pc[:, 0] / z + camera.px - corr.pts2d[:, 0]
-    dv = camera.f * pc[:, 1] / z + camera.py - corr.pts2d[:, 1]
-    err = np.sqrt(du * du + dv * dv)
-    if bad.any():
-        err[bad] = np.inf
+    err = _errors(corr.pts3d, corr.pts2d, camera, pose.R[None], pose.t[None])[0]
+    if not clamp and np.isinf(err).any():
+        raise PointBehindCamera("pose places correspondences behind the camera")
     return err
 
 
@@ -134,6 +190,45 @@ def reprojection_rmse(corr: CorrSet, camera: CameraIntrinsics, pose: Pose) -> fl
     """Root-mean-square of per-point pixel errors under ``pose``."""
     err = _reproj_errors(corr, camera, pose)
     return float(math.sqrt(float((err * err).mean())))
+
+
+def _dlt(pts3d, pts2d, camera):
+    """Stacked linear solves: (B, M, 3) and (B, M, 2) to (R, t, ok).
+
+    Each of the B solves is ``pnp_dlt``'s; ``ok`` is False where that one
+    is degenerate, and its pose is then meaningless.
+    """
+    B, m = pts3d.shape[:2]
+    x = (pts2d[..., 0] - camera.px) / camera.f
+    y = (pts2d[..., 1] - camera.py) / camera.f
+    A = np.zeros((B, 2 * m, 12))
+    A[:, 0::2, 0:3] = pts3d
+    A[:, 0::2, 3] = 1.0
+    A[:, 0::2, 8:11] = -x[..., None] * pts3d
+    A[:, 0::2, 11] = -x
+    A[:, 1::2, 4:7] = pts3d
+    A[:, 1::2, 7] = 1.0
+    A[:, 1::2, 8:11] = -y[..., None] * pts3d
+    A[:, 1::2, 11] = -y
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    # the null direction is the solution; uniqueness needs rank 11
+    ok = s[:, 10] > s[:, 0] / MAX_CONDITION
+    p = vt[:, -1].reshape(B, 3, 4)
+    depths = (pts3d @ p[:, 2, :3, None])[..., 0] + p[:, 2, 3, None]
+    p = np.where((depths.sum(axis=1) < 0.0)[:, None, None], -p, p)
+    U, sig, Vt = np.linalg.svd(p[:, :, :3])
+    R = _proper(U, Vt)
+    scale = sig.sum(axis=1) / 3.0
+    ok &= (scale > 0.0) & np.isfinite(scale)
+    return R, p[:, :, 3] / np.where(ok, scale, 1.0)[:, None], ok
+
+
+def _proper(U, Vt):
+    """Nearest rotations ``U diag(1, 1, d) Vt``, ``d`` fixing the sign."""
+    d = np.where(np.linalg.det(U @ Vt) > 0, 1.0, -1.0)
+    U = U.copy()
+    U[:, :, 2] *= d[:, None]
+    return U @ Vt
 
 
 def pnp_dlt(corr: CorrSet, camera: CameraIntrinsics) -> Pose:
@@ -152,50 +247,163 @@ def pnp_dlt(corr: CorrSet, camera: CameraIntrinsics) -> Pose:
     n = corr.n
     if n < MIN_CORRESPONDENCES:
         raise TooFewCorrespondences(f"need {MIN_CORRESPONDENCES} pairs, got {n}")
-    x = (corr.pts2d[:, 0] - camera.px) / camera.f
-    y = (corr.pts2d[:, 1] - camera.py) / camera.f
-    P = corr.pts3d
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:3] = P
-    A[0::2, 3] = 1.0
-    A[0::2, 8:11] = -x[:, None] * P
-    A[0::2, 11] = -x
-    A[1::2, 4:7] = P
-    A[1::2, 7] = 1.0
-    A[1::2, 8:11] = -y[:, None] * P
-    A[1::2, 11] = -y
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    # the null direction is the solution; uniqueness needs rank 11
-    if s[10] <= s[0] / MAX_CONDITION:
+    R, t, ok = _dlt(corr.pts3d[None], corr.pts2d[None], camera)
+    if not ok[0]:
         raise DegenerateConfiguration(
             "correspondence geometry does not constrain a unique pose"
         )
-    p = vt[-1].reshape(3, 4)
-    depths = P @ p[2, :3] + p[2, 3]
-    if depths.sum() < 0.0:
-        p = -p
-    M = p[:, :3]
-    U, sig, Vt = np.linalg.svd(M)
-    d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
-    R = U @ np.diag([1.0, 1.0, d]) @ Vt
-    scale = sig.sum() / 3.0
-    if scale <= 0.0 or not np.isfinite(scale):
-        raise DegenerateConfiguration("vanishing projective scale")
-    return Pose(R=R, t=p[:, 3] / scale)
+    return Pose(R=R[0], t=t[0])
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+def _rodrigues(w):
+    """Rotation matrices exp([w]x) of (B, 3) tangent vectors, closed form:
+    I + sin(a) K + (1 - cos(a)) K^2 with K = [w / a]x and a = |w|."""
+    angle = np.sqrt((w * w).sum(axis=1))
+    small = angle < 1e-12
+    # below the cutoff exp([w]x) ~ I + [w]x: "axis" w, sin 1, 1 - cos 0
+    K = ((w / np.where(small, 1.0, angle)[:, None]) @ _CROSS).reshape(-1, 3, 3)
+    s = np.where(small, 1.0, np.sin(angle))[:, None, None]
+    c = np.where(small, 0.0, 1.0 - np.cos(angle))[:, None, None]
+    return _EYE3 + s * K + c * (K @ K)
 
 
-def _exp_so3(w: np.ndarray) -> np.ndarray:
-    angle = math.sqrt(float(w @ w))
-    if angle < 1e-12:
-        return np.eye(3) + _skew(w)
-    K = _skew(w / angle)
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+def _normal_equations(pc, t, du, dv, f):
+    """Gauss-Newton system (H, g) of each pose from per-point terms.
+
+    With camera point (X, Y, Z), rotated model point q = (X, Y, Z) - t,
+    x = X / Z and y = Y / Z, a left rotation increment w and a
+    translation increment dt move the residuals by
+    f/Z [-qy x, qz + qx x, -qy, 1, 0, -x] . (w, dt) in u and
+    f/Z [-qy y - qz, qx y, qx, 0, 1, -y] . (w, dt) in v.
+    """
+    B, n = pc.shape[:2]
+    X, Y, Z = pc[..., 0], pc[..., 1], pc[..., 2]
+    fz = f / Z
+    x = X / Z
+    y = Y / Z
+    qx = X - t[:, 0, None]
+    qy = Y - t[:, 1, None]
+    qz = Z - t[:, 2, None]
+    # one contiguous row per parameter: u terms, then v terms
+    J = np.empty((B, 6, 2, n))
+    J[:, 0, 0] = -qy * x
+    J[:, 1, 0] = qz + qx * x
+    J[:, 2, 0] = -qy
+    J[:, 3, 0] = 1.0
+    J[:, 4, 0] = 0.0
+    J[:, 5, 0] = -x
+    J[:, 0, 1] = -qy * y - qz
+    J[:, 1, 1] = qx * y
+    J[:, 2, 1] = qx
+    J[:, 3, 1] = 0.0
+    J[:, 4, 1] = 1.0
+    J[:, 5, 1] = -y
+    J *= fz[:, None, None, :]
+    J = J.reshape(B, 6, 2 * n)
+    r = np.concatenate([du, dv], axis=1)
+    return J @ J.transpose(0, 2, 1), (J @ r[:, :, None])[..., 0]
+
+
+def _solve(A, b):
+    """Solve stacked 6x6 systems; rows whose matrix is singular come back
+    as NaN and False in the returned mask."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(A), bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for j in range(len(A)):
+            try:
+                x[j] = np.linalg.solve(A[j], b[j])
+            except np.linalg.LinAlgError:
+                pass
+        return x, ~np.isnan(x[:, 0])
+
+
+def _lm_batch(pts3d, pts2d, camera, R, t, max_iters, tol):
+    """Levenberg-Marquardt on B independent poses at once.
+
+    ``pts3d`` (B, N, 3) and ``pts2d`` (B, N, 2) hold each pose's own
+    points.  Every pose follows the one-pose rules on its own: damping
+    starts at 1e-3, falls by 3 after an accepted step and rises by 10
+    after a rejected one; a step is accepted if it solves, no point ends
+    behind the camera and the cost does not rise; an iteration ends at
+    the first accepted step, or after ``LM_DAMPING_TRIES`` rejected ones,
+    which stops the pose (reported as converged: no descent direction
+    left); a pose also stops converged when an accepted step is shorter
+    than ``tol``, and unconverged after ``max_iters`` iterations.
+
+    Poses do not wait for each other: each round makes one damped try
+    for every pose still running, whichever iteration and try that pose
+    is on, and poses that stop leave the batch.
+
+    Returns (R, t, ok, converged): ``ok`` is False where the start pose
+    has a point behind the camera or a non-finite residual (where ``_lm``
+    raises ``NonFiniteResidual``); such a pose is not refined.
+    """
+    B = R.shape[0]
+    R = R.copy()
+    t = t.copy()
+    pc, behind, du, dv = _project(pts3d, pts2d, camera, R, t)
+    ok = ~behind.any(axis=1) & np.isfinite(du).all(axis=1) & np.isfinite(dv).all(axis=1)
+    converged = np.zeros(B, bool)
+    # state of the poses still running; `live` maps them to the output
+    live = np.flatnonzero(ok) if max_iters > 0 else np.zeros(0, int)
+    if live.size < B:
+        pts3d, pts2d, pc, du, dv = (a[live] for a in (pts3d, pts2d, pc, du, dv))
+    Rl, tl = R[live], t[live]
+    cost = (du * du).sum(axis=1) + (dv * dv).sum(axis=1)
+    lam = np.full(live.size, 1e-3)
+    iters = np.zeros(live.size, int)
+    tries = np.zeros(live.size, int)
+    H = np.empty((live.size, 6, 6))
+    g = np.empty((live.size, 6))
+    fresh = np.ones(live.size, bool)
+    while live.size:
+        # poses starting an iteration linearize at their current pose
+        if fresh.all():
+            H, g = _normal_equations(pc, tl, du, dv, camera.f)
+        elif fresh.any():
+            H[fresh], g[fresh] = _normal_equations(
+                pc[fresh], tl[fresh], du[fresh], dv[fresh], camera.f
+            )
+        iters += fresh
+        tries[fresh] = 0
+        damped = H.copy()
+        damped.reshape(-1, 36)[:, ::7] += lam[:, None] * np.maximum(
+            H.reshape(-1, 36)[:, ::7], 1e-12
+        )
+        delta, solved = _solve(damped, -g)
+        delta[~solved] = 0.0
+        R_new = _rodrigues(delta[:, :3]) @ Rl
+        t_new = tl + delta[:, 3:]
+        pc_new, behind_new, du_new, dv_new = _project(pts3d, pts2d, camera, R_new, t_new)
+        cost_new = (du_new * du_new).sum(axis=1) + (dv_new * dv_new).sum(axis=1)
+        take = solved & ~behind_new.any(axis=1) & (cost_new <= cost)
+        lam = np.where(take, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
+        tries += ~take
+        if take.all():
+            Rl, tl, cost, pc, du, dv = R_new, t_new, cost_new, pc_new, du_new, dv_new
+        else:
+            Rl[take], tl[take], cost[take] = R_new[take], t_new[take], cost_new[take]
+            pc[take], du[take], dv[take] = pc_new[take], du_new[take], dv_new[take]
+        short = take & ((delta * delta).sum(axis=1) < tol * tol)
+        # a pose out of tries has no descent direction left: converged too
+        stop_conv = short | (tries == LM_DAMPING_TRIES)
+        fresh = take & ~short
+        done = stop_conv | (fresh & (iters == max_iters))
+        if done.any():
+            fin = live[done]
+            R[fin], t[fin], converged[fin] = Rl[done], tl[done], stop_conv[done]
+            keep = ~done
+            live = live[keep]
+            pts3d, pts2d, pc, du, dv = (a[keep] for a in (pts3d, pts2d, pc, du, dv))
+            Rl, tl, cost, lam, iters, tries = (
+                a[keep] for a in (Rl, tl, cost, lam, iters, tries)
+            )
+            H, g, fresh = H[keep], g[keep], fresh[keep]
+    # re-orthonormalize against drift
+    U, _, Vt = np.linalg.svd(R)
+    return _proper(U, Vt), t, ok, converged
 
 
 def _lm(
@@ -205,85 +413,51 @@ def _lm(
     max_iters: int,
     tol: float,
 ) -> tuple[Pose, bool]:
-    """Levenberg-Marquardt over (rotation tangent, translation)."""
-    R = init.R.copy()
-    t = init.t.copy()
+    """Levenberg-Marquardt over (rotation tangent, translation).
 
-    def residuals(Rc, tc):
-        pc = corr.pts3d @ Rc.T + tc
-        z = pc[:, 2]
-        if np.any(z <= 1e-9):
-            return None, None
-        r = np.empty(2 * corr.n)
-        r[0::2] = camera.f * pc[:, 0] / z + camera.px - corr.pts2d[:, 0]
-        r[1::2] = camera.f * pc[:, 1] / z + camera.py - corr.pts2d[:, 1]
-        return r, pc
-
-    r, pc = residuals(R, t)
-    if r is None or not np.isfinite(r).all():
+    The one-pose form of ``_lm_batch``, with the same rules and the same
+    arithmetic, without the bookkeeping of a batch.
+    """
+    pts3d, pts2d = corr.pts3d, corr.pts2d
+    R, t = init.R[None], init.t[None]
+    pc, behind, du, dv = _project(pts3d, pts2d, camera, R, t)
+    if behind.any() or not (np.isfinite(du).all() and np.isfinite(dv).all()):
         raise NonFiniteResidual("refinement cannot start from this pose")
-    cost = float(r @ r)
+    cost = (du * du).sum() + (dv * dv).sum()
     lam = 1e-3
     converged = False
     for _ in range(max_iters):
-        z = pc[:, 2]
-        fz = camera.f / z
-        J = np.zeros((2 * corr.n, 6))
-        rot_pts = pc - t
-        # d(pixel)/d(camera point)
-        du_dp = np.zeros((corr.n, 3))
-        dv_dp = np.zeros((corr.n, 3))
-        du_dp[:, 0] = fz
-        du_dp[:, 2] = -camera.f * pc[:, 0] / (z * z)
-        dv_dp[:, 1] = fz
-        dv_dp[:, 2] = -camera.f * pc[:, 1] / (z * z)
-        # left rotation increment: d(pc)/dw = -[R p]_x
-        rx, ry, rz = rot_pts[:, 0], rot_pts[:, 1], rot_pts[:, 2]
-        dp_dw = np.zeros((corr.n, 3, 3))
-        dp_dw[:, 0, 1] = rz
-        dp_dw[:, 0, 2] = -ry
-        dp_dw[:, 1, 0] = -rz
-        dp_dw[:, 1, 2] = rx
-        dp_dw[:, 2, 0] = ry
-        dp_dw[:, 2, 1] = -rx
-        J[0::2, :3] = np.einsum("nk,nkj->nj", du_dp, dp_dw)
-        J[1::2, :3] = np.einsum("nk,nkj->nj", dv_dp, dp_dw)
-        J[0::2, 3:] = du_dp
-        J[1::2, 3:] = dv_dp
-        g = J.T @ r
-        H = J.T @ J
-        step_taken = False
-        for _ in range(8):
-            damped = H + lam * np.diag(np.maximum(np.diag(H), 1e-12))
+        H, g = _normal_equations(pc, t, du, dv, camera.f)
+        H, g = H[0], -g[0]
+        dH = np.maximum(H.diagonal(), 1e-12)
+        stepped = False
+        for _ in range(LM_DAMPING_TRIES):
+            damped = H.copy()
+            damped.flat[::7] += lam * dH
             try:
-                delta = np.linalg.solve(damped, -g)
+                delta = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            R_new = _exp_so3(delta[:3]) @ R
+            R_new = _rodrigues(delta[None, :3]) @ R
             t_new = t + delta[3:]
-            r_new, pc_new = residuals(R_new, t_new)
-            if r_new is None:
+            pc_new, behind, du_new, dv_new = _project(pts3d, pts2d, camera, R_new, t_new)
+            cost_new = (du_new * du_new).sum() + (dv_new * dv_new).sum()
+            if behind.any() or not cost_new <= cost:
                 lam *= 10.0
                 continue
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost:
-                R, t, r, pc, cost = R_new, t_new, r_new, pc_new, cost_new
-                lam = max(lam / 3.0, 1e-12)
-                step_taken = True
-                if math.sqrt(float(delta @ delta)) < tol:
-                    converged = True
-                break
-            lam *= 10.0
-        if converged or not step_taken:
-            if not step_taken:
-                converged = True  # no descent direction left
+            R, t, pc, du, dv, cost = R_new, t_new, pc_new, du_new, dv_new, cost_new
+            lam = max(lam / 3.0, 1e-12)
+            stepped = True
+            converged = bool((delta * delta).sum() < tol * tol)
             break
-    # re-orthonormalize against drift before constructing the pose
+        if converged or not stepped:
+            # no descent direction left counts as converged
+            converged = True
+            break
+    # re-orthonormalize against drift
     U, _, Vt = np.linalg.svd(R)
-    d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
-    R = U @ np.diag([1.0, 1.0, d]) @ Vt
-    return Pose(R=R, t=t), converged
+    return Pose(R=_proper(U, Vt)[0], t=t[0]), converged
 
 
 def pnp_refine_lm(
@@ -308,6 +482,51 @@ def pnp_refine_lm(
     return pose
 
 
+def _draw(rng, n, count):
+    """The next ``count`` minimal samples of the stream, as rows."""
+    return np.array(
+        [rng.choice(n, size=MIN_CORRESPONDENCES, replace=False) for _ in range(count)]
+    )
+
+
+def _score(corr, camera, R, t, inlier_px):
+    """MSAC scores of hypotheses (R, t) and their support in the widest
+    band, ``SCORE_CHUNK`` hypothesis-point pairs at a time."""
+    B = R.shape[0]
+    thr_sq = inlier_px * inlier_px
+    score = np.empty(B)
+    support = np.empty(B, dtype=np.int64)
+    step = max(1, SCORE_CHUNK // corr.n)
+    for s in range(0, B, step):
+        errs = _errors(corr.pts3d, corr.pts2d, camera, R[s : s + step], t[s : s + step])
+        score[s : s + step] = np.minimum(errs * errs, thr_sq).sum(axis=1)
+        support[s : s + step] = (errs < LO_BANDS[0] * inlier_px).sum(axis=1)
+    return score, support
+
+
+def _hypotheses(corr, camera, samples, inlier_px):
+    """Hypotheses of a block of minimal samples, with MSAC scores.
+
+    Each sample is solved linearly; one whose solve lands outside even
+    the widest band is re-fit geometrically on its own six points.
+    ``ok`` is False for degenerate samples and for re-fits that cannot
+    start.
+    """
+    P, uv = corr.pts3d[samples], corr.pts2d[samples]
+    R, t, ok = _dlt(P, uv, camera)
+    score, support = _score(corr, camera, R, t, inlier_px)
+    # pixel noise can throw the linear minimal solve outside every band;
+    # a geometric fit on the sample is its only way back
+    polish = np.flatnonzero(ok & (support < MIN_CORRESPONDENCES))
+    if polish.size:
+        R[polish], t[polish], started, _ = _lm_batch(
+            P[polish], uv[polish], camera, R[polish], t[polish], LM_SAMPLE_ITERS, LM_TOL
+        )
+        ok[polish] = started
+        score[polish], _ = _score(corr, camera, R[polish], t[polish], inlier_px)
+    return R, t, ok, score
+
+
 def pnp_ransac(
     corr: CorrSet,
     camera: CameraIntrinsics,
@@ -329,6 +548,9 @@ def pnp_ransac(
     pointless at 99.9% confidence.  The best hypothesis is refined on its
     inliers and statistics are recomputed under the refined pose.
 
+    Samples are drawn and solved in blocks (see the module docstring);
+    the result is that of taking them one at a time.
+
     Raises:
         TooFewCorrespondences: fewer than six pairs.
         NoConsensus: no hypothesis reached a 20% inlier fraction.
@@ -344,62 +566,58 @@ def pnp_ransac(
     best_errs = None
     needed = max_iters
     i = 0
+    block = 1
     while i < min(max_iters, needed):
-        sample = rng.choice(n, size=MIN_CORRESPONDENCES, replace=False)
-        i += 1
-        try:
-            hyp = pnp_dlt(corr.subset(sample), camera)
-        except DegenerateConfiguration:
-            continue
-        errs = _reproj_errors(corr, camera, hyp, clamp=True)
-        if int((errs < LO_BANDS[0] * inlier_px).sum()) < MIN_CORRESPONDENCES:
-            # pixel noise can throw the linear minimal solve outside every
-            # band; a geometric fit on the sample is its only way back
-            try:
-                hyp, _ = _lm(
-                    corr.subset(sample), camera, hyp, LM_SAMPLE_ITERS, LM_TOL
-                )
-            except NonFiniteResidual:
-                continue
-            errs = _reproj_errors(corr, camera, hyp, clamp=True)
-        score = float(np.minimum(errs * errs, thr_sq).sum())
-        if score < best_raw:
-            best_raw = score
-            # polish on the hypothesis's own support through shrinking
-            # bands; noise in the minimal sample otherwise caps how many
-            # inliers it can collect
-            for mult in LO_BANDS:
-                mask = errs < mult * inlier_px
-                if int(mask.sum()) < MIN_CORRESPONDENCES:
-                    continue
-                try:
-                    local, _ = _lm(
-                        corr.subset(np.flatnonzero(mask)),
-                        camera,
-                        hyp,
-                        LM_MAX_ITERS,
-                        LM_TOL,
-                    )
-                except NonFiniteResidual:
-                    break
-                lerrs = _reproj_errors(corr, camera, local, clamp=True)
-                lscore = float(np.minimum(lerrs * lerrs, thr_sq).sum())
-                if lscore < score:
-                    hyp, errs, score = local, lerrs, lscore
-        if score < best_score:
-            best_score, best_pose, best_errs = score, hyp, errs
-            q = float((errs < inlier_px).mean()) ** MIN_CORRESPONDENCES
-            if q >= 1.0:
-                needed = i
-            elif q > 1e-12:  # below that the bound exceeds max_iters anyway
-                needed = min(
-                    max_iters,
-                    int(
-                        math.ceil(
-                            math.log(1.0 - RANSAC_CONFIDENCE) / math.log(1.0 - q)
+        count = min(block, min(max_iters, needed) - i)
+        block = min(2 * block, MAX_BLOCK)
+        samples = _draw(rng, n, count)
+        R, t, ok, raw = _hypotheses(corr, camera, samples, inlier_px)
+        for k in range(count):
+            i += 1
+            # a sample that does not beat the best raw score cannot beat
+            # the best score either: local optimization only lowers it
+            if ok[k] and raw[k] < best_raw:
+                score = best_raw = float(raw[k])
+                hyp = Pose(R=R[k], t=t[k])
+                errs = _reproj_errors(corr, camera, hyp, clamp=True)
+                # polish on the hypothesis's own support through shrinking
+                # bands; noise in the minimal sample otherwise caps how many
+                # inliers it can collect
+                for mult in LO_BANDS:
+                    mask = errs < mult * inlier_px
+                    if int(mask.sum()) < MIN_CORRESPONDENCES:
+                        continue
+                    try:
+                        local, _ = _lm(
+                            corr.subset(np.flatnonzero(mask)),
+                            camera,
+                            hyp,
+                            LM_MAX_ITERS,
+                            LM_TOL,
                         )
-                    ),
-                )
+                    except NonFiniteResidual:
+                        break
+                    lerrs = _reproj_errors(corr, camera, local, clamp=True)
+                    lscore = float(np.minimum(lerrs * lerrs, thr_sq).sum())
+                    if lscore < score:
+                        hyp, errs, score = local, lerrs, lscore
+                if score < best_score:
+                    best_score, best_pose, best_errs = score, hyp, errs
+                    q = float((errs < inlier_px).mean()) ** MIN_CORRESPONDENCES
+                    if q >= 1.0:
+                        needed = i
+                    elif q > 1e-12:  # below that the bound exceeds max_iters anyway
+                        needed = min(
+                            max_iters,
+                            int(
+                                math.ceil(
+                                    math.log(1.0 - RANSAC_CONFIDENCE)
+                                    / math.log(1.0 - q)
+                                )
+                            ),
+                        )
+                    if i >= needed:
+                        break
     if best_pose is None:
         raise NoConsensus("every sample was degenerate")
     inliers = best_errs < inlier_px
@@ -421,4 +639,5 @@ def pnp_ransac(
         outlier_count=n - count,
         mean_reproj_err=float(final_errs[final_inliers].mean()),
         converged=converged,
+        samples=i,
     )

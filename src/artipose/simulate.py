@@ -138,16 +138,16 @@ def model_corr_bbox(model: ArticulatedModel, samples: int = 21):
     return np.min(los, axis=0) - pad, np.max(his, axis=0) + pad
 
 
-def _mesh_radius(model: ArticulatedModel) -> float:
-    lo, hi = model_corr_bbox(model)
+def _mesh_radius(corr_box) -> float:
+    lo, hi = corr_box
     corners = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
     return float(np.linalg.norm(corners, axis=1).max())
 
 
-def _footprint_radius(model: ArticulatedModel, config: SceneConfig) -> float:
-    r = _mesh_radius(model)
+def _footprint_radius(corr_box, config: SceneConfig) -> float:
+    r = _mesh_radius(corr_box)
     if config.occluder.enabled:
-        lo, hi = model_corr_bbox(model)
+        lo, hi = corr_box
         diag = float(np.linalg.norm(hi - lo))
         r = max(r, OCC_ANCHOR_FRAC * diag + config.occluder.size_range[1])
     return r
@@ -215,13 +215,13 @@ class RenderedFrame:
     hand_mask: MaskImage
 
 
-def _lane_regions(config: SceneConfig):
+def _lane_regions(config: SceneConfig, corr_boxes):
     cam = config.camera
     n = len(config.models)
     lane_w = cam.width / n
     regions = []
-    for i, model in enumerate(config.models):
-        r_m = _footprint_radius(model, config)
+    for i, box in enumerate(corr_boxes):
+        r_m = _footprint_radius(box, config)
         if r_m >= config.depth_range[0]:
             raise ConfigError(
                 f"model {i} footprint radius {r_m:.3f} m reaches past the near depth bound"
@@ -273,19 +273,20 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
     if n_frames < 1:
         raise ConfigError(f"n_frames must be >= 1, got {n_frames}")
     cam = config.camera
-    regions = _lane_regions(config)
+    # each model's articulation-free box: lane sizes, occluder offsets and
+    # correspondence normalization all derive from it
+    corr_boxes = [model_corr_bbox(m) for m in config.models]
+    regions = _lane_regions(config, corr_boxes)
     ss = np.random.SeedSequence(config.seed)
     rng_pose, rng_walk, rng_occ = (np.random.default_rng(s) for s in ss.spawn(3))
 
     poses = [sample_pose(rng_pose, config, region) for region in regions]
     states = [float(rng_pose.uniform(0.0, 1.0)) for _ in config.models]
-    corr_boxes = [model_corr_bbox(m) for m in config.models]
 
     occluders = []
-    for model in config.models:
+    for lo, hi in corr_boxes:
         group = []
         if config.occluder.enabled:
-            lo, hi = model_corr_bbox(model)
             diag = float(np.linalg.norm(hi - lo))
             count = int(rng_occ.integers(config.occluder.count_range[0], config.occluder.count_range[1] + 1))
             for _ in range(count):

@@ -4,7 +4,7 @@ against rendered ground truth, and round chaining."""
 import numpy as np
 import pytest
 
-from artipose.camera import BBox, Pose, bbox_iou
+from artipose.camera import BBox, Pose, bbox_iou, project_points
 from artipose.errors import (
     ConfigError,
     EmptySequence,
@@ -12,7 +12,7 @@ from artipose.errors import (
     NoConsensus,
     ParseError,
 )
-from artipose.pnp import PnPResult
+from artipose.pnp import CorrSet, PnPResult, pnp_ransac
 from artipose.simulate import (
     DEFAULT_CAMERA,
     NoiseConfig,
@@ -34,6 +34,7 @@ from artipose.adaptation import (
     load_detections,
     refine_bbox,
     select_pseudo_frames,
+    solve_object,
     square_crop,
     write_pseudo_labels,
     _pose_label_record,
@@ -162,6 +163,37 @@ class TestFilter:
             FilterThresholds(conf_min=1.5)
         with pytest.raises(ConfigError):
             FilterThresholds(reproj_max_px=0.0)
+
+
+class TestSolveObject:
+    @pytest.fixture
+    def pairs(self):
+        rng = np.random.default_rng(41)
+        pts = rng.uniform(0.0, 0.1, size=(200, 3))
+        pose = Pose(R=np.eye(3), t=np.array([0.0, 0.0, 0.9]))
+        return CorrSet(pts, project_points(pts, pose, DEFAULT_CAMERA))
+
+    def test_noise_and_solver_seeds(self, pairs):
+        noise = NoiseConfig(corr_px_sigma=2.0)
+        result, confidence = solve_object(pairs, DEFAULT_CAMERA, noise, 3, 5, 1)
+        rng = np.random.default_rng([3, 5, 1])
+        noisy = CorrSet(pairs.pts3d, pairs.pts2d + 2.0 * rng.standard_normal(pairs.pts2d.shape))
+        direct = pnp_ransac(noisy, DEFAULT_CAMERA, seed=3 * 1000003 + 5 * 1009 + 1)
+        np.testing.assert_array_equal(result.pose.R, direct.pose.R)
+        np.testing.assert_array_equal(result.pose.t, direct.pose.t)
+        assert confidence == direct.inlier_ratio < 1.0
+
+    def test_constant_confidence(self, pairs):
+        noise = NoiseConfig(corr_px_sigma=2.0, detector_conf_model="constant")
+        result, confidence = solve_object(pairs, DEFAULT_CAMERA, noise, 3, 5, 1)
+        assert confidence == 1.0
+        assert result.inlier_ratio < 1.0
+
+    def test_zero_noise_leaves_pairs(self, pairs):
+        result, confidence = solve_object(pairs, DEFAULT_CAMERA, NoiseConfig(), 3, 5, 1)
+        direct = pnp_ransac(pairs, DEFAULT_CAMERA, seed=3 * 1000003 + 5 * 1009 + 1)
+        np.testing.assert_array_equal(result.pose.R, direct.pose.R)
+        assert confidence == 1.0 == direct.inlier_ratio
 
 
 class TestRefineBbox:

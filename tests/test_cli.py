@@ -116,13 +116,6 @@ class TestEstimate:
         assert main(["estimate", "--dataset", str(dataset), "--out", str(again), "--seed", "0"]) == 0
         assert again.read_bytes() == predictions.read_bytes()
 
-    def test_jobs_do_not_change_output(self, dataset, predictions, tmp_path):
-        par = tmp_path / "par.jsonl"
-        assert main(
-            ["estimate", "--dataset", str(dataset), "--out", str(par), "--seed", "0", "--jobs", "4"]
-        ) == 0
-        assert par.read_bytes() == predictions.read_bytes()
-
     def test_noise_changes_output(self, dataset, predictions, tmp_path):
         noisy = tmp_path / "noisy.jsonl"
         assert main(

@@ -1,9 +1,12 @@
 """Tests for linear, refined and robust pose solving."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import artipose.pnp as pnp_module
 
 from artipose.camera import (
     BBox,
@@ -17,12 +20,22 @@ from artipose.camera import (
 from artipose.errors import (
     DegenerateConfiguration,
     NoConsensus,
+    NonFiniteResidual,
     PointBehindCamera,
     TooFewCorrespondences,
 )
 from artipose.meshes import box_mesh, normalize_vertices, tight_bbox
 from artipose.pnp import (
+    LM_MAX_ITERS,
+    LM_SAMPLE_ITERS,
+    LM_TOL,
+    LO_BANDS,
+    MAX_CONDITION,
+    MIN_CORRESPONDENCES,
+    MIN_INLIER_RATIO,
+    RANSAC_CONFIDENCE,
     CorrSet,
+    PnPResult,
     pairs_from_map,
     pnp_dlt,
     pnp_ransac,
@@ -291,3 +304,451 @@ class TestReprojectionRmse:
         behind = Pose(R=np.eye(3), t=np.array([0.0, 0.0, -1.0]))
         with pytest.raises(PointBehindCamera):
             reprojection_rmse(CorrSet(pts, uv), camera, behind)
+
+
+def _noisy_set(rng, camera, n, sigma, frac=0.0):
+    """Points in a 10 cm cube seen at sigma px, a share ``frac`` replaced
+    by uniform outliers."""
+    pose = random_pose(rng)
+    pts = rng.uniform(0, 0.1, size=(n, 3))
+    uv = project_points(pts, pose, camera) + sigma * rng.standard_normal((n, 2))
+    k = int(frac * n)
+    idx = rng.choice(n, size=k, replace=False)
+    uv[idx, 0] = rng.uniform(0, camera.width, k)
+    uv[idx, 1] = rng.uniform(0, camera.height, k)
+    return pose, CorrSet(pts, uv)
+
+
+class TestBatchedLoop:
+    def test_sample_stream_matches_one_at_a_time_draws(self):
+        a = np.random.default_rng(7)
+        b = np.random.default_rng(7)
+        blocks = [pnp_module._draw(a, 500, count) for count in (1, 2, 4, 8)]
+        one_by_one = [b.choice(500, size=6, replace=False) for _ in range(15)]
+        np.testing.assert_array_equal(np.concatenate(blocks), np.array(one_by_one))
+
+    def test_stacked_dlt_matches_per_sample(self, camera):
+        rng = np.random.default_rng(301)
+        _, corr = _noisy_set(rng, camera, 300, 2.0, frac=0.3)
+        samples = np.array([rng.choice(300, size=6, replace=False) for _ in range(60)])
+        pts3d = corr.pts3d[samples]
+        pts2d = corr.pts2d[samples]
+        # degenerate samples: collinear points, and one point six times
+        pts3d[0] = np.stack([np.linspace(0, 0.1, 6), np.zeros(6), np.zeros(6)], axis=1)
+        pts3d[1] = pts3d[1, :1]
+        pts2d[1] = pts2d[1, :1]
+        R, t, ok = pnp_module._dlt(pts3d, pts2d, camera)
+        for k in range(len(samples)):
+            try:
+                ref = _reference_dlt(CorrSet(pts3d[k], pts2d[k]), camera)
+            except DegenerateConfiguration:
+                assert not ok[k], k
+                continue
+            assert ok[k], k
+            np.testing.assert_allclose(R[k], ref.R, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t[k], ref.t, rtol=0, atol=1e-12)
+        assert not ok[0] and not ok[1]
+        assert ok.sum() > 50
+
+    def test_batched_lm_matches_one_pose_lm(self, camera, monkeypatch):
+        # linear solves of noisy minimal samples: some start behind the
+        # camera, some try steps that cross the camera plane or raise the
+        # cost, some converge and some run out of iterations
+        rng = np.random.default_rng(302)
+        _, corr = _noisy_set(rng, camera, 400, 2.0)
+        samples = np.array([rng.choice(400, size=6, replace=False) for _ in range(400)])
+        pts3d, pts2d = corr.pts3d[samples], corr.pts2d[samples]
+        R0, t0, ok0 = pnp_module._dlt(pts3d, pts2d, camera)
+        R0, t0, pts3d, pts2d = R0[ok0], t0[ok0], pts3d[ok0], pts2d[ok0]
+        iters = pnp_module.LM_SAMPLE_ITERS
+        behind_rows = []
+        project = pnp_module._project
+
+        def counting_project(*args):
+            out = project(*args)
+            behind_rows.append(int(out[1].any(axis=-1).sum()))
+            return out
+
+        monkeypatch.setattr(pnp_module, "_project", counting_project)
+        R, t, ok, converged = pnp_module._lm_batch(
+            pts3d, pts2d, camera, R0, t0, iters, pnp_module.LM_TOL
+        )
+        monkeypatch.undo()
+        # the first projection is the start; the rest are one try per round
+        assert behind_rows[0] == (~ok).sum() > 0
+        assert sum(behind_rows[1:]) > 0
+        assert len(behind_rows) - 1 > iters
+        assert converged[ok].any() and not converged[ok].all()
+        for k in range(len(R0)):
+            sub = CorrSet(pts3d[k], pts2d[k])
+            try:
+                pose, conv = pnp_module._lm(
+                    sub, camera, Pose(R=R0[k], t=t0[k]), iters, pnp_module.LM_TOL
+                )
+            except NonFiniteResidual:
+                assert not ok[k], k
+                continue
+            assert ok[k], k
+            np.testing.assert_array_equal(R[k], pose.R)
+            np.testing.assert_array_equal(t[k], pose.t)
+            assert converged[k] == conv, k
+
+    def test_block_hypotheses_match_per_sample(self, camera):
+        # each sample on its own: linear solve, a one-pose polish when fewer
+        # than six points fall in the widest band, then the MSAC score
+        rng = np.random.default_rng(307)
+        _, corr = _noisy_set(rng, camera, 500, 2.0, frac=0.2)
+        samples = np.array([rng.choice(500, size=6, replace=False) for _ in range(100)])
+        R, t, ok, score = pnp_module._hypotheses(corr, camera, samples, 2.0)
+        polished = 0
+        for k, sample in enumerate(samples):
+            sub = corr.subset(sample)
+            try:
+                hyp = _reference_dlt(sub, camera)
+            except DegenerateConfiguration:
+                assert not ok[k], k
+                continue
+            errs = _reference_errors(corr, camera, hyp, clamp=True)
+            if (errs < LO_BANDS[0] * 2.0).sum() < MIN_CORRESPONDENCES:
+                polished += 1
+                try:
+                    hyp, _ = pnp_module._lm(sub, camera, hyp, LM_SAMPLE_ITERS, LM_TOL)
+                except NonFiniteResidual:
+                    assert not ok[k], k
+                    continue
+                errs = _reference_errors(corr, camera, hyp, clamp=True)
+            assert ok[k], k
+            np.testing.assert_array_equal(R[k], hyp.R)
+            np.testing.assert_array_equal(t[k], hyp.t)
+            assert score[k] == np.minimum(errs * errs, 4.0).sum(), k
+        assert 0 < polished < len(samples)
+
+    def test_solve_marks_singular_rows(self):
+        A = np.stack([np.eye(6) * 2.0, np.zeros((6, 6)), np.eye(6)])
+        b = np.ones((3, 6))
+        x, solved = pnp_module._solve(A, b)
+        np.testing.assert_array_equal(solved, [True, False, True])
+        np.testing.assert_allclose(x[0], 0.5)
+        np.testing.assert_allclose(x[2], 1.0)
+
+    @pytest.mark.parametrize("n", [30, 300, 1600])
+    def test_lean_lm_matches_reference(self, camera, n):
+        rng = np.random.default_rng(303 + n)
+        for _ in range(5):
+            pose, corr = _noisy_set(rng, camera, n, 1.0)
+            axis = rng.standard_normal(3)
+            init = Pose(
+                R=rotation_about_axis(axis / np.linalg.norm(axis), math.radians(3.0)) @ pose.R,
+                t=pose.t + rng.standard_normal(3) * 0.01,
+            )
+            a, _ = pnp_module._lm(corr, camera, init, pnp_module.LM_MAX_ITERS, pnp_module.LM_TOL)
+            b, _ = _reference_lm(corr, camera, init, pnp_module.LM_MAX_ITERS, pnp_module.LM_TOL)
+            np.testing.assert_allclose(a.R, b.R, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(a.t, b.t, rtol=0, atol=1e-8)
+
+    def test_lm_start_behind_camera_raises(self, camera):
+        pts = cube_corners()
+        uv = project_points(pts, Pose(R=np.eye(3), t=np.array([0.0, 0.0, 1.0])), camera)
+        behind = Pose(R=np.eye(3), t=np.array([0.0, 0.0, -1.0]))
+        with pytest.raises(NonFiniteResidual):
+            pnp_refine_lm(CorrSet(pts, uv), camera, behind)
+
+    def test_adaptive_exit_mid_block_matches_sequential_loop(self, camera, monkeypatch):
+        # all but three points on one plane: samples drawn from the plane
+        # alone are degenerate, and the first sample with a point off it
+        # collects every point and ends the loop, inside the 64..127 block
+        rng = np.random.default_rng(500)
+        pose = random_pose(rng)
+        pts = rng.uniform(0, 0.1, size=(300, 3))
+        pts[:297, 2] = 0.05
+        uv = project_points(pts, pose, camera) + 0.2 * rng.standard_normal((300, 2))
+        corr = CorrSet(pts, uv)
+        blocks = []
+        draw = pnp_module._draw
+
+        def recording_draw(rng, n, count):
+            blocks.append(count)
+            return draw(rng, n, count)
+
+        monkeypatch.setattr(pnp_module, "_draw", recording_draw)
+        res = pnp_ransac(corr, camera, seed=500)
+        monkeypatch.undo()
+        ref, stop = _reference_ransac(corr, camera, seed=500)
+        assert res.samples == stop
+        assert blocks[:3] == [1, 2, 4]
+        assert stop not in np.cumsum(blocks)
+        assert res.inlier_count == ref.inlier_count
+        np.testing.assert_allclose(res.pose.R, ref.pose.R, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(res.pose.t, ref.pose.t, rtol=0, atol=1e-8)
+
+    def test_full_run_matches_sequential_loop(self, camera):
+        # sigma 2 px: every sample is drawn, most need the LM polish
+        rng = np.random.default_rng(305)
+        _, corr = _noisy_set(rng, camera, 300, 2.0, frac=0.2)
+        res = pnp_ransac(corr, camera, max_iters=150, seed=3)
+        ref, stop = _reference_ransac(corr, camera, max_iters=150, seed=3)
+        assert res.samples == stop == 150
+        assert res.inlier_count == ref.inlier_count
+        np.testing.assert_allclose(res.pose.R, ref.pose.R, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(res.pose.t, ref.pose.t, rtol=0, atol=1e-8)
+
+    def test_peak_memory_near_sequential_loop(self, camera):
+        # a full 64 x 64 map at sigma 2 px
+        rng = np.random.default_rng(306)
+        _, corr = _noisy_set(rng, camera, 4096, 2.0)
+        peaks = []
+        for solve in (_reference_ransac, pnp_ransac):
+            tracemalloc.start()
+            try:
+                solve(corr, camera, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20, peaks
+
+
+# ---------------------------------------------------------------------------
+# One-sample-at-a-time reference: the linear solve, Levenberg-Marquardt and
+# robust loop as they were before hypotheses were solved in blocks.  The
+# batched code must reproduce this loop's samples, exit and results.
+
+
+def _reference_errors(corr, camera, pose, clamp=False):
+    pc = corr.pts3d @ pose.R.T + pose.t
+    z = pc[:, 2]
+    bad = z <= 1e-9
+    if bad.any():
+        if not clamp:
+            raise PointBehindCamera("pose places correspondences behind the camera")
+        z = np.where(bad, 1.0, z)
+    du = camera.f * pc[:, 0] / z + camera.px - corr.pts2d[:, 0]
+    dv = camera.f * pc[:, 1] / z + camera.py - corr.pts2d[:, 1]
+    err = np.sqrt(du * du + dv * dv)
+    if bad.any():
+        err[bad] = np.inf
+    return err
+
+
+def _reference_dlt(corr, camera):
+    n = corr.n
+    if n < MIN_CORRESPONDENCES:
+        raise TooFewCorrespondences(f"need {MIN_CORRESPONDENCES} pairs, got {n}")
+    x = (corr.pts2d[:, 0] - camera.px) / camera.f
+    y = (corr.pts2d[:, 1] - camera.py) / camera.f
+    P = corr.pts3d
+    A = np.zeros((2 * n, 12))
+    A[0::2, 0:3] = P
+    A[0::2, 3] = 1.0
+    A[0::2, 8:11] = -x[:, None] * P
+    A[0::2, 11] = -x
+    A[1::2, 4:7] = P
+    A[1::2, 7] = 1.0
+    A[1::2, 8:11] = -y[:, None] * P
+    A[1::2, 11] = -y
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    # the null direction is the solution; uniqueness needs rank 11
+    if s[10] <= s[0] / MAX_CONDITION:
+        raise DegenerateConfiguration(
+            "correspondence geometry does not constrain a unique pose"
+        )
+    p = vt[-1].reshape(3, 4)
+    depths = P @ p[2, :3] + p[2, 3]
+    if depths.sum() < 0.0:
+        p = -p
+    M = p[:, :3]
+    U, sig, Vt = np.linalg.svd(M)
+    d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
+    R = U @ np.diag([1.0, 1.0, d]) @ Vt
+    scale = sig.sum() / 3.0
+    if scale <= 0.0 or not np.isfinite(scale):
+        raise DegenerateConfiguration("vanishing projective scale")
+    return Pose(R=R, t=p[:, 3] / scale)
+
+
+def _reference_skew(v):
+    return np.array(
+        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
+    )
+
+
+def _reference_exp_so3(w):
+    angle = math.sqrt(float(w @ w))
+    if angle < 1e-12:
+        return np.eye(3) + _reference_skew(w)
+    K = _reference_skew(w / angle)
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
+def _reference_lm(corr, camera, init, max_iters, tol):
+    R = init.R.copy()
+    t = init.t.copy()
+
+    def residuals(Rc, tc):
+        pc = corr.pts3d @ Rc.T + tc
+        z = pc[:, 2]
+        if np.any(z <= 1e-9):
+            return None, None
+        r = np.empty(2 * corr.n)
+        r[0::2] = camera.f * pc[:, 0] / z + camera.px - corr.pts2d[:, 0]
+        r[1::2] = camera.f * pc[:, 1] / z + camera.py - corr.pts2d[:, 1]
+        return r, pc
+
+    r, pc = residuals(R, t)
+    if r is None or not np.isfinite(r).all():
+        raise NonFiniteResidual("refinement cannot start from this pose")
+    cost = float(r @ r)
+    lam = 1e-3
+    converged = False
+    for _ in range(max_iters):
+        z = pc[:, 2]
+        fz = camera.f / z
+        J = np.zeros((2 * corr.n, 6))
+        rot_pts = pc - t
+        # d(pixel)/d(camera point)
+        du_dp = np.zeros((corr.n, 3))
+        dv_dp = np.zeros((corr.n, 3))
+        du_dp[:, 0] = fz
+        du_dp[:, 2] = -camera.f * pc[:, 0] / (z * z)
+        dv_dp[:, 1] = fz
+        dv_dp[:, 2] = -camera.f * pc[:, 1] / (z * z)
+        # left rotation increment: d(pc)/dw = -[R p]_x
+        rx, ry, rz = rot_pts[:, 0], rot_pts[:, 1], rot_pts[:, 2]
+        dp_dw = np.zeros((corr.n, 3, 3))
+        dp_dw[:, 0, 1] = rz
+        dp_dw[:, 0, 2] = -ry
+        dp_dw[:, 1, 0] = -rz
+        dp_dw[:, 1, 2] = rx
+        dp_dw[:, 2, 0] = ry
+        dp_dw[:, 2, 1] = -rx
+        J[0::2, :3] = np.einsum("nk,nkj->nj", du_dp, dp_dw)
+        J[1::2, :3] = np.einsum("nk,nkj->nj", dv_dp, dp_dw)
+        J[0::2, 3:] = du_dp
+        J[1::2, 3:] = dv_dp
+        g = J.T @ r
+        H = J.T @ J
+        step_taken = False
+        for _ in range(8):
+            damped = H + lam * np.diag(np.maximum(np.diag(H), 1e-12))
+            try:
+                delta = np.linalg.solve(damped, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            R_new = _reference_exp_so3(delta[:3]) @ R
+            t_new = t + delta[3:]
+            r_new, pc_new = residuals(R_new, t_new)
+            if r_new is None:
+                lam *= 10.0
+                continue
+            cost_new = float(r_new @ r_new)
+            if cost_new <= cost:
+                R, t, r, pc, cost = R_new, t_new, r_new, pc_new, cost_new
+                lam = max(lam / 3.0, 1e-12)
+                step_taken = True
+                if math.sqrt(float(delta @ delta)) < tol:
+                    converged = True
+                break
+            lam *= 10.0
+        if converged or not step_taken:
+            if not step_taken:
+                converged = True  # no descent direction left
+            break
+    # re-orthonormalize against drift before constructing the pose
+    U, _, Vt = np.linalg.svd(R)
+    d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
+    R = U @ np.diag([1.0, 1.0, d]) @ Vt
+    return Pose(R=R, t=t), converged
+
+
+def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
+    """One sample at a time; returns (result, samples the loop went through)."""
+    n = corr.n
+    if n < MIN_CORRESPONDENCES:
+        raise TooFewCorrespondences(f"need {MIN_CORRESPONDENCES} pairs, got {n}")
+    rng = np.random.default_rng(seed)
+    thr_sq = inlier_px * inlier_px
+    best_score = math.inf
+    best_raw = math.inf
+    best_pose = None
+    best_errs = None
+    needed = max_iters
+    i = 0
+    while i < min(max_iters, needed):
+        sample = rng.choice(n, size=MIN_CORRESPONDENCES, replace=False)
+        i += 1
+        try:
+            hyp = _reference_dlt(corr.subset(sample), camera)
+        except DegenerateConfiguration:
+            continue
+        errs = _reference_errors(corr, camera, hyp, clamp=True)
+        if int((errs < LO_BANDS[0] * inlier_px).sum()) < MIN_CORRESPONDENCES:
+            # pixel noise can throw the linear minimal solve outside every
+            # band; a geometric fit on the sample is its only way back
+            try:
+                hyp, _ = _reference_lm(
+                    corr.subset(sample), camera, hyp, LM_SAMPLE_ITERS, LM_TOL
+                )
+            except NonFiniteResidual:
+                continue
+            errs = _reference_errors(corr, camera, hyp, clamp=True)
+        score = float(np.minimum(errs * errs, thr_sq).sum())
+        if score < best_raw:
+            best_raw = score
+            # polish on the hypothesis's own support through shrinking
+            # bands; noise in the minimal sample otherwise caps how many
+            # inliers it can collect
+            for mult in LO_BANDS:
+                mask = errs < mult * inlier_px
+                if int(mask.sum()) < MIN_CORRESPONDENCES:
+                    continue
+                try:
+                    local, _ = _reference_lm(
+                        corr.subset(np.flatnonzero(mask)),
+                        camera,
+                        hyp,
+                        LM_MAX_ITERS,
+                        LM_TOL,
+                    )
+                except NonFiniteResidual:
+                    break
+                lerrs = _reference_errors(corr, camera, local, clamp=True)
+                lscore = float(np.minimum(lerrs * lerrs, thr_sq).sum())
+                if lscore < score:
+                    hyp, errs, score = local, lerrs, lscore
+        if score < best_score:
+            best_score, best_pose, best_errs = score, hyp, errs
+            q = float((errs < inlier_px).mean()) ** MIN_CORRESPONDENCES
+            if q >= 1.0:
+                needed = i
+            elif q > 1e-12:  # below that the bound exceeds max_iters anyway
+                needed = min(
+                    max_iters,
+                    int(
+                        math.ceil(
+                            math.log(1.0 - RANSAC_CONFIDENCE) / math.log(1.0 - q)
+                        )
+                    ),
+                )
+    if best_pose is None:
+        raise NoConsensus("every sample was degenerate")
+    inliers = best_errs < inlier_px
+    if float(inliers.mean()) < MIN_INLIER_RATIO:
+        raise NoConsensus(
+            f"best hypothesis supports only {inliers.mean():.1%} of the data"
+        )
+    refined, converged = _reference_lm(
+        corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
+    )
+    final_errs = _reference_errors(corr, camera, refined, clamp=True)
+    final_inliers = final_errs < inlier_px
+    count = int(final_inliers.sum())
+    if count < MIN_CORRESPONDENCES:
+        raise NoConsensus("refinement lost the inlier support")
+    result = PnPResult(
+        pose=refined,
+        inlier_count=count,
+        outlier_count=n - count,
+        mean_reproj_err=float(final_errs[final_inliers].mean()),
+        converged=converged,
+    )
+    return result, i
