@@ -155,7 +155,8 @@ class RenderEstimator:
     """Stand-in for the trained network: renders the known object into the
     requested crop, optionally perturbs the pixel observations, and solves
     the pose back.  Deterministic for a fixed seed; the noise draw depends
-    only on (seed, frame_id, class_id)."""
+    only on (seed, frame_id, class_id), so an answer depends only on
+    (frame_id, crop, class_id) and a repeated request reuses it."""
 
     def __init__(self, gt, models, camera: CameraIntrinsics, noise: NoiseConfig = NoiseConfig(), seed: int = 0):
         self.gt = dict(gt)
@@ -164,6 +165,7 @@ class RenderEstimator:
         self.noise = noise
         self.seed = seed
         self._boxes = {cls: model_corr_bbox(m) for cls, m in self.models.items()}
+        self._answers = {}
 
     @classmethod
     def from_rendered(cls, frames, models, camera, noise=NoiseConfig(), seed=0):
@@ -184,6 +186,12 @@ class RenderEstimator:
         return cls(gt, models, dataset.camera, noise, seed)
 
     def __call__(self, frame_id: int, crop: BBox, class_id: int) -> PoseEstimate:
+        key = (frame_id, crop, class_id)
+        if key not in self._answers:
+            self._answers[key] = self._estimate(frame_id, crop, class_id)
+        return self._answers[key]
+
+    def _estimate(self, frame_id: int, crop: BBox, class_id: int) -> PoseEstimate:
         key = (frame_id, class_id)
         if key not in self.gt:
             raise InputError(f"no ground truth for frame {frame_id} class {class_id}")

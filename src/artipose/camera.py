@@ -103,29 +103,27 @@ def bbox_iou(a: BBox, b: BBox) -> float:
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
-
-
 def check_rotation(R: np.ndarray) -> np.ndarray:
     """Validate that ``R`` is a proper rotation; returns it as float64."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise InvalidRotation(f"expected 3x3 matrix, got shape {R.shape}")
-    err = R.T @ R - _EYE3
-    if math.sqrt(float((err * err).sum())) >= ROTATION_TOL:
+    # Frobenius norm of R^T R - I and the determinant, on plain floats:
+    # numpy's per-call overhead dominates at 3x3.
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    xx = a * a + d * d + g * g - 1.0
+    yy = b * b + e * e + h * h - 1.0
+    zz = c * c + f * f + i * i - 1.0
+    xy = a * b + d * e + g * h
+    xz = a * c + d * f + g * i
+    yz = b * c + e * f + h * i
+    frob = math.sqrt(xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz))
+    if frob >= ROTATION_TOL:
         raise InvalidRotation("matrix columns are not orthonormal")
-    if abs(_det3(R) - 1.0) >= ROTATION_TOL:
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det - 1.0) >= ROTATION_TOL:
         raise InvalidRotation("matrix determinant is not +1")
     return R
-
-
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
 
 
 @dataclass(frozen=True)
@@ -184,10 +182,10 @@ def rot6d_to_matrix(g: Rot6D) -> np.ndarray:
         raise DegenerateRotation6D(
             f"second column is near parallel to the first (residual {n2:.3e})"
         )
-    c2 = r2p / n2
-    a1, a2, a3 = c1
-    b1, b2, b3 = c2
-    # third column is c1 x c2, written out to keep this path cheap
+    # The dot products stay in numpy so the bits match its (fused) summation;
+    # the rest runs on plain floats, which numpy's per-call overhead dwarfs.
+    a1, a2, a3 = c1.tolist()
+    b1, b2, b3 = (r2p / n2).tolist()
     return np.array(
         [
             [a1, b1, a2 * b3 - a3 * b2],
@@ -209,8 +207,7 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     n = math.sqrt(float(a @ a))
     if n <= GS_EPS:
         raise ValueError("rotation axis must be non-zero")
-    a = a / n
-    x, y, z = a
+    x, y, z = (a / n).tolist()
     c = math.cos(angle)
     s = math.sin(angle)
     C = 1.0 - c

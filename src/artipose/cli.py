@@ -50,10 +50,10 @@ from .meshes import (
 )
 from .metrics import (
     GTBox,
+    PoseMatches,
     PredictionRecord,
     detection_ap,
-    load_annotation_bundle,
-    pose_ap_report,
+    iter_annotations,
     visibility_fraction,
 )
 from .pnp import pairs_from_map
@@ -249,13 +249,12 @@ def cmd_estimate(args):
 # evaluate
 
 
-def _prediction_rasters(estimates, models_by_class, camera):
-    """Render each estimate to a full-image mask; unrenderable ones drop."""
-    mask_preds = []
-    box_preds = []
-    for (frame_id, class_id), est in sorted(estimates.items()):
-        if class_id not in models_by_class:
-            raise InputError(f"prediction for unknown class {class_id}")
+def _frame_predictions(frame_id, keys, estimates, models_by_class, camera, boxes):
+    """(order, mask record) pairs of a frame's renderable (order, class_id)
+    ``keys``, popped from ``estimates``; (order, box record) pairs go to ``boxes``."""
+    masks = []
+    for order, class_id in keys:
+        est = estimates.pop((frame_id, class_id))
         mesh = articulate(models_by_class[class_id], ArticulationState(est.articulation))
         try:
             mask = render_amodal(mesh, est.pose, camera)
@@ -263,37 +262,23 @@ def _prediction_rasters(estimates, models_by_class, camera):
             raise
         except ArtiposeError:
             continue
-        mask_preds.append(
-            PredictionRecord(
-                frame_id=frame_id,
-                class_id=class_id,
-                confidence=est.class_confidence,
-                mask=mask,
-            )
-        )
-        box_preds.append(
-            PredictionRecord(
-                frame_id=frame_id,
-                class_id=class_id,
-                confidence=est.class_confidence,
-                bbox=mask.bbox(),
-            )
-        )
-    return mask_preds, box_preds
+        conf = est.class_confidence
+        masks.append((order, PredictionRecord(frame_id, class_id, conf, mask=mask)))
+        boxes.append((order, PredictionRecord(frame_id, class_id, conf, bbox=mask.bbox())))
+    return masks
 
 
-def _gt_boxes_from_annotations(annotations):
+def _gt_boxes(ann):
     boxes = []
-    for ann in annotations:
-        for class_id, amodal in ann.amodal_masks.items():
-            box = amodal.bbox()
-            if box is None:
-                continue
-            vis = ann.visible_masks.get(class_id)
-            fraction = visibility_fraction(vis, amodal) if vis is not None else 1.0
-            boxes.append(
-                GTBox(frame_id=ann.frame_id, class_id=class_id, bbox=box, visibility=fraction)
-            )
+    for class_id, amodal in ann.amodal_masks.items():
+        box = amodal.bbox()
+        if box is None:
+            continue
+        vis = ann.visible_masks.get(class_id)
+        fraction = visibility_fraction(vis, amodal) if vis is not None else 1.0
+        boxes.append(
+            GTBox(frame_id=ann.frame_id, class_id=class_id, bbox=box, visibility=fraction)
+        )
     return boxes
 
 
@@ -326,15 +311,33 @@ def _format_report_txt(payload):
 
 
 def cmd_evaluate(args):
+    """Score predictions one annotated frame at a time: each frame's masks
+    and renders are dropped once matched, so memory stays flat."""
     ds = _open_dataset(args.dataset)
     _, models_by_class = _dataset_models(ds)
-    annotations = load_annotation_bundle(
+    frames = iter_annotations(
         _require_file(Path(args.dataset) / "annotations.json", "annotations")
     )
     estimates = load_estimates(_require_file(args.predictions, "predictions file"))
-    mask_preds, box_preds = _prediction_rasters(estimates, models_by_class, ds.camera)
-    pose_report = pose_ap_report(mask_preds, annotations)
-    det_report = detection_ap(box_preds, _gt_boxes_from_annotations(annotations))
+    by_frame = {}
+    for order, (frame_id, class_id) in enumerate(sorted(estimates)):
+        if class_id not in models_by_class:
+            raise InputError(f"prediction for unknown class {class_id}")
+        by_frame.setdefault(frame_id, []).append((order, class_id))
+    matches = PoseMatches()
+    boxes = []
+    gt_boxes = []
+    for ann in frames:
+        keys = by_frame.pop(ann.frame_id, [])
+        masks = _frame_predictions(ann.frame_id, keys, estimates, models_by_class, ds.camera, boxes)
+        matches.add(ann.frame_id, masks, ann)
+        gt_boxes += _gt_boxes(ann)
+    for frame_id, keys in by_frame.items():
+        masks = _frame_predictions(frame_id, keys, estimates, models_by_class, ds.camera, boxes)
+        matches.add(frame_id, masks)
+    pose_report = matches.report()
+    boxes.sort(key=lambda item: item[0])
+    det_report = detection_ap([rec for _, rec in boxes], gt_boxes)
 
     effective = {
         "dataset": str(Path(args.dataset)),
@@ -347,8 +350,8 @@ def cmd_evaluate(args):
         "iou_thresholds": list(pose_report.thresholds),
         "pose_ap": _ap_payload(pose_report),
         "detection_ap": _ap_payload(det_report),
-        "n_predictions": len(mask_preds),
-        "n_frames": len(annotations),
+        "n_predictions": len(boxes),
+        "n_frames": len(matches.frames),
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -486,7 +489,7 @@ def _losses_for_object(obj, est, model, box, camera, weights, pts, n_classes):
     center = (crop.cx, crop.cy)
     gt_corr = load_correspondence(obj.corr_path, crop)
     gt_mesh = articulate(model, ArticulationState(obj.articulation))
-    _, gt_crop_masks = rasterize_crop([(gt_mesh, obj.pose)], camera, crop, CROP_OUT_SIZE)
+    gt_crop_masks = rasterize_crop([(gt_mesh, obj.pose)], camera, crop, CROP_OUT_SIZE)
     gt = GroundTruth(
         R=ego_to_allo(obj.pose.R, center, camera),
         site=encode_translation(obj.pose.t, crop, camera),
@@ -501,7 +504,7 @@ def _losses_for_object(obj, est, model, box, camera, weights, pts, n_classes):
     pred_corr = render_correspondence(
         pred_mesh, coords, est.pose, camera, crop, CROP_OUT_SIZE
     )
-    _, pred_crop_masks = rasterize_crop(
+    pred_crop_masks = rasterize_crop(
         [(pred_mesh, est.pose)], camera, crop, CROP_OUT_SIZE
     )
     pred_full = pred_crop_masks[0].data.astype(np.float64)

@@ -29,11 +29,13 @@ def canonical_json(payload) -> str:
 
 
 def write_mask_pgm(mask: MaskImage, path: str | Path) -> None:
+    """Write the whole image, whatever window the mask keeps."""
     header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + (mask.data * np.uint8(255)).tobytes())
+    Path(path).write_bytes(header + (mask.full() * np.uint8(255)).tobytes())
 
 
 def read_mask_pgm(path: str | Path) -> MaskImage:
+    """Read a mask, kept over the tight window of its set pixels."""
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P5"):
         raise ParseError(f"{path}: not a binary PGM file")
@@ -63,7 +65,7 @@ def read_mask_pgm(path: str | Path) -> MaskImage:
         )
     if not ((data == 0) | (data == 255)).all():
         raise ParseError(f"{path}: mask pixels must be 0 or 255")
-    return MaskImage(width, height, (data == 255).reshape(height, width))
+    return MaskImage(width, height, (data == 255).reshape(height, width)).tight()
 
 
 def write_fmap(data: np.ndarray, path: str | Path) -> None:

@@ -5,6 +5,12 @@ mask has been subtracted from both sides, so pixels hidden by hands never
 count for or against a pose.  Ground-truth instances visible from less
 than 10% are dropped, and predictions that only cover such instances are
 ignored instead of becoming false positives.
+
+Mask operations visit only window pixels (``raster.MaskImage``): an IoU
+counts the intersection over one window and the union from pixel counts,
+the same integers as over the frame.  ``PoseMatches`` keeps only each
+prediction's confidence, frame and IoU, so frames stream through pose
+AP; matching and its tie rule are ``_class_ap``'s.
 """
 
 import json
@@ -14,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import BBox, bbox_iou
-from .errors import NoAnnotations, ParseError
+from .errors import InputError, NoAnnotations, ParseError
 from .formats import read_mask_pgm
 from .raster import MaskImage
 
@@ -96,21 +102,21 @@ class APReport:
 
 
 def occlusion_subtract(tool_mask: MaskImage, hand_mask: MaskImage) -> MaskImage:
-    """Remove hand pixels from a tool mask."""
+    """Remove hand pixels from a tool mask; the result keeps the tool's window."""
     if (tool_mask.height, tool_mask.width) != (hand_mask.height, hand_mask.width):
         raise ValueError("tool and hand masks differ in shape")
-    data = tool_mask.data & (1 - hand_mask.data)
-    return MaskImage(tool_mask.width, tool_mask.height, data)
+    data = tool_mask.data & (1 - hand_mask.within(*tool_mask.window))
+    return MaskImage(tool_mask.width, tool_mask.height, data, tool_mask.x0, tool_mask.y0)
 
 
 def mask_iou(a: MaskImage, b: MaskImage) -> float:
     """Pixel IoU; two empty masks count as a perfect match."""
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError("masks differ in shape")
-    union = int((a.data | b.data).sum())
+    inter = int((a.within(*b.window) & b.data).sum())
+    union = a.pixel_count() + b.pixel_count() - inter
     if union == 0:
         return 1.0
-    inter = int((a.data & b.data).sum())
     return inter / union
 
 
@@ -208,51 +214,92 @@ def _class_ap(preds, gt_frames, thresholds, iou_fn):
     return total / len(thresholds)
 
 
-def ap_over_thresholds(predictions, annotations, class_id, thresholds=IOU_THRESHOLDS):
-    """Reprojection-mask AP for one class, averaged over IoU thresholds.
+class PoseMatches:
+    """Everything pose AP needs of a sequence, gathered one frame at a time.
 
-    Raises:
-        NoAnnotations: no frame annotates the class at all.
+    ``frames`` holds the annotated frame ids.  Per class, ``gt`` maps each
+    annotated frame to its one annotation as ``[(None, removed)]``, and
+    ``preds`` holds (order, confidence, frame_id, IoU with that frame's
+    annotation or None), where ``order`` is the input position that
+    breaks confidence ties.
     """
-    if not any(class_id in ann.tool_masks for ann in annotations):
-        raise NoAnnotations(f"class {class_id} appears in no annotation")
-    gt_frames = {}
+
+    def __init__(self):
+        self.frames = set()
+        self.gt = {}
+        self.preds = {}
+
+    def add(self, frame_id, predictions, ann: FrameAnnotation | None = None) -> None:
+        """Match one frame's (order, PredictionRecord) pairs against its
+        annotation; a frame without one only adds false positives.
+
+        Raises:
+            InputError: the frame was annotated before.
+        """
+        tools = {}
+        if ann is not None:
+            if frame_id in self.frames:
+                raise InputError(f"frame {frame_id} is annotated twice")
+            self.frames.add(frame_id)
+            for cls, tool in ann.tool_masks.items():
+                vis, amodal = ann.visible_masks.get(cls), ann.amodal_masks.get(cls)
+                removed = False
+                if vis is not None and amodal is not None:
+                    removed = visibility_fraction(vis, amodal) < MIN_VISIBILITY
+                self.gt.setdefault(cls, {})[frame_id] = [(None, removed)]
+                tools[cls] = occlusion_subtract(tool, ann.hand_mask)
+        for order, rec in predictions:
+            iou = None
+            if rec.class_id in tools:
+                iou = mask_iou(occlusion_subtract(rec.mask, ann.hand_mask), tools[rec.class_id])
+            self.preds.setdefault(rec.class_id, []).append(
+                (order, rec.confidence, frame_id, iou)
+            )
+
+    def class_ap(self, class_id, thresholds=IOU_THRESHOLDS) -> float:
+        """Reprojection-mask AP for one class, averaged over IoU thresholds.
+
+        Raises:
+            NoAnnotations: no frame annotates the class at all.
+        """
+        if class_id not in self.gt:
+            raise NoAnnotations(f"class {class_id} appears in no annotation")
+        preds = [p[1:] for p in sorted(self.preds.get(class_id, []), key=lambda p: p[0])]
+        return _class_ap(preds, self.gt[class_id], thresholds, lambda iou, _: iou)
+
+    def report(self, thresholds=IOU_THRESHOLDS) -> APReport:
+        """Per-class reprojection AP plus the class mean."""
+        if not self.gt:
+            raise NoAnnotations("annotations contain no tool masks")
+        per_class = {cls: self.class_ap(cls, thresholds) for cls in sorted(self.gt)}
+        return APReport(
+            per_class_ap=per_class,
+            mean_ap=mean_ap(per_class),
+            thresholds=tuple(thresholds),
+        )
+
+
+def _pose_matches(predictions, annotations) -> PoseMatches:
+    by_frame = {}
+    for order, rec in enumerate(predictions):
+        if rec.mask is not None:
+            by_frame.setdefault(rec.frame_id, []).append((order, rec))
+    matches = PoseMatches()
     for ann in annotations:
-        tool = ann.tool_masks.get(class_id)
-        if tool is None:
-            continue
-        subtracted = occlusion_subtract(tool, ann.hand_mask)
-        removed = False
-        vis = ann.visible_masks.get(class_id)
-        amodal = ann.amodal_masks.get(class_id)
-        if vis is not None and amodal is not None:
-            removed = visibility_fraction(vis, amodal) < MIN_VISIBILITY
-        gt_frames[ann.frame_id] = [(subtracted, removed)]
-    hands = {ann.frame_id: ann.hand_mask for ann in annotations}
-    preds = []
-    for rec in predictions:
-        if rec.class_id != class_id or rec.mask is None:
-            continue
-        hand = hands.get(rec.frame_id)
-        mask = occlusion_subtract(rec.mask, hand) if hand is not None else rec.mask
-        preds.append((rec.confidence, rec.frame_id, mask))
-    return _class_ap(preds, gt_frames, thresholds, mask_iou)
+        matches.add(ann.frame_id, by_frame.pop(ann.frame_id, []), ann)
+    for frame_id, preds in by_frame.items():
+        matches.add(frame_id, preds)
+    return matches
+
+
+def ap_over_thresholds(predictions, annotations, class_id, thresholds=IOU_THRESHOLDS):
+    """``PoseMatches.class_ap`` over in-memory predictions and annotations."""
+    return _pose_matches(predictions, annotations).class_ap(class_id, thresholds)
 
 
 def pose_ap_report(predictions, annotations, thresholds=IOU_THRESHOLDS) -> APReport:
-    """Per-class reprojection AP plus the class mean."""
-    classes = sorted({cls for ann in annotations for cls in ann.tool_masks})
-    if not classes:
-        raise NoAnnotations("annotations contain no tool masks")
-    per_class = {
-        cls: ap_over_thresholds(predictions, annotations, cls, thresholds)
-        for cls in classes
-    }
-    return APReport(
-        per_class_ap=per_class,
-        mean_ap=mean_ap(per_class),
-        thresholds=tuple(thresholds),
-    )
+    """``PoseMatches.report`` over in-memory predictions and annotations."""
+    return _pose_matches(predictions, annotations).report(thresholds)
 
 
 def detection_ap(pred_boxes, gt_boxes, thresholds=IOU_THRESHOLDS) -> APReport:
@@ -286,8 +333,9 @@ def detection_ap(pred_boxes, gt_boxes, thresholds=IOU_THRESHOLDS) -> APReport:
     )
 
 
-def load_annotation_bundle(index_path) -> list:
-    """Read the frame index JSON and the PGM masks it references.
+def iter_annotations(index_path):
+    """Yield the frames of an annotation index, reading each frame's PGM
+    masks only when it is reached.
 
     The visible tool masks double as the annotated masks the metric
     matches against.
@@ -301,7 +349,6 @@ def load_annotation_bundle(index_path) -> list:
     frames = payload.get("frames")
     if not isinstance(frames, list):
         raise ParseError("annotation index must contain a 'frames' list")
-    out = []
     for entry in frames:
         try:
             frame_id = int(entry["frame_id"])
@@ -315,16 +362,18 @@ def load_annotation_bundle(index_path) -> list:
             hand = read_mask_pgm(root / entry["hand_mask"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed annotation entry: {exc}") from None
-        out.append(
-            FrameAnnotation(
-                frame_id=frame_id,
-                tool_masks=masks,
-                hand_mask=hand,
-                visible_masks=masks,
-                amodal_masks=amodal,
-            )
+        yield FrameAnnotation(
+            frame_id=frame_id,
+            tool_masks=masks,
+            hand_mask=hand,
+            visible_masks=masks,
+            amodal_masks=amodal,
         )
-    return out
+
+
+def load_annotation_bundle(index_path) -> list:
+    """Every frame of :func:`iter_annotations`, read into memory."""
+    return list(iter_annotations(index_path))
 
 
 def load_prediction_records(path) -> list:

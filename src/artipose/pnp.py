@@ -13,9 +13,10 @@ loop that exits after a few samples solves few extra ones.  A block's
 linear solves are one stacked SVD, its hypotheses are scored in chunks
 of at most ``SCORE_CHUNK`` hypothesis-point pairs, and the samples that
 need a geometric polish share one masked, batched Levenberg-Marquardt
-run; so the temporaries stay near a megabyte whatever the block and map
-size.  The ordered part of the loop (local optimization, the best
-hypothesis and the adaptive exit) then walks the block sample by sample.
+run (a lone one takes the faster one-pose form); so the temporaries stay
+near a megabyte whatever the block and map size.  The ordered part of
+the loop (local optimization, the best hypothesis and the adaptive exit)
+then walks the block sample by sample.
 Batching changes no arithmetic: a hypothesis's linear solve, polish and
 score come out bit for bit as when it is computed alone, and the samples
 come from the same stream as one-at-a-time draws, so the loop stops at
@@ -518,11 +519,20 @@ def _hypotheses(corr, camera, samples, inlier_px):
     # pixel noise can throw the linear minimal solve outside every band;
     # a geometric fit on the sample is its only way back
     polish = np.flatnonzero(ok & (support < MIN_CORRESPONDENCES))
-    if polish.size:
-        R[polish], t[polish], started, _ = _lm_batch(
+    if polish.size > 1:
+        R[polish], t[polish], ok[polish], _ = _lm_batch(
             P[polish], uv[polish], camera, R[polish], t[polish], LM_SAMPLE_ITERS, LM_TOL
         )
-        ok[polish] = started
+    elif polish.size:
+        # the one-pose form gives the same bits without the batch bookkeeping
+        k = polish[0]
+        init = Pose(R=R[k], t=t[k])
+        try:
+            pose, _ = _lm(CorrSet(P[k], uv[k]), camera, init, LM_SAMPLE_ITERS, LM_TOL)
+            R[k], t[k] = pose.R, pose.t
+        except NonFiniteResidual:
+            ok[k] = False
+    if polish.size:
         score[polish], _ = _score(corr, camera, R[polish], t[polish], inlier_px)
     return R, t, ok, score
 

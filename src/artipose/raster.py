@@ -1,4 +1,4 @@
-"""CPU rasterization of posed meshes: depth, masks and correspondence maps.
+"""CPU rasterization of posed meshes: masks and correspondence maps.
 
 Pixel (i, j) is sampled at its center (j + 0.5, i + 0.5); there is no
 antialiasing and no back-face culling.  Depth resolves overlaps: the
@@ -23,10 +23,19 @@ order, of at most ``CHUNK_PIXELS`` plus one row.  That bounds the
 temporaries to about a megabyte whatever the scene: a triangle near the
 camera whose box covers the frame is split into bands of rows instead of
 allocating frame-sized arrays.
+
+A ``MaskImage`` keeps only a window of its image, every pixel outside
+it being 0.  ``render_amodal`` rasterizes the window of pixel centers in
+the projected vertex box, on a 1:1 grid shifted by an integer.  Below
+2**52 px that shift is exact in float64, so every difference, edge
+function, box and depth is the full frame's; faces keep their boxes,
+rows and chunks, pixels their row-major order, and the tie rule its
+winners: the window holds the full-frame render's exact bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,18 +57,25 @@ CHUNK_PIXELS = 1 << 13
 
 @dataclass(frozen=True)
 class MaskImage:
-    """Binary raster, row-major uint8 with values 0 or 1."""
+    """Binary raster of a ``width`` x ``height`` image, kept as a window.
+
+    ``data`` is row-major uint8 with values 0 or 1 over the window whose
+    top-left pixel is column ``x0``, row ``y0``; pixels outside it are 0.
+    """
 
     width: int
     height: int
     data: np.ndarray
+    x0: int = 0
+    y0: int = 0
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.uint8)
-        if data.shape != (self.height, self.width):
+        h, w = data.shape
+        if not (0 <= self.x0 <= self.width - w and 0 <= self.y0 <= self.height - h):
             raise ValueError(
-                f"mask data shape {data.shape} does not match "
-                f"{self.height}x{self.width}"
+                f"mask data shape {data.shape} at ({self.y0}, {self.x0}) "
+                f"does not match {self.height}x{self.width}"
             )
         if data.max(initial=0) > 1:
             raise ValueError("mask values must be 0 or 1")
@@ -70,37 +86,51 @@ class MaskImage:
         data = np.asarray(data)
         return cls(width=data.shape[1], height=data.shape[0], data=data != 0)
 
+    @property
+    def window(self) -> tuple[int, int, int, int]:
+        """(x0, y0, x1, y1), the window's pixel range with exclusive ends."""
+        h, w = self.data.shape
+        return self.x0, self.y0, self.x0 + w, self.y0 + h
+
+    def within(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+        """The mask's bits over columns [x0, x1) and rows [y0, y1)."""
+        if (x0, y0, x1, y1) == self.window:
+            return self.data
+        out = np.zeros((y1 - y0, x1 - x0), dtype=np.uint8)
+        ax0, ay0, ax1, ay1 = self.window
+        # the overlap of the two windows, possibly empty
+        cx0, cy0 = max(x0, ax0), max(y0, ay0)
+        cx1, cy1 = max(min(x1, ax1), cx0), max(min(y1, ay1), cy0)
+        out[cy0 - y0 : cy1 - y0, cx0 - x0 : cx1 - x0] = self.data[
+            cy0 - ay0 : cy1 - ay0, cx0 - ax0 : cx1 - ax0
+        ]
+        return out
+
+    def full(self) -> np.ndarray:
+        """The whole image as a (height, width) array."""
+        return self.within(0, 0, self.width, self.height)
+
+    def tight(self) -> "MaskImage":
+        """The same mask over the smallest window holding its set pixels."""
+        rows = np.flatnonzero(self.data.any(axis=1))
+        cols = np.flatnonzero(self.data.any(axis=0))
+        if rows.size == 0:
+            return MaskImage(self.width, self.height, np.zeros((0, 0), np.uint8))
+        x0, y0 = self.x0 + int(cols[0]), self.y0 + int(rows[0])
+        data = self.data[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        return MaskImage(self.width, self.height, data, x0, y0)
+
     def pixel_count(self) -> int:
         return int(self.data.sum())
 
     def bbox(self) -> BBox | None:
         """Tight pixel box around the set pixels; None for an empty mask."""
-        rows = np.flatnonzero(self.data.any(axis=1))
-        cols = np.flatnonzero(self.data.any(axis=0))
-        if rows.size == 0:
+        x0, y0, x1, y1 = self.tight().window
+        if x0 == x1:
             return None
-        y0, y1 = int(rows[0]), int(rows[-1])
-        x0, x1 = int(cols[0]), int(cols[-1])
-        w = float(x1 - x0 + 1)
-        h = float(y1 - y0 + 1)
+        w = float(x1 - x0)
+        h = float(y1 - y0)
         return BBox(cx=x0 + 0.5 * w, cy=y0 + 0.5 * h, w=w, h=h)
-
-
-@dataclass(frozen=True)
-class DepthMap:
-    """Depth raster in meters, float32; zero marks pixels with no hit."""
-
-    width: int
-    height: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if data.shape != (self.height, self.width):
-            raise ValueError("depth data shape does not match size")
-        if not np.isfinite(data).all() or data.min(initial=0.0) < 0.0:
-            raise ValueError("depth values must be finite and non-negative")
-        object.__setattr__(self, "data", data)
 
 
 @dataclass(frozen=True)
@@ -303,47 +333,50 @@ def _front_most(pix, z, depth):
 
 
 def rasterize_scene(
-    meshes: Sequence[tuple[TriMesh, Pose]],
-    camera: CameraIntrinsics,
-    width: int | None = None,
-    height: int | None = None,
-) -> tuple[DepthMap, list[MaskImage]]:
+    meshes: Sequence[tuple[TriMesh, Pose]], camera: CameraIntrinsics
+) -> list[MaskImage]:
     """Render all meshes into a shared depth buffer.
 
-    Returns the depth map (0 where nothing is hit) and one visibility mask
-    per input mesh, marking pixels that mesh owns.
+    Returns one full-frame visibility mask per input mesh, marking the
+    pixels that mesh owns.
 
     Raises:
         EmptyRender: no mesh covered any pixel.
     """
-    width = camera.width if width is None else width
-    height = camera.height if height is None else height
-    grid = _Grid.full_image(width, height)
-    depth, owner, _ = _raster_core(meshes, camera, grid)
+    w, h = camera.width, camera.height
+    _, owner, _ = _raster_core(meshes, camera, _Grid.full_image(w, h))
     if owner.max(initial=-1) < 0:
         raise EmptyRender("no mesh covered any pixel")
-    depth[owner < 0] = 0.0
-    masks = [
-        MaskImage(width, height, (owner == i).astype(np.uint8))
-        for i in range(len(meshes))
-    ]
-    return DepthMap(width, height, depth.astype(np.float32)), masks
+    return [MaskImage(w, h, owner == i) for i in range(len(meshes))]
 
 
-def render_amodal(
-    mesh: TriMesh,
-    pose: Pose,
-    camera: CameraIntrinsics,
-    width: int | None = None,
-    height: int | None = None,
-) -> MaskImage:
+def render_amodal(mesh: TriMesh, pose: Pose, camera: CameraIntrinsics) -> MaskImage:
     """Full silhouette of a single mesh, ignoring any other scene content.
+
+    Only the window of pixel centers in the projected vertex box is
+    rasterized, with the full-frame render's exact bits there.
 
     Raises:
         EmptyRender: the mesh covers no pixel.
     """
-    _, masks = rasterize_scene([(mesh, pose)], camera, width, height)
-    return masks[0]
+    cam_pts = mesh.vertices @ pose.R.T + pose.t
+    z = cam_pts[:, 2]
+    front = z > NEAR_PLANE
+    gx = camera.f * cam_pts[front, 0] / z[front] + camera.px
+    gy = camera.f * cam_pts[front, 1] / z[front] + camera.py
+    x0, y0, x1, y1 = 0, 0, camera.width, camera.height
+    if gx.size and max(np.abs(gx).max(), np.abs(gy).max()) < 2.0**52:
+        x0 = max(math.ceil(gx.min() - 0.5), 0)
+        y0 = max(math.ceil(gy.min() - 0.5), 0)
+        x1 = min(math.floor(gx.max() - 0.5) + 1, x1)
+        y1 = min(math.floor(gy.max() - 0.5) + 1, y1)
+    if x1 <= x0 or y1 <= y0:
+        raise EmptyRender("mesh covers no pixel")
+    grid = _Grid(float(x0), float(y0), 1.0, 1.0, x1 - x0, y1 - y0)
+    _, owner, _ = _raster_core([(mesh, pose)], camera, grid)
+    if owner.max(initial=-1) < 0:
+        raise EmptyRender("mesh covers no pixel")
+    return MaskImage(camera.width, camera.height, owner == 0, x0, y0)
 
 
 def rasterize_crop(
@@ -351,16 +384,10 @@ def rasterize_crop(
     camera: CameraIntrinsics,
     crop: BBox,
     out_size: int,
-) -> tuple[DepthMap, list[MaskImage]]:
+) -> list[MaskImage]:
     """Like :func:`rasterize_scene`, sampled over a resampled crop window."""
-    grid = _Grid.from_crop(crop, out_size)
-    depth, owner, _ = _raster_core(meshes, camera, grid)
-    depth[owner < 0] = 0.0
-    masks = [
-        MaskImage(out_size, out_size, (owner == i).astype(np.uint8))
-        for i in range(len(meshes))
-    ]
-    return DepthMap(out_size, out_size, depth.astype(np.float32)), masks
+    _, owner, _ = _raster_core(meshes, camera, _Grid.from_crop(crop, out_size))
+    return [MaskImage(out_size, out_size, owner == i) for i in range(len(meshes))]
 
 
 def render_correspondence(

@@ -328,23 +328,23 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
         for k, group in enumerate(occluders):
             for occ in group:
                 scene.append((occ.mesh, occ.world_pose(poses[k])))
-        _, scene_masks = rasterize_scene(scene, cam)
+        scene_masks = rasterize_scene(scene, cam)
         n_obj = len(config.models)
         hand_data = np.zeros((cam.height, cam.width), dtype=np.uint8)
         for m in scene_masks[n_obj:]:
             hand_data |= m.data
-        hand_mask = MaskImage(cam.width, cam.height, hand_data)
+        hand_mask = MaskImage(cam.width, cam.height, hand_data).tight()
 
         objects = []
         for k, model in enumerate(config.models):
-            visible = scene_masks[k]
+            visible = scene_masks[k].tight()
             amodal = render_amodal(meshes[k], poses[k], cam)
             box = amodal.bbox()
             side = CROP_SCALE * max(box.w, box.h)
             crop = BBox(cx=box.cx, cy=box.cy, w=side, h=side)
             coords = normalize_vertices(meshes[k], corr_boxes[k])
             corr = render_correspondence(meshes[k], coords, poses[k], cam, crop, CROP_OUT_SIZE)
-            _, crop_masks = rasterize_crop(scene, cam, crop, CROP_OUT_SIZE)
+            crop_masks = rasterize_crop(scene, cam, crop, CROP_OUT_SIZE)
             valid = MaskImage(
                 CROP_OUT_SIZE,
                 CROP_OUT_SIZE,

@@ -234,6 +234,34 @@ class TestRefineBbox:
             refine_bbox(999, det(999, 200, 150), estimator, MODELS[0], DEFAULT_CAMERA)
 
 
+class TestRenderEstimatorReuse:
+    def test_repeated_request_skips_the_solve(self, scene, monkeypatch):
+        import artipose.adaptation as adaptation
+
+        frames, dets, _ = scene
+        calls = []
+        solve = adaptation.pnp_ransac
+        monkeypatch.setattr(
+            adaptation, "pnp_ransac", lambda *a, **k: calls.append(a) or solve(*a, **k)
+        )
+        noise = NoiseConfig(corr_px_sigma=0.5)
+        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA, noise)
+        d = dets[10]
+        first = estimator(d.frame_id, d.bbox, d.class_id)
+        same_box = BBox(cx=d.bbox.cx, cy=d.bbox.cy, w=d.bbox.w, h=d.bbox.h)
+        assert estimator(d.frame_id, same_box, d.class_id) is first
+        assert len(calls) == 1
+        estimator(d.frame_id, square_crop(d.bbox), d.class_id)
+        assert len(calls) == 2
+        # a fresh estimator computes the reused answer anew, bit for bit
+        fresh = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA, noise)
+        again = fresh(d.frame_id, d.bbox, d.class_id)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(again.pose.R, first.pose.R)
+        np.testing.assert_array_equal(again.pose.t, first.pose.t)
+        assert again.class_confidence == first.class_confidence
+
+
 class TestRound:
     def test_zero_noise_round(self, clean_round):
         labels, metrics = clean_round

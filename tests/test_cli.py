@@ -150,6 +150,33 @@ class TestEvaluate:
         assert a.read_bytes() == b.read_bytes()
 
 
+# A process's ru_maxrss starts from the memory of the process that spawned
+# it, so the command runs as the child of a small interpreter, which
+# reports its children's peak.
+_PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run([sys.executable, '-m', 'artipose.cli', *sys.argv[1:]], check=True)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def test_evaluate_memory_does_not_grow_with_frames(tmp_path):
+    # evaluate streams frame by frame: a fresh process peaks at the same
+    # RSS on 6 and on 24 frames (whole-sequence loading added ~2 MiB a frame)
+    peaks = {}
+    for frames in (6, 24):
+        ds = tmp_path / f"ds{frames}"
+        pred = tmp_path / f"pred{frames}.jsonl"
+        assert main(["simgen", "--out", str(ds), "--frames", str(frames), "--seed", "3", "--no-occluders"]) == 0
+        assert main(["estimate", "--dataset", str(ds), "--out", str(pred)]) == 0
+        argv = ["evaluate", "--dataset", str(ds), "--predictions", str(pred), "--out", str(tmp_path / f"r{frames}.json")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, check=True
+        )
+        peaks[frames] = int(proc.stdout.split()[-1]) / 1024.0
+    assert abs(peaks[24] - peaks[6]) < 2.0, peaks
+
+
 class TestLosses:
     def test_zero_noise_floor(self, dataset, predictions, tmp_path):
         out = tmp_path / "losses.json"

@@ -18,6 +18,27 @@ class TestPgm:
         assert (again.width, again.height) == (41, 33)
         np.testing.assert_array_equal(again.data, mask.data)
 
+    @pytest.mark.parametrize("kind", ["random", "blob", "empty", "full"])
+    def test_read_then_write_gives_the_same_bytes(self, tmp_path, kind):
+        # a read mask keeps only the window of its set pixels; writing it
+        # back restores the whole image
+        rng = np.random.default_rng(11)
+        data = np.zeros((30, 40), dtype=np.uint8)
+        if kind == "random":
+            data = (rng.random((30, 40)) > 0.7).astype(np.uint8)
+        elif kind == "blob":
+            data[7:19, 22:31] = 1
+        elif kind == "full":
+            data[:] = 1
+        first, second = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        write_mask_pgm(MaskImage.from_array(data), first)
+        mask = read_mask_pgm(first)
+        if kind == "blob":
+            assert mask.window == (22, 7, 31, 19)
+        write_mask_pgm(mask, second)
+        assert second.read_bytes() == first.read_bytes()
+        np.testing.assert_array_equal(mask.full(), data)
+
     def test_byte_stability(self, tmp_path):
         mask = MaskImage.from_array(np.eye(8, dtype=np.uint8))
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from artipose.camera import BBox
-from artipose.errors import NoAnnotations, ParseError
+from artipose.errors import InputError, NoAnnotations, ParseError
 from artipose.formats import write_mask_pgm
 from artipose.metrics import (
     APReport,
@@ -212,6 +215,77 @@ class TestApOverThresholds:
             aps.append(ap_over_thresholds(preds, annotations, 0))
         assert aps[0] == 1.0
         assert all(aps[i] >= aps[i + 1] for i in range(len(aps) - 1))
+
+
+@st.composite
+def windowed(draw, full):
+    """``full`` as a mask over a random window that holds its set pixels."""
+    h, w = full.shape
+    rows = np.flatnonzero(full.any(axis=1))
+    cols = np.flatnonzero(full.any(axis=0))
+    y_lo, y_hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (h, 0)
+    x_lo, x_hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (w, 0)
+    y0 = draw(st.integers(0, y_lo))
+    y1 = draw(st.integers(max(y0, y_hi), h))
+    x0 = draw(st.integers(0, x_lo))
+    x1 = draw(st.integers(max(x0, x_hi), w))
+    return MaskImage(w, h, full[y0:y1, x0:x1], x0, y0)
+
+
+SHAPE = (9, 13)
+bits = arrays(np.uint8, SHAPE, elements=st.integers(0, 1))
+
+
+class TestWindowedMasks:
+    """Mask operations on windows give the full-frame results exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=bits, b=bits, data=st.data())
+    def test_iou_subtract_visibility(self, a, b, data):
+        wa = data.draw(windowed(a))
+        wb = data.draw(windowed(b))
+        fa = MaskImage(SHAPE[1], SHAPE[0], a)
+        fb = MaskImage(SHAPE[1], SHAPE[0], b)
+        assert mask_iou(wa, wb) == mask_iou(fa, fb)
+        sub = occlusion_subtract(wa, wb)
+        assert sub.window == wa.window
+        np.testing.assert_array_equal(sub.full(), occlusion_subtract(fa, fb).data)
+        assert visibility_fraction(wa, wb) == visibility_fraction(fa, fb)
+        assert wa.bbox() == fa.bbox()
+        assert wa.pixel_count() == fa.pixel_count()
+
+    def test_masks_of_other_images_rejected(self):
+        small = MaskImage(4, 4, np.zeros((0, 0), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            mask_iou(small, empty_mask())
+        with pytest.raises(ValueError):
+            occlusion_subtract(small, empty_mask())
+
+
+class TestStreamedMatches:
+    def test_frames_in_any_order_give_the_same_ap(self):
+        # frame-by-frame matching keeps the input order as the tie-break
+        # among equal confidences, whatever order the frames come in
+        rng = np.random.default_rng(5)
+        annotations = []
+        preds = []
+        for fid in range(6):
+            tool = mask_from_rect(int(rng.integers(5, 60)), int(rng.integers(5, 40)), 50, 40)
+            hand = mask_from_rect(int(rng.integers(0, 100)), int(rng.integers(0, 80)), 30, 30)
+            annotations.append(frame(fid, {0: tool}, hand=hand))
+            for _ in range(2):
+                shifted = np.roll(tool.data, int(rng.integers(-8, 9)), axis=1)
+                preds.append(PredictionRecord(fid, 0, 0.5, mask=MaskImage(W, H, shifted)))
+        # a prediction on a frame without annotation is a false positive
+        preds.insert(3, PredictionRecord(9, 0, 0.5, mask=mask_from_rect(0, 0, 5, 5)))
+        ap = ap_over_thresholds(preds, annotations, 0)
+        assert ap == ap_over_thresholds(preds, annotations[::-1], 0)
+        assert 0.0 < ap < ap_over_thresholds(preds[:3] + preds[4:], annotations, 0)
+
+    def test_frame_annotated_twice_rejected(self):
+        annotations = [frame(0, {0: mask_from_rect(0, 0, 5, 5)})] * 2
+        with pytest.raises(InputError, match="twice"):
+            pose_ap_report([], annotations)
 
 
 class TestPoseReport:

@@ -393,6 +393,33 @@ class TestBatchedLoop:
             np.testing.assert_array_equal(t[k], pose.t)
             assert converged[k] == conv, k
 
+    def test_polish_of_one_matches_batched_lm(self, camera, monkeypatch):
+        # a block with one sample to polish takes the one-pose LM, with the
+        # batched LM's bits; a start behind the camera is not started
+        # either way (and the pose of such a sample is never read)
+        rng = np.random.default_rng(302)
+        _, corr = _noisy_set(rng, camera, 400, 2.0)
+        samples = np.array([rng.choice(400, size=6, replace=False) for _ in range(400)])
+        P, uv = corr.pts3d[samples], corr.pts2d[samples]
+        R0, t0, ok0 = pnp_module._dlt(P, uv, camera)
+        _, support = pnp_module._score(corr, camera, R0, t0, 2.0)
+        need = np.flatnonzero(ok0 & (support < MIN_CORRESPONDENCES))
+        R, t, started, _ = pnp_module._lm_batch(
+            P[need], uv[need], camera, R0[need], t0[need], LM_SAMPLE_ITERS, LM_TOL
+        )
+        assert 0 < started.sum() < need.size
+
+        def no_batch(*args):
+            raise AssertionError("a block of one went to _lm_batch")
+
+        monkeypatch.setattr(pnp_module, "_lm_batch", no_batch)
+        for j, k in enumerate(need):
+            Rk, tk, ok, _ = pnp_module._hypotheses(corr, camera, samples[k : k + 1], 2.0)
+            assert ok[0] == started[j], k
+            if ok[0]:
+                np.testing.assert_array_equal(Rk[0], R[j])
+                np.testing.assert_array_equal(tk[0], t[j])
+
     def test_block_hypotheses_match_per_sample(self, camera):
         # each sample on its own: linear solve, a one-pose polish when fewer
         # than six points fall in the widest band, then the MSAC score

@@ -61,12 +61,13 @@ class TestSingleSquare:
         np.testing.assert_allclose([box.cx, box.cy], [320.0, 240.0])
 
     def test_depth_is_constant(self, camera):
-        depth, masks = rasterize_scene(
-            [(square_mesh(0.1), identity_pose(1.0))], camera
+        depth, owner, _ = _raster_core(
+            [(square_mesh(0.1), identity_pose(1.0))], camera, _Grid.full_image(640, 480)
         )
-        inside = masks[0].data == 1
-        np.testing.assert_allclose(depth.data[inside], 1.0, rtol=1e-6)
-        assert (depth.data[~inside] == 0.0).all()
+        inside = owner == 0
+        assert inside.sum() == 80 * 80
+        np.testing.assert_allclose(depth[inside], 1.0, rtol=1e-6)
+        assert np.isinf(depth[~inside]).all()
 
     def test_empty_when_behind_camera(self, camera):
         with pytest.raises(EmptyRender):
@@ -79,18 +80,19 @@ class TestOcclusion:
         near = square_mesh(0.1)
         pose_far = identity_pose(1.0)
         pose_near = Pose(R=np.eye(3), t=np.array([0.025, 0.0, 0.8]))
-        depth, masks = rasterize_scene([(far, pose_far), (near, pose_near)], camera)
-        vis_far, vis_near = masks
+        scene = [(far, pose_far), (near, pose_near)]
+        vis_far, vis_near = rasterize_scene(scene, camera)
         amodal_far = render_amodal(far, pose_far, camera)
         # visible = silhouette minus whatever the nearer square claims
-        expected = amodal_far.data & ~vis_near.data
+        expected = amodal_far.full() & ~vis_near.data
         np.testing.assert_array_equal(vis_far.data, expected)
-        np.testing.assert_allclose(depth.data[vis_near.data == 1], 0.8, rtol=1e-6)
+        depth, _, _ = _raster_core(scene, camera, _Grid.full_image(640, 480))
+        np.testing.assert_allclose(depth[vis_near.data == 1], 0.8, rtol=1e-6)
 
     def test_tie_goes_to_first_mesh(self, camera):
         a = square_mesh(0.1)
         b = square_mesh(0.1)
-        _, masks = rasterize_scene(
+        masks = rasterize_scene(
             [(a, identity_pose(1.0)), (b, identity_pose(1.0))], camera
         )
         assert masks[0].pixel_count() == 6400
@@ -116,18 +118,18 @@ class TestDepthConsistency:
         )
         tri = TriMesh(vertices, np.array([[0, 1, 2]]))
         pose = Pose(R=np.eye(3), t=np.array([0.01, -0.02, 0.9]))
-        depth, masks = rasterize_scene([(tri, pose)], camera)
+        depth, owner, _ = _raster_core([(tri, pose)], camera, _Grid.full_image(640, 480))
         pts = pose.apply(vertices[:3])
         normal = np.cross(pts[1] - pts[0], pts[2] - pts[0])
         d = float(normal @ pts[0])
-        ii, jj = np.nonzero(masks[0].data)
+        ii, jj = np.nonzero(owner == 0)
         sel = rng.choice(ii.size, size=min(200, ii.size), replace=False)
         for i, j in zip(ii[sel], jj[sel]):
             ray = np.array(
                 [(j + 0.5 - camera.px) / camera.f, (i + 0.5 - camera.py) / camera.f, 1.0]
             )
             z_ray = d / float(normal @ ray)
-            assert abs(depth.data[i, j] - z_ray) / z_ray < 1e-6
+            assert abs(depth[i, j] - z_ray) / z_ray < 1e-6
 
 
 class TestCorrespondence:
@@ -177,7 +179,7 @@ class TestCorrespondence:
         coords = normalize_vertices(mesh, tight_bbox(mesh))
         crop = BBox(cx=camera.px, cy=camera.py, w=80.0, h=80.0)
         cmap = render_correspondence(mesh, coords, identity_pose(1.0), camera, crop, 80)
-        _, masks = rasterize_crop([(mesh, identity_pose(1.0))], camera, crop, 80)
+        masks = rasterize_crop([(mesh, identity_pose(1.0))], camera, crop, 80)
         np.testing.assert_array_equal(cmap.valid.data, masks[0].data)
 
 
@@ -188,9 +190,9 @@ class TestCropGrid:
         full = render_amodal(mesh, pose, camera)
         x0, y0, size = 280, 200, 96
         crop = BBox(cx=x0 + size / 2.0, cy=y0 + size / 2.0, w=float(size), h=float(size))
-        _, masks = rasterize_crop([(mesh, pose)], camera, crop, out_size=size)
+        masks = rasterize_crop([(mesh, pose)], camera, crop, out_size=size)
         np.testing.assert_array_equal(
-            masks[0].data, full.data[y0 : y0 + size, x0 : x0 + size]
+            masks[0].data, full.within(x0, y0, x0 + size, y0 + size)
         )
 
 
@@ -198,10 +200,13 @@ class TestDeterminism:
     def test_repeat_render_identical(self, camera):
         mesh = ellipsoid_mesh(center=(0, 0, 0), radii=(0.04, 0.05, 0.06))
         pose = Pose(R=np.eye(3), t=np.array([0.02, -0.01, 0.7]))
-        d1, m1 = rasterize_scene([(mesh, pose)], camera)
-        d2, m2 = rasterize_scene([(mesh, pose)], camera)
-        np.testing.assert_array_equal(d1.data, d2.data)
+        m1 = rasterize_scene([(mesh, pose)], camera)
+        m2 = rasterize_scene([(mesh, pose)], camera)
         np.testing.assert_array_equal(m1[0].data, m2[0].data)
+        grid = _Grid.full_image(640, 480)
+        d1, _, _ = _raster_core([(mesh, pose)], camera, grid)
+        d2, _, _ = _raster_core([(mesh, pose)], camera, grid)
+        np.testing.assert_array_equal(d1, d2)
 
 
 class TestMaskImage:
@@ -446,3 +451,87 @@ class TestBatchedMatchesReference:
         scene = _tool_scene(5) + [(near, pose)]
         _, owner, _ = _assert_matches_reference(scene, camera, _Grid.full_image(640, 480))
         assert (owner == len(scene) - 1).sum() > CHUNK_PIXELS
+
+
+class TestAmodalWindow:
+    """A windowed amodal render holds the full-frame render's exact bits."""
+
+    def _check(self, mesh, pose, camera):
+        mask = render_amodal(mesh, pose, camera)
+        _, owner, _ = _reference_core([(mesh, pose)], camera, _Grid.full_image(640, 480))
+        full = (owner == 0).astype(np.uint8)
+        np.testing.assert_array_equal(mask.full(), full)
+        assert mask.pixel_count() == full.sum()
+        assert mask.bbox() == MaskImage(640, 480, full).bbox()
+        return mask
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tools_and_occluders(self, camera, seed):
+        for mesh, pose in _tool_scene(seed):
+            mask = self._check(mesh, pose, camera)
+            assert mask.data.size < 640 * 480 // 4
+
+    @pytest.mark.parametrize(
+        "side, shift",
+        [("left", (-0.40, 0.0)), ("right", (0.40, 0.0)), ("top", (0.0, -0.30)), ("bottom", (0.0, 0.30))],
+    )
+    def test_window_touching_each_border(self, camera, side, shift):
+        # a tool straddling one image border: part of it is off-screen
+        mesh, pose = _tool_scene(6)[0]
+        pose = Pose(R=pose.R, t=np.array([shift[0], shift[1], 1.0]))
+        mask = self._check(mesh, pose, camera)
+        x0, y0, x1, y1 = mask.window
+        touches = {"left": x0 == 0, "right": x1 == 640, "top": y0 == 0, "bottom": y1 == 480}
+        assert touches[side] and sum(touches.values()) == 1
+        gx, gy, _ = _projected(mesh, pose, camera)
+        off = {"left": gx.min() < 0, "right": gx.max() > 640, "top": gy.min() < 0, "bottom": gy.max() > 480}
+        assert off[side]
+
+    def test_faces_across_the_near_plane_and_the_frame(self, camera):
+        # the awkward faces: some behind or on the near plane, one whose
+        # box covers the whole frame, so the window is the frame
+        mask = self._check(_awkward_mesh(), Pose(R=np.eye(3), t=np.zeros(3)), camera)
+        assert mask.window == (0, 0, 640, 480)
+
+    def test_window_one_pixel_wide(self, camera):
+        # a box 0.4 px wide around the pixel-center column x = 320.5
+        mesh = box_mesh(center=(0, 0, 0), size=(0.0005, 0.05, 0.0005))
+        pose = Pose(R=np.eye(3), t=np.array([0.5 / 800.0, 0.0, 1.0]))
+        mask = self._check(mesh, pose, camera)
+        assert mask.window[0] == 320 and mask.window[2] == 321
+
+    @pytest.mark.parametrize(
+        "side, t",
+        [(0.1, (0.0, 0.0, -1.0)), (0.1, (2.0, 0.0, 1.0)), (0.1, (0.0, -2.0, 1.0)), (0.0005, (0.0, 0.0, 1.0))],
+    )
+    def test_empty_render(self, camera, side, t):
+        # behind the camera, wholly off-screen, and between pixel centers
+        mesh = box_mesh(center=(0, 0, 0), size=(side, side, side))
+        pose = Pose(R=np.eye(3), t=np.array(t))
+        _, owner, _ = _reference_core([(mesh, pose)], camera, _Grid.full_image(640, 480))
+        assert (owner < 0).all()
+        with pytest.raises(EmptyRender):
+            render_amodal(mesh, pose, camera)
+
+
+class TestMaskWindow:
+    def test_full_frame_is_the_window_at_offset_zero(self):
+        data = np.zeros((4, 5), dtype=np.uint8)
+        data[1:3, 2] = 1
+        mask = MaskImage(5, 4, data)
+        assert mask.window == (0, 0, 5, 4)
+        tight = mask.tight()
+        assert tight.window == (2, 1, 3, 3)
+        np.testing.assert_array_equal(tight.full(), data)
+        assert tight.bbox() == mask.bbox()
+
+    def test_window_must_fit_the_image(self):
+        with pytest.raises(ValueError, match="does not match"):
+            MaskImage(5, 4, np.ones((2, 2), dtype=np.uint8), x0=4)
+        with pytest.raises(ValueError, match="does not match"):
+            MaskImage(5, 4, np.ones((2, 2), dtype=np.uint8), y0=-1)
+
+    def test_empty_window(self):
+        mask = MaskImage(5, 4, np.zeros((4, 5), dtype=np.uint8)).tight()
+        assert mask.data.shape == (0, 0) and mask.bbox() is None
+        assert mask.full().shape == (4, 5) and mask.pixel_count() == 0

@@ -177,7 +177,7 @@ class TestSequenceMotion:
     def test_tools_never_overlap_each_other(self, walk):
         for frame in walk:
             a, b = frame.objects
-            assert int(np.sum(a.amodal_mask.data & b.amodal_mask.data)) == 0
+            assert int(np.sum(a.amodal_mask.full() & b.amodal_mask.full())) == 0
 
     def test_consecutive_boxes_track(self, walk):
         for prev, cur in zip(walk, walk[1:]):
@@ -204,7 +204,7 @@ class TestSequenceMotion:
         for frame in frames:
             assert frame.hand_mask.pixel_count() == 0
             for obj in frame.objects:
-                assert np.array_equal(obj.visible_mask.data, obj.amodal_mask.data)
+                assert np.array_equal(obj.visible_mask.full(), obj.amodal_mask.full())
                 assert obj.visibility == 1.0
 
 
@@ -256,8 +256,8 @@ class TestExport:
         ds = load_dataset(gt_path)
         obj = frames[2].objects[1]
         rec = ds.frames[2].objects[1]
-        assert np.array_equal(read_mask_pgm(rec.visible_mask_path).data, obj.visible_mask.data)
-        assert np.array_equal(read_mask_pgm(rec.amodal_mask_path).data, obj.amodal_mask.data)
+        assert np.array_equal(read_mask_pgm(rec.visible_mask_path).full(), obj.visible_mask.full())
+        assert np.array_equal(read_mask_pgm(rec.amodal_mask_path).full(), obj.amodal_mask.full())
         cmap = load_correspondence(rec.corr_path, rec.crop)
         assert np.array_equal(cmap.data, obj.corr.data)
         assert np.array_equal(cmap.valid.data, obj.corr.valid.data)
@@ -279,7 +279,7 @@ class TestExport:
         ann = bundle[0]
         assert set(ann.tool_masks) == {0, 1}
         vis = occlusion_subtract(ann.tool_masks[0], ann.hand_mask)
-        assert np.array_equal(vis.data, frames[0].objects[0].visible_mask.data)
+        assert np.array_equal(vis.full(), frames[0].objects[0].visible_mask.full())
 
     def test_export_bytes_reproducible(self, tmp_path):
         for sub in ("a", "b"):
