@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import BBox, CameraIntrinsics, Pose, bbox_iou, check_rotation
+from .camera import BBox, CameraIntrinsics, Pose, bbox_iou
 from .errors import (
     ArtiposeError,
     ConfigError,
@@ -22,7 +22,7 @@ from .errors import (
     InputError,
     ParseError,
 )
-from .formats import canonical_json
+from .formats import canonical_json, decode_pose, encode_pose
 from .meshes import ArticulatedModel, ArticulationState, articulate, normalize_vertices
 from .pnp import CorrSet, PnPResult, pairs_from_map, pnp_ransac
 from .raster import render_amodal, render_correspondence
@@ -156,34 +156,21 @@ class RenderEstimator:
     requested crop, optionally perturbs the pixel observations, and solves
     the pose back.  Deterministic for a fixed seed; the noise draw depends
     only on (seed, frame_id, class_id), so an answer depends only on
-    (frame_id, crop, class_id) and a repeated request reuses it."""
+    (frame_id, crop, class_id) and a repeated request reuses it.  The
+    ground truth is the poses of ``frames``, rendered or loaded."""
 
-    def __init__(self, gt, models, camera: CameraIntrinsics, noise: NoiseConfig = NoiseConfig(), seed: int = 0):
-        self.gt = dict(gt)
+    def __init__(self, frames, models, camera: CameraIntrinsics, noise: NoiseConfig = NoiseConfig(), seed: int = 0):
+        self.gt = {
+            (f.frame_id, obj.class_id): (obj.pose, obj.articulation)
+            for f in frames
+            for obj in f.objects
+        }
         self.models = dict(models)
         self.camera = camera
         self.noise = noise
         self.seed = seed
         self._boxes = {cls: model_corr_bbox(m) for cls, m in self.models.items()}
         self._answers = {}
-
-    @classmethod
-    def from_rendered(cls, frames, models, camera, noise=NoiseConfig(), seed=0):
-        gt = {
-            (f.frame_id, obj.class_id): (obj.pose, obj.articulation)
-            for f in frames
-            for obj in f.objects
-        }
-        return cls(gt, models, camera, noise, seed)
-
-    @classmethod
-    def from_dataset(cls, dataset, models, noise=NoiseConfig(), seed=0):
-        gt = {
-            (f.frame_id, obj.class_id): (obj.pose, obj.articulation)
-            for f in dataset.frames
-            for obj in f.objects
-        }
-        return cls(gt, models, dataset.camera, noise, seed)
 
     def __call__(self, frame_id: int, crop: BBox, class_id: int) -> PoseEstimate:
         key = (frame_id, crop, class_id)
@@ -215,39 +202,41 @@ class RenderEstimator:
         )
 
 
-class FileEstimator:
-    """Precomputed estimates read from the JSONL the estimate command
-    writes; the crop argument is ignored."""
-
-    def __init__(self, path):
-        self.estimates = load_estimates(path)
-
-    def __call__(self, frame_id: int, crop: BBox, class_id: int) -> PoseEstimate:
-        key = (frame_id, class_id)
-        if key not in self.estimates:
-            raise InputError(f"no stored estimate for frame {frame_id} class {class_id}")
-        return self.estimates[key]
+def encode_estimate(frame_id: int, class_id: int, confidence: float, articulation: float, result: PnPResult) -> dict:
+    """One estimate record: a line of the estimate JSONL and an entry of
+    a label manifest's ``pose_labels``.  ``load_estimates`` reads it back."""
+    return {
+        "frame_id": int(frame_id),
+        "class": int(class_id),
+        **encode_pose(result.pose),
+        "articulation": float(articulation),
+        "confidence": float(confidence),
+        "inliers": int(result.inlier_count),
+        "outliers": int(result.outlier_count),
+        "reproj_err": float(result.mean_reproj_err),
+        "converged": bool(result.converged),
+    }
 
 
 def load_estimates(path) -> dict:
     """Parse estimate JSONL into {(frame_id, class): PoseEstimate}.
 
     Raises:
-        ParseError: malformed line, with its line number.
+        ParseError: malformed line, or a second line for one (frame_id,
+            class), with the line numbers.
     """
     out = {}
+    first_line = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            pose = Pose(
-                R=check_rotation(np.array(rec["R"], dtype=float).reshape(3, 3)),
-                t=np.array(rec["t_mm"], dtype=float) / 1000.0,
-            )
+            key = (int(rec["frame_id"]), int(rec["class"]))
+            pose = decode_pose(rec)
             est = PoseEstimate(
                 pose=pose,
-                class_id=int(rec["class"]),
+                class_id=key[1],
                 class_confidence=float(rec["confidence"]),
                 articulation=float(rec["articulation"]),
                 pnp=PnPResult(
@@ -260,7 +249,13 @@ def load_estimates(path) -> dict:
             )
         except (KeyError, TypeError, ValueError, ArtiposeError) as exc:
             raise ParseError(f"{path}:{lineno}: bad estimate record: {exc}") from None
-        out[(int(rec["frame_id"]), int(rec["class"]))] = est
+        if key in first_line:
+            raise ParseError(
+                f"{path}:{lineno}: second estimate for frame {key[0]} class {key[1]}, "
+                f"first on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        out[key] = est
     return out
 
 
@@ -426,21 +421,6 @@ def adaptation_loop(detections, estimator, models, camera: CameraIntrinsics, con
     return results
 
 
-def _pose_label_record(frame_id: int, est: PoseEstimate) -> dict:
-    return {
-        "frame_id": int(frame_id),
-        "class": int(est.class_id),
-        "R": [float(v) for v in est.pose.R.reshape(9)],
-        "t_mm": [float(v * 1000.0) for v in est.pose.t],
-        "articulation": float(est.articulation),
-        "confidence": float(est.class_confidence),
-        "inliers": int(est.pnp.inlier_count),
-        "outliers": int(est.pnp.outlier_count),
-        "reproj_err": float(est.pnp.mean_reproj_err),
-        "converged": bool(est.pnp.converged),
-    }
-
-
 def write_pseudo_labels(labels: PseudoLabelSet, path) -> None:
     """Serialize a label set as a canonical JSON manifest."""
     payload = {
@@ -455,7 +435,8 @@ def write_pseudo_labels(labels: PseudoLabelSet, path) -> None:
             for lab in labels.detection_labels
         ],
         "pose_labels": [
-            _pose_label_record(frame_id, est) for frame_id, est in labels.pose_labels
+            encode_estimate(frame_id, est.class_id, est.class_confidence, est.articulation, est.pnp)
+            for frame_id, est in labels.pose_labels
         ],
         "thresholds": {
             "conf_min": labels.thresholds.conf_min,
@@ -479,13 +460,12 @@ def load_detections(path) -> list:
             continue
         try:
             rec = json.loads(line)
-            cx, cy, w, h = (float(v) for v in rec["bbox"])
             out.append(
                 Detection(
                     frame_id=int(rec["frame_id"]),
                     class_id=int(rec["class"]),
                     confidence=float(rec["confidence"]),
-                    bbox=BBox(cx=cx, cy=cy, w=w, h=h),
+                    bbox=BBox.from_list(rec["bbox"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -92,6 +92,12 @@ class BBox:
     def as_list(self) -> list[float]:
         return [float(self.cx), float(self.cy), float(self.w), float(self.h)]
 
+    @classmethod
+    def from_list(cls, values) -> "BBox":
+        """Inverse of ``as_list``."""
+        cx, cy, w, h = (float(v) for v in values)
+        return cls(cx=cx, cy=cy, w=w, h=h)
+
 
 def bbox_iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes; 0 when they do not overlap."""

@@ -25,6 +25,7 @@ from .adaptation import (
     FilterThresholds,
     RenderEstimator,
     adaptation_loop,
+    encode_estimate,
     load_detections,
     load_estimates,
     solve_object,
@@ -89,16 +90,18 @@ def _read_config(path):
     return doc
 
 
+def _config_sha256(effective):
+    return hashlib.sha256(canonical_json(effective).encode()).hexdigest()
+
+
 def _write_snapshot(path, command, effective):
-    body = canonical_json(effective)
     payload = {
         "command": command,
         "version": __version__,
-        "config_sha256": hashlib.sha256(body.encode()).hexdigest(),
+        "config_sha256": _config_sha256(effective),
         "effective": effective,
     }
     Path(path).write_text(canonical_json(payload))
-    return payload
 
 
 def _require_file(path, kind):
@@ -204,18 +207,7 @@ def _estimate_frame(frame, ds, boxes, noise, seed):
             skipped += 1
             continue
         records.append(
-            {
-                "frame_id": frame.frame_id,
-                "class": obj.class_id,
-                "confidence": confidence,
-                "R": [float(v) for v in res.pose.R.reshape(9)],
-                "t_mm": [float(v * 1000.0) for v in res.pose.t],
-                "articulation": float(obj.articulation),
-                "inliers": res.inlier_count,
-                "outliers": res.outlier_count,
-                "reproj_err": float(res.mean_reproj_err),
-                "converged": bool(res.converged),
-            }
+            encode_estimate(frame.frame_id, obj.class_id, confidence, obj.articulation, res)
         )
     return records, skipped
 
@@ -343,10 +335,9 @@ def cmd_evaluate(args):
         "dataset": str(Path(args.dataset)),
         "predictions": str(Path(args.predictions)),
     }
-    body = canonical_json(effective)
     payload = {
         "version": __version__,
-        "config_sha256": hashlib.sha256(body.encode()).hexdigest(),
+        "config_sha256": _config_sha256(effective),
         "iou_thresholds": list(pose_report.thresholds),
         "pose_ap": _ap_payload(pose_report),
         "detection_ap": _ap_payload(det_report),
@@ -376,7 +367,6 @@ def cmd_adapt(args):
         (frame.frame_id, obj.class_id): obj.bbox_amodal
         for frame in ds.frames
         for obj in frame.objects
-        if obj.bbox_amodal is not None
     }
     if args.detections is not None:
         detections = load_detections(_require_file(args.detections, "detections file"))
@@ -386,8 +376,6 @@ def cmd_adapt(args):
         for frame in ds.frames:
             for obj in frame.objects:
                 box = obj.bbox_amodal
-                if box is None:
-                    continue
                 detections.append(
                     Detection(
                         frame_id=frame.frame_id,
@@ -401,9 +389,10 @@ def cmd_adapt(args):
                         ),
                     )
                 )
-    estimator = RenderEstimator.from_dataset(
-        ds,
+    estimator = RenderEstimator(
+        ds.frames,
         models_by_class,
+        ds.camera,
         noise=NoiseConfig(corr_px_sigma=args.noise_sigma),
         seed=args.seed,
     )
@@ -597,10 +586,9 @@ def cmd_losses(args):
             "w_art": weights.w_art,
         },
     }
-    body = canonical_json(effective)
     payload = {
         "version": __version__,
-        "config_sha256": hashlib.sha256(body.encode()).hexdigest(),
+        "config_sha256": _config_sha256(effective),
         "weights": effective["weights"],
         "mean": means,
         "per_object": rows,

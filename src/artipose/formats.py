@@ -1,8 +1,12 @@
-"""Raster file formats: binary PGM for masks, FMAP for float maps.
+"""File formats: binary PGM for masks, FMAP for float maps, and the pose
+fields of JSON records.
 
 FMAP is a minimal container: magic ``FMAP``, three little-endian u32
 (width, height, channels), then float32 data row-major with channels
-interleaved.
+interleaved.  Every JSON record that carries a pose (scene ground truth,
+estimates, pose labels) stores it as ``R``, nine floats row-major, and
+``t_mm``, the translation in millimeters, through ``encode_pose`` and
+``decode_pose``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .camera import Pose
+from .errors import InvalidRotation, ParseError
 from .raster import MaskImage
 
 FMAP_MAGIC = b"FMAP"
@@ -26,6 +31,30 @@ def canonical_json(payload) -> str:
     can be compared directly across runs.
     """
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def encode_pose(pose: Pose) -> dict:
+    """The ``R`` and ``t_mm`` fields of a pose record."""
+    return {
+        "R": [float(v) for v in pose.R.reshape(9)],
+        "t_mm": [float(v * 1000.0) for v in pose.t],
+    }
+
+
+def decode_pose(rec) -> Pose:
+    """The pose of a record's ``R`` and ``t_mm`` fields; inverse of
+    ``encode_pose``.
+
+    Raises:
+        ParseError: ``R`` is not a proper rotation.
+        KeyError, TypeError, ValueError: a field is missing or malformed.
+    """
+    R = np.array([float(v) for v in rec["R"]], dtype=np.float64).reshape(3, 3)
+    t = np.array([float(v) for v in rec["t_mm"]], dtype=np.float64) / 1000.0
+    try:
+        return Pose(R=R, t=t)
+    except InvalidRotation as exc:
+        raise ParseError(f"R is not a rotation: {exc}") from None
 
 
 def write_mask_pgm(mask: MaskImage, path: str | Path) -> None:

@@ -1,15 +1,13 @@
 """Triangle meshes, two-part hinged tool models and mesh file parsing.
 
-Vertex coordinates are meters.  Supported file forms are a small OBJ
-subset (``v x y z`` and ``f i j k`` lines, 1-based indices) and binary
-STL (80-byte header, u32 triangle count, 50-byte little-endian records).
+Vertex coordinates are meters.  The one supported file form is a small
+OBJ subset (``v x y z`` and ``f i j k`` lines, 1-based indices).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,10 +18,8 @@ from .errors import BBoxMismatch, DegenerateMesh, ParseError
 
 MIN_FACE_AREA = 1e-12  # m^2
 MIN_EXTENT = 1e-9  # m, per axis, for a usable bounding box
-WELD_TOL = 1e-7  # m, STL vertex merge distance
 DEFAULT_ANGLE_MIN = 0.0
 DEFAULT_ANGLE_MAX = 0.6  # rad
-STL_RECORD = struct.Struct("<12fH")
 
 
 @dataclass(frozen=True)
@@ -193,13 +189,11 @@ def sample_surface_points(mesh: TriMesh, n: int, seed: int) -> np.ndarray:
 
 
 def load_mesh(path: str | Path) -> TriMesh:
-    """Load a mesh from an ``.obj`` or binary ``.stl`` file."""
+    """Load a mesh from an ``.obj`` file."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".obj":
         return _parse_obj(path.read_text())
-    if suffix == ".stl":
-        return _parse_stl(path.read_bytes())
     raise ParseError(f"unsupported mesh extension {suffix!r}")
 
 
@@ -247,54 +241,6 @@ def save_mesh_obj(mesh: TriMesh, path: str | Path) -> None:
     for i, j, k in mesh.faces:
         lines.append(f"f {i + 1} {j + 1} {k + 1}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _parse_stl(blob: bytes) -> TriMesh:
-    if len(blob) < 84:
-        raise ParseError("binary STL shorter than its fixed header")
-    (count,) = struct.unpack_from("<I", blob, 80)
-    if len(blob) != 84 + 50 * count:
-        raise ParseError(
-            f"binary STL size mismatch: {count} triangles need "
-            f"{84 + 50 * count} bytes, file has {len(blob)}"
-        )
-    if count == 0:
-        raise ParseError("binary STL declares no triangles")
-    raw = np.frombuffer(blob, dtype=np.uint8, offset=84)
-    records = raw.reshape(count, 50)[:, :48].copy().view("<f4").reshape(count, 12)
-    corners = records[:, 3:].astype(float).reshape(count * 3, 3)
-    vertices, inverse = _weld(corners)
-    faces = inverse.reshape(count, 3)
-    return TriMesh(vertices, faces)
-
-
-def _weld(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge points closer than the weld tolerance; keeps first occurrence."""
-    keys = np.round(points / WELD_TOL).astype(np.int64)
-    seen: dict[tuple[int, int, int], int] = {}
-    inverse = np.empty(points.shape[0], dtype=np.int64)
-    kept: list[int] = []
-    for i, key in enumerate(map(tuple, keys)):
-        j = seen.get(key)
-        if j is None:
-            j = len(kept)
-            seen[key] = j
-            kept.append(i)
-        inverse[i] = j
-    return points[kept], inverse
-
-
-def save_mesh_stl(mesh: TriMesh, path: str | Path) -> None:
-    """Write binary STL with per-face normals recomputed from geometry."""
-    tris = mesh.vertices[mesh.faces]
-    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    norms = np.sqrt((normals * normals).sum(axis=1, keepdims=True))
-    normals = normals / np.where(norms > 0, norms, 1.0)
-    out = bytearray(b"\0" * 80)
-    out += struct.pack("<I", mesh.n_faces)
-    for nrm, tri in zip(normals, tris):
-        out += STL_RECORD.pack(*nrm, *tri.reshape(9), 0)
-    Path(path).write_bytes(bytes(out))
 
 
 # ---------------------------------------------------------------------------

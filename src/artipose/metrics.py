@@ -292,11 +292,6 @@ def _pose_matches(predictions, annotations) -> PoseMatches:
     return matches
 
 
-def ap_over_thresholds(predictions, annotations, class_id, thresholds=IOU_THRESHOLDS):
-    """``PoseMatches.class_ap`` over in-memory predictions and annotations."""
-    return _pose_matches(predictions, annotations).class_ap(class_id, thresholds)
-
-
 def pose_ap_report(predictions, annotations, thresholds=IOU_THRESHOLDS) -> APReport:
     """``PoseMatches.report`` over in-memory predictions and annotations."""
     return _pose_matches(predictions, annotations).report(thresholds)
@@ -369,48 +364,3 @@ def iter_annotations(index_path):
             visible_masks=masks,
             amodal_masks=amodal,
         )
-
-
-def load_annotation_bundle(index_path) -> list:
-    """Every frame of :func:`iter_annotations`, read into memory."""
-    return list(iter_annotations(index_path))
-
-
-def load_prediction_records(path) -> list:
-    """Read prediction JSON lines; mask paths resolve next to the file."""
-    path = Path(path)
-    root = path.parent
-    out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: not valid JSON: {exc}") from None
-        try:
-            frame_id = int(rec["frame_id"])
-            class_id = int(rec["class"])
-            confidence = float(rec["confidence"])
-            if "mask_path" in rec:
-                out.append(
-                    PredictionRecord(
-                        frame_id=frame_id,
-                        class_id=class_id,
-                        confidence=confidence,
-                        mask=read_mask_pgm(root / rec["mask_path"]),
-                    )
-                )
-            else:
-                cx, cy, w, h = (float(v) for v in rec["bbox"])
-                out.append(
-                    PredictionRecord(
-                        frame_id=frame_id,
-                        class_id=class_id,
-                        confidence=confidence,
-                        bbox=BBox(cx=cx, cy=cy, w=w, h=h),
-                    )
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {lineno}: malformed record: {exc}") from None
-    return out

@@ -32,10 +32,8 @@ import numpy as np
 
 from .camera import CameraIntrinsics, Pose
 from .errors import (
-    DegenerateConfiguration,
     NoConsensus,
     NonFiniteResidual,
-    PointBehindCamera,
     TooFewCorrespondences,
 )
 from .meshes import denormalize_coords
@@ -177,27 +175,19 @@ def _errors(pts3d, pts2d, camera, R, t):
     return err
 
 
-def _reproj_errors(
-    corr: CorrSet, camera: CameraIntrinsics, pose: Pose, clamp: bool = False
-) -> np.ndarray:
-    """Per-point pixel errors; behind-camera points become inf when clamped."""
-    err = _errors(corr.pts3d, corr.pts2d, camera, pose.R[None], pose.t[None])[0]
-    if not clamp and np.isinf(err).any():
-        raise PointBehindCamera("pose places correspondences behind the camera")
-    return err
-
-
-def reprojection_rmse(corr: CorrSet, camera: CameraIntrinsics, pose: Pose) -> float:
-    """Root-mean-square of per-point pixel errors under ``pose``."""
-    err = _reproj_errors(corr, camera, pose)
-    return float(math.sqrt(float((err * err).mean())))
+def _reproj_errors(corr: CorrSet, camera: CameraIntrinsics, pose: Pose) -> np.ndarray:
+    """Per-point pixel errors under ``pose``; inf behind the camera."""
+    return _errors(corr.pts3d, corr.pts2d, camera, pose.R[None], pose.t[None])[0]
 
 
 def _dlt(pts3d, pts2d, camera):
     """Stacked linear solves: (B, M, 3) and (B, M, 2) to (R, t, ok).
 
-    Each of the B solves is ``pnp_dlt``'s; ``ok`` is False where that one
-    is degenerate, and its pose is then meaningless.
+    Each solve finds the projective [R|t] in normalized image coordinates
+    by SVD, flips its sign so the depths are positive, and projects the
+    rotation onto SO(3).  ``ok`` is False where the points do not
+    determine a unique solution (for example, collinear points); that
+    pose is then meaningless.
     """
     B, m = pts3d.shape[:2]
     x = (pts2d[..., 0] - camera.px) / camera.f
@@ -230,30 +220,6 @@ def _proper(U, Vt):
     U = U.copy()
     U[:, :, 2] *= d[:, None]
     return U @ Vt
-
-
-def pnp_dlt(corr: CorrSet, camera: CameraIntrinsics) -> Pose:
-    """Linear pose estimate from at least six correspondences.
-
-    Solves for the projective [R|t] in normalized image coordinates via
-    SVD, disambiguates the global sign so depths are positive, and
-    projects the linear rotation onto SO(3) with a determinant-corrected
-    orthogonal Procrustes step.
-
-    Raises:
-        TooFewCorrespondences: fewer than six pairs.
-        DegenerateConfiguration: the design matrix does not determine a
-            unique solution direction (for example, collinear points).
-    """
-    n = corr.n
-    if n < MIN_CORRESPONDENCES:
-        raise TooFewCorrespondences(f"need {MIN_CORRESPONDENCES} pairs, got {n}")
-    R, t, ok = _dlt(corr.pts3d[None], corr.pts2d[None], camera)
-    if not ok[0]:
-        raise DegenerateConfiguration(
-            "correspondence geometry does not constrain a unique pose"
-        )
-    return Pose(R=R[0], t=t[0])
 
 
 def _rodrigues(w):
@@ -461,28 +427,6 @@ def _lm(
     return Pose(R=_proper(U, Vt)[0], t=t[0]), converged
 
 
-def pnp_refine_lm(
-    corr: CorrSet,
-    camera: CameraIntrinsics,
-    init: Pose,
-    max_iters: int = LM_MAX_ITERS,
-    tol: float = LM_TOL,
-) -> Pose:
-    """Refine a pose by minimizing squared reprojection error.
-
-    Accepted steps never increase the cost; iteration stops when the step
-    norm drops below ``tol`` or after ``max_iters`` rounds.
-
-    Raises:
-        TooFewCorrespondences: fewer than six pairs.
-        NonFiniteResidual: the initial pose yields non-finite residuals.
-    """
-    if corr.n < MIN_CORRESPONDENCES:
-        raise TooFewCorrespondences(f"need {MIN_CORRESPONDENCES} pairs, got {corr.n}")
-    pose, _ = _lm(corr, camera, init, max_iters, tol)
-    return pose
-
-
 def _draw(rng, n, count):
     """The next ``count`` minimal samples of the stream, as rows."""
     return np.array(
@@ -589,7 +533,7 @@ def pnp_ransac(
             if ok[k] and raw[k] < best_raw:
                 score = best_raw = float(raw[k])
                 hyp = Pose(R=R[k], t=t[k])
-                errs = _reproj_errors(corr, camera, hyp, clamp=True)
+                errs = _reproj_errors(corr, camera, hyp)
                 # polish on the hypothesis's own support through shrinking
                 # bands; noise in the minimal sample otherwise caps how many
                 # inliers it can collect
@@ -607,7 +551,7 @@ def pnp_ransac(
                         )
                     except NonFiniteResidual:
                         break
-                    lerrs = _reproj_errors(corr, camera, local, clamp=True)
+                    lerrs = _reproj_errors(corr, camera, local)
                     lscore = float(np.minimum(lerrs * lerrs, thr_sq).sum())
                     if lscore < score:
                         hyp, errs, score = local, lerrs, lscore
@@ -638,7 +582,7 @@ def pnp_ransac(
     refined, converged = _lm(
         corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
     )
-    final_errs = _reproj_errors(corr, camera, refined, clamp=True)
+    final_errs = _reproj_errors(corr, camera, refined)
     final_inliers = final_errs < inlier_px
     count = int(final_inliers.sum())
     if count < MIN_CORRESPONDENCES:

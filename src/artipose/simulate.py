@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import BBox, CameraIntrinsics, Pose, project_points, random_rotation, rotation_about_axis
 from .errors import ConfigError, ParseError
-from .formats import canonical_json, read_fmap, write_fmap, write_mask_pgm
+from .formats import canonical_json, decode_pose, encode_pose, read_fmap, write_fmap, write_mask_pgm
 from .meshes import (
     ArticulatedModel,
     ArticulationState,
@@ -407,8 +407,7 @@ def export_gt(frames, out_dir, camera: CameraIntrinsics, model_paths=()) -> Path
                 {
                     "class": int(obj.class_id),
                     "model": int(obj.model_index),
-                    "R": [float(v) for v in obj.pose.R.reshape(9)],
-                    "t_mm": [float(v * 1000.0) for v in obj.pose.t],
+                    **encode_pose(obj.pose),
                     "articulation": float(obj.articulation),
                     "bbox_amodal": obj.bbox_amodal.as_list(),
                     "bbox_visible": None if obj.bbox_visible is None else obj.bbox_visible.as_list(),
@@ -481,18 +480,12 @@ class SceneDataset:
     frames: tuple
 
 
-def _bbox_from_list(values):
-    if values is None:
-        return None
-    cx, cy, w, h = (float(v) for v in values)
-    return BBox(cx=cx, cy=cy, w=w, h=h)
-
-
 def load_dataset(scene_gt_path) -> SceneDataset:
     """Read scene_gt.json back into poses, boxes, and artifact paths.
 
     Raises:
-        ParseError: missing or malformed fields.
+        ParseError: missing or malformed fields, or an ``R`` that is not
+            a rotation.
     """
     scene_gt_path = Path(scene_gt_path)
     root = scene_gt_path.parent
@@ -513,18 +506,17 @@ def load_dataset(scene_gt_path) -> SceneDataset:
         for entry in payload["frames"]:
             objects = []
             for rec in entry["objects"]:
-                R = np.array([float(v) for v in rec["R"]], dtype=np.float64).reshape(3, 3)
-                t = np.array([float(v) for v in rec["t_mm"]], dtype=np.float64) / 1000.0
+                visible = rec["bbox_visible"]
                 objects.append(
                     ObjectGT(
                         class_id=int(rec["class"]),
                         model_index=int(rec["model"]),
-                        pose=Pose(R=R, t=t),
+                        pose=decode_pose(rec),
                         articulation=float(rec["articulation"]),
-                        bbox_amodal=_bbox_from_list(rec["bbox_amodal"]),
-                        bbox_visible=_bbox_from_list(rec["bbox_visible"]),
+                        bbox_amodal=BBox.from_list(rec["bbox_amodal"]),
+                        bbox_visible=None if visible is None else BBox.from_list(visible),
                         visibility=float(rec["visibility"]),
-                        crop=_bbox_from_list(rec["crop"]),
+                        crop=BBox.from_list(rec["crop"]),
                         visible_mask_path=root / rec["visible_mask"],
                         amodal_mask_path=root / rec["amodal_mask"],
                         corr_path=root / rec["corr_map"],
@@ -537,7 +529,7 @@ def load_dataset(scene_gt_path) -> SceneDataset:
                     objects=tuple(objects),
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"malformed scene_gt: {exc}") from None
     return SceneDataset(
         root=root,

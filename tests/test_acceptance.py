@@ -433,7 +433,7 @@ def test_criterion_8_adaptation_gain(criteria_report):
                     ),
                 )
             )
-    estimator = RenderEstimator.from_rendered(
+    estimator = RenderEstimator(
         frames, models, DEFAULT_CAMERA, noise=NoiseConfig(corr_px_sigma=0.5), seed=1
     )
     _, metrics = adaptation_round(dets, estimator, models, DEFAULT_CAMERA, AdaptationConfig(), gt_boxes)

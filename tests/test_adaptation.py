@@ -24,20 +24,20 @@ from artipose.simulate import (
 from artipose.tracking import Detection, run_tracker
 from artipose.adaptation import (
     AdaptationConfig,
-    FileEstimator,
     FilterThresholds,
     PoseEstimate,
     RenderEstimator,
     adaptation_loop,
     adaptation_round,
+    encode_estimate,
     filter_pose_labels,
     load_detections,
+    load_estimates,
     refine_bbox,
     select_pseudo_frames,
     solve_object,
     square_crop,
     write_pseudo_labels,
-    _pose_label_record,
 )
 
 MODELS = {0: needle_holder_model(), 1: tweezers_model()}
@@ -45,6 +45,10 @@ MODELS = {0: needle_holder_model(), 1: tweezers_model()}
 
 def det(frame, cx, cy, w=100.0, h=100.0, cls=0, conf=1.0):
     return Detection(frame_id=frame, class_id=cls, confidence=conf, bbox=BBox(cx=cx, cy=cy, w=w, h=h))
+
+
+def label_record(frame_id, est):
+    return encode_estimate(frame_id, est.class_id, est.class_confidence, est.articulation, est.pnp)
 
 
 def fake_estimate(conf=0.95, outliers=0, inliers=80, reproj=0.5, art=0.3, cls=0):
@@ -89,7 +93,7 @@ def scene():
 @pytest.fixture(scope="module")
 def clean_round(scene):
     frames, dets, gt_boxes = scene
-    estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA)
+    estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
     return adaptation_round(dets, estimator, MODELS, DEFAULT_CAMERA, AdaptationConfig(), gt_boxes)
 
 
@@ -199,7 +203,7 @@ class TestSolveObject:
 class TestRefineBbox:
     def test_zero_noise_recovers_gt_box(self, scene):
         frames, dets, gt_boxes = scene
-        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         d = dets[10]
         rr = refine_bbox(d.frame_id, d, estimator, MODELS[d.class_id], DEFAULT_CAMERA)
         assert rr.refined
@@ -219,7 +223,7 @@ class TestRefineBbox:
 
     def test_refined_box_inside_image(self, scene):
         frames, dets, gt_boxes = scene
-        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         for d in dets[:8]:
             rr = refine_bbox(d.frame_id, d, estimator, MODELS[d.class_id], DEFAULT_CAMERA)
             assert rr.bbox.x0 >= 0.0
@@ -229,7 +233,7 @@ class TestRefineBbox:
 
     def test_missing_gt_propagates(self, scene):
         frames, dets, gt_boxes = scene
-        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         with pytest.raises(InputError):
             refine_bbox(999, det(999, 200, 150), estimator, MODELS[0], DEFAULT_CAMERA)
 
@@ -245,7 +249,7 @@ class TestRenderEstimatorReuse:
             adaptation, "pnp_ransac", lambda *a, **k: calls.append(a) or solve(*a, **k)
         )
         noise = NoiseConfig(corr_px_sigma=0.5)
-        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA, noise)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, noise)
         d = dets[10]
         first = estimator(d.frame_id, d.bbox, d.class_id)
         same_box = BBox(cx=d.bbox.cx, cy=d.bbox.cy, w=d.bbox.w, h=d.bbox.h)
@@ -254,7 +258,7 @@ class TestRenderEstimatorReuse:
         estimator(d.frame_id, square_crop(d.bbox), d.class_id)
         assert len(calls) == 2
         # a fresh estimator computes the reused answer anew, bit for bit
-        fresh = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA, noise)
+        fresh = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, noise)
         again = fresh(d.frame_id, d.bbox, d.class_id)
         assert len(calls) == 3
         np.testing.assert_array_equal(again.pose.R, first.pose.R)
@@ -272,7 +276,7 @@ class TestRound:
 
     def test_refinement_beats_jittered_input(self, scene):
         frames, dets, gt_boxes = scene
-        estimator = RenderEstimator.from_rendered(
+        estimator = RenderEstimator(
             frames, MODELS, DEFAULT_CAMERA, NoiseConfig(corr_px_sigma=0.5)
         )
         _, metrics = adaptation_round(
@@ -284,20 +288,20 @@ class TestRound:
     def test_low_confidence_detections_yield_nothing(self, scene):
         frames, dets, gt_boxes = scene
         weak = [Detection(d.frame_id, d.class_id, 0.5, d.bbox) for d in dets]
-        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         labels, metrics = adaptation_round(weak, estimator, MODELS, DEFAULT_CAMERA)
         assert labels.detection_labels == ()
         assert labels.pose_labels == ()
         assert metrics.selection_rate == 0.0
 
     def test_empty_sequence(self):
-        estimator = RenderEstimator({}, MODELS, DEFAULT_CAMERA)
+        estimator = RenderEstimator([], MODELS, DEFAULT_CAMERA)
         with pytest.raises(EmptySequence):
             adaptation_round([], estimator, MODELS, DEFAULT_CAMERA)
 
     def test_reproducible(self, scene, clean_round):
         frames, dets, gt_boxes = scene
-        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         labels2, metrics2 = adaptation_round(
             dets, estimator, MODELS, DEFAULT_CAMERA, AdaptationConfig(), gt_boxes
         )
@@ -311,7 +315,7 @@ class TestRound:
 class TestLoop:
     def test_two_rounds_chain(self, scene):
         frames, dets, gt_boxes = scene
-        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         results = adaptation_loop(
             dets, estimator, MODELS, DEFAULT_CAMERA, rounds=2, gt_boxes=gt_boxes
         )
@@ -322,7 +326,7 @@ class TestLoop:
 
     def test_rounds_validated(self, scene):
         frames, dets, _ = scene
-        estimator = RenderEstimator.from_rendered(frames, MODELS, DEFAULT_CAMERA)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         with pytest.raises(ConfigError):
             adaptation_loop(dets, estimator, MODELS, DEFAULT_CAMERA, rounds=0)
 
@@ -344,26 +348,51 @@ class TestIO:
         assert len(rec["t_mm"]) == 3
 
     def test_file_estimator_roundtrip(self, clean_round, tmp_path):
+        # pose labels written as estimate lines load back as the estimates
         import json
 
         labels, _ = clean_round
         path = tmp_path / "estimates.jsonl"
-        lines = [json.dumps(_pose_label_record(f, e)) for f, e in labels.pose_labels]
+        lines = [json.dumps(label_record(f, e)) for f, e in labels.pose_labels]
         path.write_text("\n".join(lines) + "\n")
-        est = FileEstimator(path)
+        loaded = load_estimates(path)
+        assert len(loaded) == len(labels.pose_labels)
         frame_id, want = labels.pose_labels[0]
-        got = est(frame_id, BBox(cx=0, cy=0, w=10, h=10), want.class_id)
+        got = loaded[(frame_id, want.class_id)]
         assert np.abs(got.pose.t - want.pose.t).max() < 1e-12
         assert got.class_confidence == want.class_confidence
         assert got.pnp.inlier_count == want.pnp.inlier_count
-        with pytest.raises(InputError):
-            est(10_000, BBox(cx=0, cy=0, w=10, h=10), 0)
+        assert (10_000, 0) not in loaded
 
     def test_file_estimator_bad_line(self, tmp_path):
         path = tmp_path / "estimates.jsonl"
         path.write_text('{"frame_id": 0}\n')
         with pytest.raises(ParseError, match=":1:"):
-            FileEstimator(path)
+            load_estimates(path)
+
+    def test_repeated_estimate_rejected(self, tmp_path):
+        import json
+
+        line = json.dumps(label_record(3, fake_estimate()))
+        other = json.dumps(label_record(4, fake_estimate()))
+        path = tmp_path / "estimates.jsonl"
+        path.write_text("\n".join([line, other, "", line]) + "\n")
+        with pytest.raises(ParseError, match=r":4: second estimate for frame 3 class 0, first on line 1"):
+            load_estimates(path)
+
+    def test_pose_labels_round_trip_bytes(self, clean_round, tmp_path):
+        # a pose label decodes to an estimate that encodes to the same bytes
+        import json
+
+        labels, _ = clean_round
+        write_pseudo_labels(labels, tmp_path / "labels.json")
+        entries = json.loads((tmp_path / "labels.json").read_text())["pose_labels"]
+        assert entries
+        path = tmp_path / "estimates.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        loaded = load_estimates(path)
+        again = [label_record(e["frame_id"], loaded[(e["frame_id"], e["class"])]) for e in entries]
+        assert json.dumps(again, sort_keys=True) == json.dumps(entries, sort_keys=True)
 
     def test_detections_roundtrip(self, tmp_path):
         import json

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from artipose.adaptation import encode_estimate, load_estimates
 from artipose.cli import main
 
 
@@ -67,6 +68,29 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    def test_scaled_gt_rotation_is_exit_2(self, dataset, predictions, tmp_path, capsys):
+        payload = json.loads((dataset / "scene_gt.json").read_text())
+        rec = payload["frames"][2]["objects"][1]
+        rec["R"] = [1.001 * v for v in rec["R"]]
+        broken = tmp_path / "ds"
+        broken.mkdir()
+        (broken / "scene_gt.json").write_text(json.dumps(payload))
+        rc = main(
+            ["losses", "--dataset", str(broken), "--predictions", str(predictions), "--out", str(tmp_path / "l.json")]
+        )
+        assert rc == 2
+        assert "not a rotation" in capsys.readouterr().err
+
+    def test_repeated_estimate_is_exit_2(self, dataset, predictions, tmp_path, capsys):
+        lines = predictions.read_text().splitlines()
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text("\n".join(lines + lines[5:6]) + "\n")
+        rc = main(
+            ["evaluate", "--dataset", str(dataset), "--predictions", str(doubled), "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert f":{len(lines) + 1}: second estimate" in capsys.readouterr().err
+
     def test_console_script_missing_input(self):
         proc = subprocess.run(
             [sys.executable, "-m", "artipose.cli", "losses", "--dataset", "/does/not/exist", "--predictions", "x", "--out", "y"],
@@ -110,6 +134,15 @@ class TestEstimate:
         for rec in lines:
             assert rec["converged"]
             assert rec["reproj_err"] < 0.5
+
+    def test_lines_round_trip_bytes(self, predictions):
+        # each line decodes to an estimate that encodes to the same bytes
+        estimates = load_estimates(predictions)
+        for line in predictions.read_text().splitlines():
+            rec = json.loads(line)
+            est = estimates[(rec["frame_id"], rec["class"])]
+            again = encode_estimate(rec["frame_id"], est.class_id, est.class_confidence, est.articulation, est.pnp)
+            assert json.dumps(again, sort_keys=True) == line
 
     def test_rerun_identical(self, dataset, predictions, tmp_path):
         again = tmp_path / "again.jsonl"

@@ -1,11 +1,53 @@
-"""Round-trip tests for the PGM and FMAP raster containers."""
+"""Round-trip tests for the PGM and FMAP raster containers and the pose
+record codec."""
+
+import json
 
 import numpy as np
 import pytest
 
+from artipose.camera import Pose, random_rotation
 from artipose.errors import ParseError
-from artipose.formats import read_fmap, read_mask_pgm, write_fmap, write_mask_pgm
+from artipose.formats import (
+    decode_pose,
+    encode_pose,
+    read_fmap,
+    read_mask_pgm,
+    write_fmap,
+    write_mask_pgm,
+)
 from artipose.raster import MaskImage
+
+
+class TestPoseCodec:
+    def test_encode_layout(self):
+        pose = Pose(R=np.eye(3)[[1, 2, 0]], t=np.array([0.01, -0.02, 0.9]))
+        rec = encode_pose(pose)
+        assert rec["R"] == [0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+        assert rec["t_mm"] == [10.0, -20.0, 900.0]
+
+    def test_decode_then_encode_gives_the_same_bytes(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            pose = Pose(R=random_rotation(rng), t=rng.uniform([-0.3, -0.3, 0.5], [0.3, 0.3, 1.2]))
+            text = json.dumps(encode_pose(pose))
+            again = decode_pose(json.loads(text))
+            np.testing.assert_array_equal(again.R, pose.R)
+            assert np.abs(again.t - pose.t).max() < 1e-15
+            assert json.dumps(encode_pose(again)) == text
+
+    @pytest.mark.parametrize("scale", [1.001, -1.0])
+    def test_rejects_matrices_that_are_not_rotations(self, scale):
+        rec = encode_pose(Pose(R=np.eye(3), t=np.array([0.0, 0.0, 1.0])))
+        rec["R"] = [scale * v for v in rec["R"]]
+        with pytest.raises(ParseError, match="not a rotation"):
+            decode_pose(rec)
+
+    def test_malformed_fields_raise_value_errors(self):
+        with pytest.raises(ValueError):
+            decode_pose({"R": [1.0] * 8, "t_mm": [0.0, 0.0, 1.0]})
+        with pytest.raises(KeyError):
+            decode_pose({"R": [1.0] * 9})
 
 
 class TestPgm:

@@ -1,5 +1,6 @@
 """Tests for mesh parsing, articulation and surface sampling."""
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from artipose.meshes import (
     normalize_vertices,
     sample_surface_points,
     save_mesh_obj,
-    save_mesh_stl,
     save_model_manifest,
     tight_bbox,
 )
@@ -109,31 +109,6 @@ class TestObjParsing:
         again = load_mesh(out)
         np.testing.assert_array_equal(again.vertices, cube.vertices)
         np.testing.assert_array_equal(again.faces, cube.faces)
-
-
-class TestStlParsing:
-    def test_cube_welds_to_eight_vertices(self, cube, tmp_path):
-        path = tmp_path / "cube.stl"
-        save_mesh_stl(cube, path)
-        again = load_mesh(path)
-        assert again.n_vertices == 8
-        assert again.n_faces == 12
-        np.testing.assert_allclose(
-            np.sort(again.vertices.view("f8,f8,f8"), axis=0).view(float),
-            np.sort(cube.vertices.view("f8,f8,f8"), axis=0).view(float),
-        )
-
-    def test_size_mismatch(self, tmp_path):
-        path = tmp_path / "bad.stl"
-        path.write_bytes(b"\0" * 80 + (5).to_bytes(4, "little") + b"\0" * 10)
-        with pytest.raises(ParseError, match="size mismatch"):
-            load_mesh(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "bad.stl"
-        path.write_bytes(b"\0" * 40)
-        with pytest.raises(ParseError, match="header"):
-            load_mesh(path)
 
 
 class TestTriMeshValidation:
@@ -327,13 +302,19 @@ class TestManifest:
         with pytest.raises(ParseError, match="misses field"):
             load_model_manifest(path)
 
+    def test_stl_mesh_is_unsupported(self, tmp_path):
+        mpath = save_model_manifest(_toy_model(), tmp_path, "toy")
+        data = json.loads(mpath.read_text())
+        (tmp_path / "toy_fixed.stl").write_bytes(b"\0" * 84)
+        data["fixed_mesh"] = "toy_fixed.stl"
+        mpath.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="unsupported mesh extension"):
+            load_model_manifest(mpath)
+
     def test_default_angles(self, tmp_path):
         model = _toy_model()
         mpath = save_model_manifest(model, tmp_path, "toy")
-        doc = mpath.read_text()
-        import json
-
-        data = json.loads(doc)
+        data = json.loads(mpath.read_text())
         del data["angle_min"], data["angle_max"]
         mpath.write_text(json.dumps(data))
         again = load_model_manifest(mpath)

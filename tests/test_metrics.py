@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from artipose.adaptation import load_detections, load_estimates
 from artipose.camera import BBox
 from artipose.errors import InputError, NoAnnotations, ParseError
-from artipose.formats import write_mask_pgm
+from artipose.formats import read_mask_pgm, write_mask_pgm
 from artipose.metrics import (
     APReport,
     FrameAnnotation,
     GTBox,
     IOU_THRESHOLDS,
     PredictionRecord,
-    ap_over_thresholds,
+    _pose_matches,
     detection_ap,
-    load_annotation_bundle,
-    load_prediction_records,
+    iter_annotations,
     mask_iou,
     mean_ap,
     occlusion_subtract,
@@ -41,6 +41,11 @@ def mask_from_rect(x0, y0, w, h):
 
 def empty_mask():
     return MaskImage(W, H, np.zeros((H, W), dtype=np.uint8))
+
+
+def class_ap(predictions, annotations, class_id):
+    """Pose AP of one class, the annotated frames streamed in order."""
+    return _pose_matches(predictions, annotations).class_ap(class_id)
 
 
 def frame(frame_id, tools, hand=None, visible=None, amodal=None):
@@ -129,23 +134,23 @@ class TestApOverThresholds:
             predictions.append(
                 PredictionRecord(frame_id=fid, class_id=0, confidence=0.9, mask=tool)
             )
-        assert ap_over_thresholds(predictions, annotations, 0) == 1.0
+        assert class_ap(predictions, annotations, 0) == 1.0
 
     def test_no_predictions(self):
         annotations = [frame(0, {0: mask_from_rect(10, 10, 40, 30)})]
-        assert ap_over_thresholds([], annotations, 0) == 0.0
+        assert class_ap([], annotations, 0) == 0.0
 
     def test_single_iou_072_scores_half(self):
         gt = mask_from_rect(10, 10, 100, 50)
         pred = mask_from_rect(10, 10, 72, 50)  # subset: IoU 3600/5000 = 0.72
         annotations = [frame(0, {0: gt})]
         preds = [PredictionRecord(frame_id=0, class_id=0, confidence=0.8, mask=pred)]
-        assert ap_over_thresholds(preds, annotations, 0) == pytest.approx(0.5)
+        assert class_ap(preds, annotations, 0) == pytest.approx(0.5)
 
     def test_missing_class_raises(self):
         annotations = [frame(0, {0: mask_from_rect(10, 10, 40, 30)})]
         with pytest.raises(NoAnnotations):
-            ap_over_thresholds([], annotations, 1)
+            class_ap([], annotations, 1)
 
     def test_hand_pixels_do_not_count(self):
         gt = mask_from_rect(10, 10, 40, 30)
@@ -154,10 +159,10 @@ class TestApOverThresholds:
         pred = mask_from_rect(30, 10, 20, 30)
         annotations = [frame(0, {0: gt}, hand=hand)]
         preds = [PredictionRecord(frame_id=0, class_id=0, confidence=0.9, mask=pred)]
-        assert ap_over_thresholds(preds, annotations, 0) == 1.0
+        assert class_ap(preds, annotations, 0) == 1.0
         # without the hand the same prediction covers half the mask:
         # IoU is exactly 0.5, which qualifies only at the first threshold
-        assert ap_over_thresholds(preds, [frame(0, {0: gt})], 0) == pytest.approx(0.1)
+        assert class_ap(preds, [frame(0, {0: gt})], 0) == pytest.approx(0.1)
 
     def test_low_visibility_gt_removed_and_matches_ignored(self):
         amodal = mask_from_rect(10, 10, 50, 20)
@@ -172,7 +177,7 @@ class TestApOverThresholds:
             PredictionRecord(frame_id=1, class_id=0, confidence=0.90, mask=good),
         ]
         # the confident hit on the removed instance must not poison AP
-        assert ap_over_thresholds(preds, annotations, 0) == 1.0
+        assert class_ap(preds, annotations, 0) == 1.0
 
     def test_stray_prediction_is_false_positive(self):
         good = mask_from_rect(80, 40, 30, 20)
@@ -183,7 +188,7 @@ class TestApOverThresholds:
             ),
             PredictionRecord(frame_id=0, class_id=0, confidence=0.90, mask=good),
         ]
-        ap = ap_over_thresholds(preds, annotations, 0)
+        ap = class_ap(preds, annotations, 0)
         # one FP ranked above the TP: precision at full recall is 1/2
         assert 0.0 < ap < 1.0
 
@@ -212,7 +217,7 @@ class TestApOverThresholds:
                         mask=MaskImage(W, H, data.astype(np.uint8)),
                     )
                 )
-            aps.append(ap_over_thresholds(preds, annotations, 0))
+            aps.append(class_ap(preds, annotations, 0))
         assert aps[0] == 1.0
         assert all(aps[i] >= aps[i + 1] for i in range(len(aps) - 1))
 
@@ -278,9 +283,9 @@ class TestStreamedMatches:
                 preds.append(PredictionRecord(fid, 0, 0.5, mask=MaskImage(W, H, shifted)))
         # a prediction on a frame without annotation is a false positive
         preds.insert(3, PredictionRecord(9, 0, 0.5, mask=mask_from_rect(0, 0, 5, 5)))
-        ap = ap_over_thresholds(preds, annotations, 0)
-        assert ap == ap_over_thresholds(preds, annotations[::-1], 0)
-        assert 0.0 < ap < ap_over_thresholds(preds[:3] + preds[4:], annotations, 0)
+        ap = class_ap(preds, annotations, 0)
+        assert ap == class_ap(preds, annotations[::-1], 0)
+        assert 0.0 < ap < class_ap(preds[:3] + preds[4:], annotations, 0)
 
     def test_frame_annotated_twice_rejected(self):
         annotations = [frame(0, {0: mask_from_rect(0, 0, 5, 5)})] * 2
@@ -365,34 +370,27 @@ class TestIo:
             ]
         }
         (tmp_path / "annotations.json").write_text(json.dumps(index))
-        pred_line = {
-            "frame_id": 0,
-            "class": 0,
-            "confidence": 0.9,
-            "mask_path": "tool0.pgm",
-        }
-        (tmp_path / "predictions.jsonl").write_text(json.dumps(pred_line) + "\n")
-        annotations = load_annotation_bundle(tmp_path / "annotations.json")
-        preds = load_prediction_records(tmp_path / "predictions.jsonl")
-        assert len(annotations) == 1 and len(preds) == 1
+        annotations = list(iter_annotations(tmp_path / "annotations.json"))
+        preds = [PredictionRecord(0, 0, 0.9, mask=read_mask_pgm(tmp_path / "tool0.pgm"))]
+        assert len(annotations) == 1
         assert annotations[0].tool_masks[0].pixel_count() == tool.pixel_count()
-        assert ap_over_thresholds(preds, annotations, 0) == 1.0
+        assert class_ap(preds, annotations, 0) == 1.0
 
     def test_bbox_prediction_lines(self, tmp_path):
         line = {"frame_id": 2, "class": 1, "confidence": 0.5, "bbox": [10.0, 20.0, 5.0, 5.0]}
         p = tmp_path / "boxes.jsonl"
         p.write_text(json.dumps(line) + "\n")
-        recs = load_prediction_records(p)
-        assert recs[0].bbox.cx == 10.0 and recs[0].mask is None
+        recs = load_detections(p)
+        assert recs[0].bbox == BBox(cx=10.0, cy=20.0, w=5.0, h=5.0)
 
     def test_malformed_index_raises(self, tmp_path):
         p = tmp_path / "annotations.json"
         p.write_text("{not json")
         with pytest.raises(ParseError):
-            load_annotation_bundle(p)
+            list(iter_annotations(p))
 
     def test_malformed_prediction_line_raises(self, tmp_path):
         p = tmp_path / "predictions.jsonl"
         p.write_text('{"frame_id": 0}\n')
         with pytest.raises(ParseError):
-            load_prediction_records(p)
+            load_estimates(p)

@@ -10,9 +10,9 @@ import pytest
 
 from artipose.camera import bbox_iou, check_rotation, geodesic_angle
 from artipose.errors import ConfigError, ParseError
-from artipose.formats import canonical_json, read_mask_pgm
+from artipose.formats import canonical_json, encode_pose, read_mask_pgm
 from artipose.meshes import ArticulationState, articulate
-from artipose.metrics import load_annotation_bundle, mask_iou, occlusion_subtract
+from artipose.metrics import iter_annotations, mask_iou, occlusion_subtract
 from artipose.pnp import pairs_from_map, pnp_ransac
 from artipose.raster import render_amodal
 from artipose.simulate import (
@@ -274,7 +274,7 @@ class TestExport:
 
     def test_annotations_feed_the_metrics_loader(self, clean_run):
         frames, gt_path = clean_run
-        bundle = load_annotation_bundle(gt_path.parent / "annotations.json")
+        bundle = list(iter_annotations(gt_path.parent / "annotations.json"))
         assert [a.frame_id for a in bundle] == [f.frame_id for f in frames]
         ann = bundle[0]
         assert set(ann.tool_masks) == {0, 1}
@@ -303,6 +303,26 @@ class TestExport:
         path = tmp_path / "scene_gt.json"
         path.write_text("{\"frames\": [{\"oops\": 1}]}")
         with pytest.raises(ParseError):
+            load_dataset(path)
+
+    def test_pose_records_round_trip_bytes(self, clean_run):
+        # a loaded pose encodes back to the bytes it was read from
+        _, gt_path = clean_run
+        payload = json.loads(gt_path.read_text())
+        ds = load_dataset(gt_path)
+        for entry, frame in zip(payload["frames"], ds.frames):
+            for rec, obj in zip(entry["objects"], frame.objects):
+                written = {"R": rec["R"], "t_mm": rec["t_mm"]}
+                assert json.dumps(encode_pose(obj.pose)) == json.dumps(written)
+
+    def test_scaled_rotation_rejected(self, tmp_path, clean_run):
+        _, gt_path = clean_run
+        payload = json.loads(gt_path.read_text())
+        rec = payload["frames"][1]["objects"][0]
+        rec["R"] = [1.001 * v for v in rec["R"]]
+        path = tmp_path / "scene_gt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="not a rotation"):
             load_dataset(path)
 
     def test_not_json(self, tmp_path):
