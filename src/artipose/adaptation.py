@@ -9,7 +9,7 @@ is out of scope; the product is the label sets.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +56,9 @@ class FilterThresholds:
 
 @dataclass(frozen=True)
 class PoseEstimate:
-    """One estimator answer: pose, class and articulation with solve stats."""
+    """One estimator answer: class and articulation with the solve.  Its
+    ``pose`` is the solve's, so a label and its render share one pose."""
 
-    pose: Pose
     class_id: int
     class_confidence: float
     articulation: float
@@ -71,6 +71,10 @@ class PoseEstimate:
             )
         if not 0.0 <= self.articulation <= 1.0:
             raise ValueError(f"articulation must be in [0, 1], got {self.articulation}")
+
+    @property
+    def pose(self) -> Pose:
+        return self.pnp.pose
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,6 @@ class RenderEstimator:
             pairs_from_map(cmap, box), self.camera, self.noise, self.seed, frame_id, class_id
         )
         return PoseEstimate(
-            pose=result.pose,
             class_id=class_id,
             class_confidence=confidence,
             articulation=articulation,
@@ -233,14 +236,12 @@ def load_estimates(path) -> dict:
         try:
             rec = json.loads(line)
             key = (int(rec["frame_id"]), int(rec["class"]))
-            pose = decode_pose(rec)
             est = PoseEstimate(
-                pose=pose,
                 class_id=key[1],
                 class_confidence=float(rec["confidence"]),
                 articulation=float(rec["articulation"]),
                 pnp=PnPResult(
-                    pose=pose,
+                    pose=decode_pose(rec),
                     inlier_count=int(rec["inliers"]),
                     outlier_count=int(rec["outliers"]),
                     mean_reproj_err=float(rec["reproj_err"]),
@@ -438,11 +439,7 @@ def write_pseudo_labels(labels: PseudoLabelSet, path) -> None:
             encode_estimate(frame_id, est.class_id, est.class_confidence, est.articulation, est.pnp)
             for frame_id, est in labels.pose_labels
         ],
-        "thresholds": {
-            "conf_min": labels.thresholds.conf_min,
-            "outlier_max_frac": labels.thresholds.outlier_max_frac,
-            "reproj_max_px": labels.thresholds.reproj_max_px,
-        },
+        "thresholds": asdict(labels.thresholds),
         "mixing_ratio": labels.mixing_ratio,
     }
     Path(path).write_text(canonical_json(payload))

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .formats import canonical_json
 from .losses import (
     DEFAULT_NUM_POINTS,
     GroundTruth,
+    LossBreakdown,
     LossWeights,
     PosePrediction,
     loss_total,
@@ -49,14 +51,7 @@ from .meshes import (
     sample_surface_points,
     save_model_manifest,
 )
-from .metrics import (
-    GTBox,
-    PoseMatches,
-    PredictionRecord,
-    detection_ap,
-    iter_annotations,
-    visibility_fraction,
-)
+from .metrics import Matches, iter_annotations
 from .pnp import pairs_from_map
 from .raster import rasterize_crop, render_amodal, render_correspondence
 from .simulate import (
@@ -88,6 +83,12 @@ def _read_config(path):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
+
+
+def _from_config(record, doc):
+    """``record`` from a config dict: each field is ``float(doc[name])``,
+    or its default when ``doc`` lacks it."""
+    return record(**{f.name: float(doc.get(f.name, f.default)) for f in fields(record)})
 
 
 def _config_sha256(effective):
@@ -164,18 +165,8 @@ def cmd_simgen(args):
             "frames": frames_n,
             "seed": seed,
             "depth_range": list(depth_range),
-            "occluders": {
-                "enabled": occluder.enabled,
-                "count_range": list(occluder.count_range),
-                "size_range": list(occluder.size_range),
-            },
-            "camera": {
-                "f": scene.camera.f,
-                "px": scene.camera.px,
-                "py": scene.camera.py,
-                "width": scene.camera.width,
-                "height": scene.camera.height,
-            },
+            "occluders": asdict(occluder),
+            "camera": asdict(scene.camera),
             "models": rel_paths,
         },
     )
@@ -241,10 +232,10 @@ def cmd_estimate(args):
 # evaluate
 
 
-def _frame_predictions(frame_id, keys, estimates, models_by_class, camera, boxes):
-    """(order, mask record) pairs of a frame's renderable (order, class_id)
-    ``keys``, popped from ``estimates``; (order, box record) pairs go to ``boxes``."""
-    masks = []
+def _frame_predictions(frame_id, keys, estimates, models_by_class, camera):
+    """(order, class_id, confidence, amodal mask) of a frame's renderable
+    (order, class_id) ``keys``, popped from ``estimates``."""
+    preds = []
     for order, class_id in keys:
         est = estimates.pop((frame_id, class_id))
         mesh = articulate(models_by_class[class_id], ArticulationState(est.articulation))
@@ -254,24 +245,8 @@ def _frame_predictions(frame_id, keys, estimates, models_by_class, camera, boxes
             raise
         except ArtiposeError:
             continue
-        conf = est.class_confidence
-        masks.append((order, PredictionRecord(frame_id, class_id, conf, mask=mask)))
-        boxes.append((order, PredictionRecord(frame_id, class_id, conf, bbox=mask.bbox())))
-    return masks
-
-
-def _gt_boxes(ann):
-    boxes = []
-    for class_id, amodal in ann.amodal_masks.items():
-        box = amodal.bbox()
-        if box is None:
-            continue
-        vis = ann.visible_masks.get(class_id)
-        fraction = visibility_fraction(vis, amodal) if vis is not None else 1.0
-        boxes.append(
-            GTBox(frame_id=ann.frame_id, class_id=class_id, bbox=box, visibility=fraction)
-        )
-    return boxes
+        preds.append((order, class_id, est.class_confidence, mask))
+    return preds
 
 
 def _ap_payload(report):
@@ -316,20 +291,16 @@ def cmd_evaluate(args):
         if class_id not in models_by_class:
             raise InputError(f"prediction for unknown class {class_id}")
         by_frame.setdefault(frame_id, []).append((order, class_id))
-    matches = PoseMatches()
-    boxes = []
-    gt_boxes = []
+    matches = Matches()
     for ann in frames:
         keys = by_frame.pop(ann.frame_id, [])
-        masks = _frame_predictions(ann.frame_id, keys, estimates, models_by_class, ds.camera, boxes)
-        matches.add(ann.frame_id, masks, ann)
-        gt_boxes += _gt_boxes(ann)
+        preds = _frame_predictions(ann.frame_id, keys, estimates, models_by_class, ds.camera)
+        matches.add(ann.frame_id, preds, ann)
     for frame_id, keys in by_frame.items():
-        masks = _frame_predictions(frame_id, keys, estimates, models_by_class, ds.camera, boxes)
-        matches.add(frame_id, masks)
-    pose_report = matches.report()
-    boxes.sort(key=lambda item: item[0])
-    det_report = detection_ap([rec for _, rec in boxes], gt_boxes)
+        preds = _frame_predictions(frame_id, keys, estimates, models_by_class, ds.camera)
+        matches.add(frame_id, preds)
+    pose_report = matches.pose.report()
+    det_report = matches.detection.report()
 
     effective = {
         "dataset": str(Path(args.dataset)),
@@ -341,7 +312,7 @@ def cmd_evaluate(args):
         "iou_thresholds": list(pose_report.thresholds),
         "pose_ap": _ap_payload(pose_report),
         "detection_ap": _ap_payload(det_report),
-        "n_predictions": len(boxes),
+        "n_predictions": sum(map(len, matches.pose.preds.values())),
         "n_frames": len(matches.frames),
     }
     out = Path(args.out)
@@ -397,14 +368,7 @@ def cmd_adapt(args):
         seed=args.seed,
     )
     cfg = _read_config(args.config)
-    thr_cfg = cfg.get("thresholds", {})
-    thresholds = FilterThresholds(
-        conf_min=float(thr_cfg.get("conf_min", FilterThresholds().conf_min)),
-        outlier_max_frac=float(
-            thr_cfg.get("outlier_max_frac", FilterThresholds().outlier_max_frac)
-        ),
-        reproj_max_px=float(thr_cfg.get("reproj_max_px", FilterThresholds().reproj_max_px)),
-    )
+    thresholds = _from_config(FilterThresholds, cfg.get("thresholds", {}))
     config = AdaptationConfig(
         tracker=TrackerParams(),
         thresholds=thresholds,
@@ -424,17 +388,7 @@ def cmd_adapt(args):
     metric_rows = []
     for i, (labels, metrics) in enumerate(results, start=1):
         write_pseudo_labels(labels, out / f"labels_round{i}.json")
-        metric_rows.append(
-            {
-                "round": i,
-                "selection_rate": metrics.selection_rate,
-                "n_selected": metrics.n_selected,
-                "n_refine_failed": metrics.n_refine_failed,
-                "n_pose_labels": metrics.n_pose_labels,
-                "mean_refined_iou": metrics.mean_refined_iou,
-                "mean_input_iou": metrics.mean_input_iou,
-            }
-        )
+        metric_rows.append({"round": i, **asdict(metrics)})
     (out / "metrics.json").write_text(canonical_json({"rounds": metric_rows}))
     _write_snapshot(
         out / "adapt_config.json",
@@ -446,11 +400,7 @@ def cmd_adapt(args):
             "seed": args.seed,
             "noise_sigma": args.noise_sigma,
             "box_jitter": args.box_jitter,
-            "thresholds": {
-                "conf_min": thresholds.conf_min,
-                "outlier_max_frac": thresholds.outlier_max_frac,
-                "reproj_max_px": thresholds.reproj_max_px,
-            },
+            "thresholds": asdict(thresholds),
             "mixing_ratio": config.mixing_ratio,
         },
     )
@@ -513,13 +463,7 @@ def cmd_losses(args):
     ds = _open_dataset(args.dataset)
     models, models_by_class = _dataset_models(ds)
     estimates = load_estimates(_require_file(args.predictions, "predictions file"))
-    wcfg = _read_config(args.weights)
-    weights = LossWeights(
-        w_pose=float(wcfg.get("w_pose", 1.0)),
-        w_geom=float(wcfg.get("w_geom", 1.0)),
-        w_cat=float(wcfg.get("w_cat", 1.0)),
-        w_art=float(wcfg.get("w_art", 1.0)),
-    )
+    weights = _from_config(LossWeights, _read_config(args.weights))
     boxes = {m.class_id: model_corr_bbox(m) for m in models}
     pts = {
         m.class_id: sample_surface_points(
@@ -556,35 +500,14 @@ def cmd_losses(args):
         except ArtiposeError:
             skipped += 1
             continue
-        rows.append(
-            {
-                "frame_id": key[0],
-                "class": key[1],
-                "total": breakdown.total,
-                "pose": breakdown.pose,
-                "rotation": breakdown.rotation,
-                "center": breakdown.center,
-                "depth": breakdown.depth,
-                "geom": breakdown.geom,
-                "corr": breakdown.corr,
-                "mask": breakdown.mask,
-                "category": breakdown.category,
-                "articulation": breakdown.articulation,
-            }
-        )
+        rows.append({"frame_id": key[0], "class": key[1], **asdict(breakdown)})
     if not rows:
         raise InputError("no prediction produced a loss value")
-    fields = [k for k in rows[0] if k not in ("frame_id", "class")]
-    means = {f: float(np.mean([r[f] for r in rows])) for f in fields}
+    means = {f.name: float(np.mean([r[f.name] for r in rows])) for f in fields(LossBreakdown)}
     effective = {
         "dataset": str(Path(args.dataset)),
         "predictions": str(Path(args.predictions)),
-        "weights": {
-            "w_pose": weights.w_pose,
-            "w_geom": weights.w_geom,
-            "w_cat": weights.w_cat,
-            "w_art": weights.w_art,
-        },
+        "weights": asdict(weights),
     }
     payload = {
         "version": __version__,

@@ -8,9 +8,12 @@ ignored instead of becoming false positives.
 
 Mask operations visit only window pixels (``raster.MaskImage``): an IoU
 counts the intersection over one window and the union from pixel counts,
-the same integers as over the frame.  ``PoseMatches`` keeps only each
-prediction's confidence, frame and IoU, so frames stream through pose
-AP; matching and its tie rule are ``_class_ap``'s.
+the same integers as over the frame.  One matcher, ``Matches``, takes
+each frame's predictions once and keeps two tallies, pose and
+detection, each with only every prediction's confidence, frame and IoU,
+so frames stream through both APs.  The format annotates at most one
+instance per class and frame, so matching and its tie rule
+(``_class_ap``) work on these precomputed IoUs.
 """
 
 import json
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import BBox, bbox_iou
+from .camera import bbox_iou
 from .errors import InputError, NoAnnotations, ParseError
 from .formats import read_mask_pgm
 from .raster import MaskImage
@@ -53,37 +56,6 @@ class FrameAnnotation:
                     raise ValueError(
                         f"mask for class {cls} does not match the hand mask shape"
                     )
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One detection: either a reprojected mask or a plain box."""
-
-    frame_id: int
-    class_id: int
-    confidence: float
-    mask: MaskImage = None
-    bbox: BBox = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-        if (self.mask is None) == (self.bbox is None):
-            raise ValueError("exactly one of mask or bbox must be set")
-
-
-@dataclass(frozen=True)
-class GTBox:
-    """Ground-truth box with the visibility fraction of its instance."""
-
-    frame_id: int
-    class_id: int
-    bbox: BBox
-    visibility: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
 
 
 @dataclass(frozen=True)
@@ -163,101 +135,49 @@ def _interpolated_ap(flags, npos):
     return float(np.where(valid, envelope[np.minimum(idx, rec.size - 1)], 0.0).sum() / RECALL_POINTS.size)
 
 
-def _class_ap(preds, gt_frames, thresholds, iou_fn):
+def _class_ap(preds, gt_frames, thresholds):
     """Mean over thresholds of 101-point AP for one class.
 
-    ``preds``: (confidence, frame_id, payload) in input order.
-    ``gt_frames``: frame_id -> list of (payload, removed).
-    Matching is greedy in confidence order; each prediction takes the
-    unmatched kept annotation with the highest IoU at or above the
-    threshold, ties broken by lower annotation index.  Predictions whose
-    only qualifying overlaps are removed annotations are ignored.
+    ``preds``: (confidence, frame_id, IoU with that frame's instance or
+    None) in input order.  ``gt_frames``: frame_id -> whether the frame's
+    one instance is removed.  Taken in confidence order, ties in input
+    order, a prediction is a false positive below the threshold or on an
+    instance already matched, ignored on a removed instance, and
+    otherwise a match.
     """
-    npos = sum(
-        1 for entries in gt_frames.values() for _, removed in entries if not removed
-    )
-    order = sorted(range(len(preds)), key=lambda i: -preds[i][0])
-    candidates = []
-    for i in order:
-        _, fid, payload = preds[i]
-        cand = [
-            (iou_fn(payload, gt_payload), removed, ann_idx, fid)
-            for ann_idx, (gt_payload, removed) in enumerate(gt_frames.get(fid, []))
-        ]
-        cand.sort(key=lambda c: (-c[0], c[2]))
-        candidates.append(cand)
+    npos = sum(not removed for removed in gt_frames.values())
+    ranked = sorted(preds, key=lambda p: -p[0])
     total = 0.0
     for tau in thresholds:
         matched = set()
         flags = []
-        for cand in candidates:
-            hit = None
-            ignore = False
-            for iou, removed, ann_idx, fid in cand:
-                if iou < tau:
-                    break
-                if removed:
-                    ignore = True
-                    continue
-                if (fid, ann_idx) in matched:
-                    continue
-                hit = (fid, ann_idx)
-                break
-            if hit is not None:
-                matched.add(hit)
-                flags.append(1)
-            elif ignore:
-                flags.append(None)
-            else:
+        for _, fid, iou in ranked:
+            if iou is None or iou < tau:
                 flags.append(0)
+            elif gt_frames[fid]:
+                flags.append(None)
+            elif fid in matched:
+                flags.append(0)
+            else:
+                matched.add(fid)
+                flags.append(1)
         total += _interpolated_ap(flags, npos)
     return total / len(thresholds)
 
 
-class PoseMatches:
-    """Everything pose AP needs of a sequence, gathered one frame at a time.
+class _Tally:
+    """One AP's matches.  Per class, ``gt`` maps each annotated frame to
+    whether its instance is removed, and ``preds`` holds (order,
+    confidence, frame_id, IoU with that frame's instance or None), where
+    ``order`` is the input position that breaks confidence ties."""
 
-    ``frames`` holds the annotated frame ids.  Per class, ``gt`` maps each
-    annotated frame to its one annotation as ``[(None, removed)]``, and
-    ``preds`` holds (order, confidence, frame_id, IoU with that frame's
-    annotation or None), where ``order`` is the input position that
-    breaks confidence ties.
-    """
-
-    def __init__(self):
-        self.frames = set()
+    def __init__(self, empty_message):
+        self.empty_message = empty_message
         self.gt = {}
         self.preds = {}
 
-    def add(self, frame_id, predictions, ann: FrameAnnotation | None = None) -> None:
-        """Match one frame's (order, PredictionRecord) pairs against its
-        annotation; a frame without one only adds false positives.
-
-        Raises:
-            InputError: the frame was annotated before.
-        """
-        tools = {}
-        if ann is not None:
-            if frame_id in self.frames:
-                raise InputError(f"frame {frame_id} is annotated twice")
-            self.frames.add(frame_id)
-            for cls, tool in ann.tool_masks.items():
-                vis, amodal = ann.visible_masks.get(cls), ann.amodal_masks.get(cls)
-                removed = False
-                if vis is not None and amodal is not None:
-                    removed = visibility_fraction(vis, amodal) < MIN_VISIBILITY
-                self.gt.setdefault(cls, {})[frame_id] = [(None, removed)]
-                tools[cls] = occlusion_subtract(tool, ann.hand_mask)
-        for order, rec in predictions:
-            iou = None
-            if rec.class_id in tools:
-                iou = mask_iou(occlusion_subtract(rec.mask, ann.hand_mask), tools[rec.class_id])
-            self.preds.setdefault(rec.class_id, []).append(
-                (order, rec.confidence, frame_id, iou)
-            )
-
     def class_ap(self, class_id, thresholds=IOU_THRESHOLDS) -> float:
-        """Reprojection-mask AP for one class, averaged over IoU thresholds.
+        """AP for one class, averaged over IoU thresholds.
 
         Raises:
             NoAnnotations: no frame annotates the class at all.
@@ -265,12 +185,12 @@ class PoseMatches:
         if class_id not in self.gt:
             raise NoAnnotations(f"class {class_id} appears in no annotation")
         preds = [p[1:] for p in sorted(self.preds.get(class_id, []), key=lambda p: p[0])]
-        return _class_ap(preds, self.gt[class_id], thresholds, lambda iou, _: iou)
+        return _class_ap(preds, self.gt[class_id], thresholds)
 
     def report(self, thresholds=IOU_THRESHOLDS) -> APReport:
-        """Per-class reprojection AP plus the class mean."""
+        """Per-class AP plus the class mean."""
         if not self.gt:
-            raise NoAnnotations("annotations contain no tool masks")
+            raise NoAnnotations(self.empty_message)
         per_class = {cls: self.class_ap(cls, thresholds) for cls in sorted(self.gt)}
         return APReport(
             per_class_ap=per_class,
@@ -279,53 +199,59 @@ class PoseMatches:
         )
 
 
-def _pose_matches(predictions, annotations) -> PoseMatches:
-    by_frame = {}
-    for order, rec in enumerate(predictions):
-        if rec.mask is not None:
-            by_frame.setdefault(rec.frame_id, []).append((order, rec))
-    matches = PoseMatches()
-    for ann in annotations:
-        matches.add(ann.frame_id, by_frame.pop(ann.frame_id, []), ann)
-    for frame_id, preds in by_frame.items():
-        matches.add(frame_id, preds)
-    return matches
+class Matches:
+    """Everything pose AP and detection AP need of a sequence, gathered
+    one frame at a time.
 
-
-def pose_ap_report(predictions, annotations, thresholds=IOU_THRESHOLDS) -> APReport:
-    """``PoseMatches.report`` over in-memory predictions and annotations."""
-    return _pose_matches(predictions, annotations).report(thresholds)
-
-
-def detection_ap(pred_boxes, gt_boxes, thresholds=IOU_THRESHOLDS) -> APReport:
-    """Box-IoU AP with the same matching and visibility rules.
-
-    Raises:
-        NoAnnotations: the ground truth contains no boxes.
+    ``frames`` holds the annotated frame ids.  The ``pose`` tally scores
+    each prediction's mask against the tool mask, both without the hand
+    pixels; the ``detection`` tally scores its box against the box of the
+    amodal mask.
     """
-    if not gt_boxes:
-        raise NoAnnotations("no ground-truth boxes")
-    classes = sorted({g.class_id for g in gt_boxes})
-    per_class = {}
-    for cls in classes:
-        gt_frames = {}
-        for g in gt_boxes:
-            if g.class_id != cls:
-                continue
-            gt_frames.setdefault(g.frame_id, []).append(
-                (g.bbox, g.visibility < MIN_VISIBILITY)
+
+    def __init__(self):
+        self.frames = set()
+        self.pose = _Tally("annotations contain no tool masks")
+        self.detection = _Tally("no ground-truth boxes")
+
+    def add(self, frame_id, predictions, ann: FrameAnnotation | None = None) -> None:
+        """Match one frame's (order, class_id, confidence, amodal mask)
+        predictions against its annotation; a frame without one only adds
+        false positives.
+
+        Raises:
+            InputError: the frame was annotated before.
+        """
+        tools = {}
+        boxes = {}
+        if ann is not None:
+            if frame_id in self.frames:
+                raise InputError(f"frame {frame_id} is annotated twice")
+            self.frames.add(frame_id)
+            for cls in sorted(ann.tool_masks.keys() | ann.amodal_masks.keys()):
+                vis, amodal = ann.visible_masks.get(cls), ann.amodal_masks.get(cls)
+                removed = (
+                    vis is not None
+                    and amodal is not None
+                    and visibility_fraction(vis, amodal) < MIN_VISIBILITY
+                )
+                if cls in ann.tool_masks:
+                    self.pose.gt.setdefault(cls, {})[frame_id] = removed
+                    tools[cls] = occlusion_subtract(ann.tool_masks[cls], ann.hand_mask)
+                box = amodal.bbox() if amodal is not None else None
+                if box is not None:
+                    self.detection.gt.setdefault(cls, {})[frame_id] = removed
+                    boxes[cls] = box
+        for order, cls, confidence, mask in predictions:
+            iou = box_iou = None
+            if cls in tools:
+                iou = mask_iou(occlusion_subtract(mask, ann.hand_mask), tools[cls])
+            if cls in boxes:
+                box_iou = bbox_iou(mask.bbox(), boxes[cls])
+            self.pose.preds.setdefault(cls, []).append((order, confidence, frame_id, iou))
+            self.detection.preds.setdefault(cls, []).append(
+                (order, confidence, frame_id, box_iou)
             )
-        preds = [
-            (rec.confidence, rec.frame_id, rec.bbox)
-            for rec in pred_boxes
-            if rec.class_id == cls and rec.bbox is not None
-        ]
-        per_class[cls] = _class_ap(preds, gt_frames, thresholds, bbox_iou)
-    return APReport(
-        per_class_ap=per_class,
-        mean_ap=mean_ap(per_class),
-        thresholds=tuple(thresholds),
-    )
 
 
 def iter_annotations(index_path):
@@ -344,23 +270,23 @@ def iter_annotations(index_path):
     frames = payload.get("frames")
     if not isinstance(frames, list):
         raise ParseError("annotation index must contain a 'frames' list")
-    for entry in frames:
+    for pos, entry in enumerate(frames):
+        where = f"entry {pos}"
         try:
-            frame_id = int(entry["frame_id"])
+            where = f"frame {entry['frame_id']}"
             masks = {
                 int(cls): read_mask_pgm(root / p) for cls, p in entry["masks"].items()
             }
-            amodal = {
-                int(cls): read_mask_pgm(root / p)
-                for cls, p in entry.get("amodal", {}).items()
-            }
-            hand = read_mask_pgm(root / entry["hand_mask"])
+            ann = FrameAnnotation(
+                frame_id=int(entry["frame_id"]),
+                tool_masks=masks,
+                hand_mask=read_mask_pgm(root / entry["hand_mask"]),
+                visible_masks=masks,
+                amodal_masks={
+                    int(cls): read_mask_pgm(root / p)
+                    for cls, p in entry.get("amodal", {}).items()
+                },
+            )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed annotation entry: {exc}") from None
-        yield FrameAnnotation(
-            frame_id=frame_id,
-            tool_masks=masks,
-            hand_mask=hand,
-            visible_masks=masks,
-            amodal_masks=amodal,
-        )
+            raise ParseError(f"malformed annotation, {where}: {exc}") from None
+        yield ann

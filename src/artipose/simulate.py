@@ -485,7 +485,7 @@ def load_dataset(scene_gt_path) -> SceneDataset:
 
     Raises:
         ParseError: missing or malformed fields, or an ``R`` that is not
-            a rotation.
+            a rotation, with the frame id and object index.
     """
     scene_gt_path = Path(scene_gt_path)
     root = scene_gt_path.parent
@@ -493,6 +493,7 @@ def load_dataset(scene_gt_path) -> SceneDataset:
         payload = json.loads(scene_gt_path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"scene_gt is not valid JSON: {exc}") from None
+    where = ""
     try:
         cam = payload["camera"]
         camera = CameraIntrinsics(
@@ -503,9 +504,12 @@ def load_dataset(scene_gt_path) -> SceneDataset:
             height=int(cam["height"]),
         )
         frames = []
-        for entry in payload["frames"]:
+        for pos, entry in enumerate(payload["frames"]):
+            where = f" (frame entry {pos})"
+            frame_id = int(entry["frame_id"])
             objects = []
-            for rec in entry["objects"]:
+            for index, rec in enumerate(entry["objects"]):
+                where = f" (frame {frame_id}, object {index})"
                 visible = rec["bbox_visible"]
                 objects.append(
                     ObjectGT(
@@ -522,15 +526,16 @@ def load_dataset(scene_gt_path) -> SceneDataset:
                         corr_path=root / rec["corr_map"],
                     )
                 )
+            where = f" (frame {frame_id})"
             frames.append(
                 FrameGT(
-                    frame_id=int(entry["frame_id"]),
+                    frame_id=frame_id,
                     hand_mask_path=root / entry["hand_mask"],
                     objects=tuple(objects),
                 )
             )
     except (KeyError, TypeError, ValueError, ParseError) as exc:
-        raise ParseError(f"malformed scene_gt: {exc}") from None
+        raise ParseError(f"malformed scene_gt{where}: {exc}") from None
     return SceneDataset(
         root=root,
         camera=camera,

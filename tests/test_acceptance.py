@@ -43,13 +43,7 @@ from artipose.losses import (
     loss_rotation,
 )
 from artipose.meshes import ArticulationState, articulate, normalize_vertices
-from artipose.metrics import (
-    IOU_THRESHOLDS,
-    FrameAnnotation,
-    PredictionRecord,
-    mean_ap,
-    pose_ap_report,
-)
+from artipose.metrics import IOU_THRESHOLDS, FrameAnnotation, Matches, mean_ap
 from artipose.pnp import CorrSet, pairs_from_map, pnp_ransac
 from artipose.raster import MaskImage, render_amodal, render_correspondence
 from artipose.simulate import (
@@ -355,15 +349,14 @@ def test_criterion_6_ap_arithmetic(criteria_report):
     gt_data[10:60, 10:110] = 1
     pred_data = np.zeros((480, 640), dtype=np.uint8)
     pred_data[10:60, 10:82] = 1
-    annotations = [
-        FrameAnnotation(
-            frame_id=0,
-            tool_masks={0: MaskImage(640, 480, gt_data)},
-            hand_mask=MaskImage(640, 480, np.zeros((480, 640), dtype=np.uint8)),
-        )
-    ]
-    preds = [PredictionRecord(frame_id=0, class_id=0, confidence=0.9, mask=MaskImage(640, 480, pred_data))]
-    partial = pose_ap_report(preds, annotations).mean_ap
+    annotation = FrameAnnotation(
+        frame_id=0,
+        tool_masks={0: MaskImage(640, 480, gt_data)},
+        hand_mask=MaskImage(640, 480, np.zeros((480, 640), dtype=np.uint8)),
+    )
+    matches = Matches()
+    matches.add(0, [(0, 0, 0.9, MaskImage(640, 480, pred_data))], annotation)
+    partial = matches.pose.report().mean_ap
 
     ok = (
         m1 == 0.7945

@@ -54,7 +54,6 @@ def label_record(frame_id, est):
 def fake_estimate(conf=0.95, outliers=0, inliers=80, reproj=0.5, art=0.3, cls=0):
     pose = Pose(R=np.eye(3), t=np.array([0.0, 0.0, 0.9]))
     return PoseEstimate(
-        pose=pose,
         class_id=cls,
         class_confidence=conf,
         articulation=art,
@@ -363,6 +362,13 @@ class TestIO:
         assert got.class_confidence == want.class_confidence
         assert got.pnp.inlier_count == want.pnp.inlier_count
         assert (10_000, 0) not in loaded
+
+    def test_estimate_pose_is_the_solve_pose(self):
+        # one pose per estimate: what refine_bbox renders is what the label writes
+        est = fake_estimate()
+        assert est.pose is est.pnp.pose
+        with pytest.raises(TypeError):
+            PoseEstimate(pose=est.pose, class_id=0, class_confidence=0.9, articulation=0.3, pnp=est.pnp)
 
     def test_file_estimator_bad_line(self, tmp_path):
         path = tmp_path / "estimates.jsonl"

@@ -3,6 +3,7 @@ the small end-to-end pipeline."""
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -80,6 +81,25 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "not a rotation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["negative_frame_id", "mask_size"])
+    def test_malformed_annotation_is_exit_2(self, fault, dataset, predictions, tmp_path, capsys):
+        broken = tmp_path / "ds"
+        shutil.copytree(dataset, broken)
+        index = json.loads((broken / "annotations.json").read_text())
+        entry = index["frames"][1]
+        if fault == "negative_frame_id":
+            entry["frame_id"] = -1
+        else:
+            (broken / "small.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+            entry["masks"]["0"] = "small.pgm"
+        (broken / "annotations.json").write_text(json.dumps(index))
+        rc = main(
+            ["evaluate", "--dataset", str(broken), "--predictions", str(predictions), "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        frame_id = -1 if fault == "negative_frame_id" else 1
+        assert f"malformed annotation, frame {frame_id}:" in capsys.readouterr().err
 
     def test_repeated_estimate_is_exit_2(self, dataset, predictions, tmp_path, capsys):
         lines = predictions.read_text().splitlines()

@@ -16,16 +16,14 @@ from artipose.formats import read_mask_pgm, write_mask_pgm
 from artipose.metrics import (
     APReport,
     FrameAnnotation,
-    GTBox,
     IOU_THRESHOLDS,
-    PredictionRecord,
-    _pose_matches,
-    detection_ap,
+    Matches,
+    _class_ap,
+    _interpolated_ap,
     iter_annotations,
     mask_iou,
     mean_ap,
     occlusion_subtract,
-    pose_ap_report,
     visibility_fraction,
 )
 from artipose.raster import MaskImage
@@ -43,9 +41,23 @@ def empty_mask():
     return MaskImage(W, H, np.zeros((H, W), dtype=np.uint8))
 
 
+def matches(predictions, annotations):
+    """A matcher fed (frame_id, class_id, confidence, mask) predictions in
+    input order: the annotated frames streamed in order, then the rest."""
+    by_frame = {}
+    for order, (fid, cls, confidence, mask) in enumerate(predictions):
+        by_frame.setdefault(fid, []).append((order, cls, confidence, mask))
+    m = Matches()
+    for ann in annotations:
+        m.add(ann.frame_id, by_frame.pop(ann.frame_id, []), ann)
+    for fid, preds in by_frame.items():
+        m.add(fid, preds)
+    return m
+
+
 def class_ap(predictions, annotations, class_id):
-    """Pose AP of one class, the annotated frames streamed in order."""
-    return _pose_matches(predictions, annotations).class_ap(class_id)
+    """Pose AP of one class."""
+    return matches(predictions, annotations).pose.class_ap(class_id)
 
 
 def frame(frame_id, tools, hand=None, visible=None, amodal=None):
@@ -131,9 +143,7 @@ class TestApOverThresholds:
         for fid in range(5):
             tool = mask_from_rect(10 + fid, 10, 40, 30)
             annotations.append(frame(fid, {0: tool}))
-            predictions.append(
-                PredictionRecord(frame_id=fid, class_id=0, confidence=0.9, mask=tool)
-            )
+            predictions.append((fid, 0, 0.9, tool))
         assert class_ap(predictions, annotations, 0) == 1.0
 
     def test_no_predictions(self):
@@ -144,7 +154,7 @@ class TestApOverThresholds:
         gt = mask_from_rect(10, 10, 100, 50)
         pred = mask_from_rect(10, 10, 72, 50)  # subset: IoU 3600/5000 = 0.72
         annotations = [frame(0, {0: gt})]
-        preds = [PredictionRecord(frame_id=0, class_id=0, confidence=0.8, mask=pred)]
+        preds = [(0, 0, 0.8, pred)]
         assert class_ap(preds, annotations, 0) == pytest.approx(0.5)
 
     def test_missing_class_raises(self):
@@ -158,7 +168,7 @@ class TestApOverThresholds:
         # prediction misses exactly the hand-covered part
         pred = mask_from_rect(30, 10, 20, 30)
         annotations = [frame(0, {0: gt}, hand=hand)]
-        preds = [PredictionRecord(frame_id=0, class_id=0, confidence=0.9, mask=pred)]
+        preds = [(0, 0, 0.9, pred)]
         assert class_ap(preds, annotations, 0) == 1.0
         # without the hand the same prediction covers half the mask:
         # IoU is exactly 0.5, which qualifies only at the first threshold
@@ -172,22 +182,14 @@ class TestApOverThresholds:
             frame(0, {0: amodal}, visible={0: visible}, amodal={0: amodal}),
             frame(1, {0: good}, visible={0: good}, amodal={0: good}),
         ]
-        preds = [
-            PredictionRecord(frame_id=0, class_id=0, confidence=0.95, mask=amodal),
-            PredictionRecord(frame_id=1, class_id=0, confidence=0.90, mask=good),
-        ]
+        preds = [(0, 0, 0.95, amodal), (1, 0, 0.90, good)]
         # the confident hit on the removed instance must not poison AP
         assert class_ap(preds, annotations, 0) == 1.0
 
     def test_stray_prediction_is_false_positive(self):
         good = mask_from_rect(80, 40, 30, 20)
         annotations = [frame(0, {0: good})]
-        preds = [
-            PredictionRecord(
-                frame_id=0, class_id=0, confidence=0.99, mask=mask_from_rect(0, 0, 10, 10)
-            ),
-            PredictionRecord(frame_id=0, class_id=0, confidence=0.90, mask=good),
-        ]
+        preds = [(0, 0, 0.99, mask_from_rect(0, 0, 10, 10)), (0, 0, 0.90, good)]
         ap = class_ap(preds, annotations, 0)
         # one FP ranked above the TP: precision at full recall is 1/2
         assert 0.0 < ap < 1.0
@@ -209,14 +211,7 @@ class TestApOverThresholds:
                 data = mask.data.astype(bool)
                 if radius:
                     data = ndimage.binary_erosion(data, iterations=radius)
-                preds.append(
-                    PredictionRecord(
-                        frame_id=fid,
-                        class_id=0,
-                        confidence=0.9,
-                        mask=MaskImage(W, H, data.astype(np.uint8)),
-                    )
-                )
+                preds.append((fid, 0, 0.9, MaskImage(W, H, data.astype(np.uint8))))
             aps.append(class_ap(preds, annotations, 0))
         assert aps[0] == 1.0
         assert all(aps[i] >= aps[i + 1] for i in range(len(aps) - 1))
@@ -280,9 +275,9 @@ class TestStreamedMatches:
             annotations.append(frame(fid, {0: tool}, hand=hand))
             for _ in range(2):
                 shifted = np.roll(tool.data, int(rng.integers(-8, 9)), axis=1)
-                preds.append(PredictionRecord(fid, 0, 0.5, mask=MaskImage(W, H, shifted)))
+                preds.append((fid, 0, 0.5, MaskImage(W, H, shifted)))
         # a prediction on a frame without annotation is a false positive
-        preds.insert(3, PredictionRecord(9, 0, 0.5, mask=mask_from_rect(0, 0, 5, 5)))
+        preds.insert(3, (9, 0, 0.5, mask_from_rect(0, 0, 5, 5)))
         ap = class_ap(preds, annotations, 0)
         assert ap == class_ap(preds, annotations[::-1], 0)
         assert 0.0 < ap < class_ap(preds[:3] + preds[4:], annotations, 0)
@@ -290,7 +285,7 @@ class TestStreamedMatches:
     def test_frame_annotated_twice_rejected(self):
         annotations = [frame(0, {0: mask_from_rect(0, 0, 5, 5)})] * 2
         with pytest.raises(InputError, match="twice"):
-            pose_ap_report([], annotations)
+            matches([], annotations)
 
 
 class TestPoseReport:
@@ -298,11 +293,8 @@ class TestPoseReport:
         t0 = mask_from_rect(10, 10, 40, 30)
         t1 = mask_from_rect(90, 60, 40, 30)
         annotations = [frame(0, {0: t0, 1: t1})]
-        preds = [
-            PredictionRecord(frame_id=0, class_id=0, confidence=0.9, mask=t0),
-            PredictionRecord(frame_id=0, class_id=1, confidence=0.9, mask=t1),
-        ]
-        report = pose_ap_report(preds, annotations)
+        preds = [(0, 0, 0.9, t0), (0, 1, 0.9, t1)]
+        report = matches(preds, annotations).pose.report()
         assert report.per_class_ap == {0: 1.0, 1: 1.0}
         assert report.mean_ap == 1.0
         assert report.thresholds == IOU_THRESHOLDS
@@ -313,44 +305,144 @@ class TestPoseReport:
 
 
 class TestDetectionAp:
+    """Box AP: each rendered mask's box against the amodal mask's box."""
+
     def test_perfect_boxes(self):
-        gts = []
+        annotations = []
         preds = []
         for fid in range(3):
-            box = BBox(cx=50.0 + fid, cy=40.0, w=30.0, h=20.0)
-            gts.append(GTBox(frame_id=fid, class_id=0, bbox=box))
-            preds.append(
-                PredictionRecord(frame_id=fid, class_id=0, confidence=0.9, bbox=box)
-            )
-        report = detection_ap(preds, gts)
-        assert report.mean_ap == 1.0
+            amodal = mask_from_rect(35 + fid, 30, 30, 20)
+            annotations.append(frame(fid, {0: amodal}, amodal={0: amodal}))
+            preds.append((fid, 0, 0.9, amodal))
+        assert matches(preds, annotations).detection.report().mean_ap == 1.0
 
     def test_shifted_by_full_width(self):
-        box = BBox(cx=50.0, cy=40.0, w=30.0, h=20.0)
-        off = BBox(cx=80.0, cy=40.0, w=30.0, h=20.0)
-        gts = [GTBox(frame_id=0, class_id=0, bbox=box)]
-        preds = [PredictionRecord(frame_id=0, class_id=0, confidence=0.9, bbox=off)]
-        assert detection_ap(preds, gts).mean_ap == 0.0
+        amodal = mask_from_rect(35, 30, 30, 20)
+        annotations = [frame(0, {0: amodal}, amodal={0: amodal})]
+        preds = [(0, 0, 0.9, mask_from_rect(65, 30, 30, 20))]
+        assert matches(preds, annotations).detection.report().mean_ap == 0.0
 
     def test_half_overlap_below_every_threshold(self):
-        box = BBox(cx=50.0, cy=40.0, w=30.0, h=20.0)
-        half = BBox(cx=65.0, cy=40.0, w=30.0, h=20.0)
-        gts = [GTBox(frame_id=0, class_id=0, bbox=box)]
-        preds = [PredictionRecord(frame_id=0, class_id=0, confidence=0.9, bbox=half)]
-        assert detection_ap(preds, gts).mean_ap == 0.0
-
-    def test_removed_instance_prefers_valid_match(self):
-        box = BBox(cx=50.0, cy=40.0, w=30.0, h=20.0)
-        gts = [
-            GTBox(frame_id=0, class_id=0, bbox=box, visibility=0.05),
-            GTBox(frame_id=0, class_id=0, bbox=box, visibility=1.0),
-        ]
-        preds = [PredictionRecord(frame_id=0, class_id=0, confidence=0.9, bbox=box)]
-        assert detection_ap(preds, gts).mean_ap == 1.0
+        amodal = mask_from_rect(35, 30, 30, 20)
+        annotations = [frame(0, {0: amodal}, amodal={0: amodal})]
+        preds = [(0, 0, 0.9, mask_from_rect(50, 30, 30, 20))]  # box IoU 1/3
+        assert matches(preds, annotations).detection.report().mean_ap == 0.0
 
     def test_empty_gt_raises(self):
-        with pytest.raises(NoAnnotations):
-            detection_ap([], [])
+        with pytest.raises(NoAnnotations, match="no ground-truth boxes"):
+            Matches().detection.report()
+        # tool masks without amodal masks annotate no box
+        annotations = [frame(0, {0: mask_from_rect(35, 30, 30, 20)})]
+        with pytest.raises(NoAnnotations, match="no ground-truth boxes"):
+            matches([], annotations).detection.report()
+
+    def test_removed_instance_is_ignored(self):
+        amodal = mask_from_rect(10, 10, 50, 20)
+        visible = mask_from_rect(10, 10, 4, 20)  # 8% visible
+        good = mask_from_rect(80, 40, 30, 20)
+        annotations = [
+            frame(0, {0: visible}, visible={0: visible}, amodal={0: amodal}),
+            frame(1, {0: good}, visible={0: good}, amodal={0: good}),
+        ]
+        m = matches([(0, 0, 0.95, amodal), (1, 0, 0.90, good)], annotations)
+        assert m.detection.gt[0] == {0: True, 1: False}
+        # an exact box on the removed instance, ranked first, is neither a
+        # hit nor a false positive
+        assert m.detection.class_ap(0) == 1.0
+
+    def test_one_add_fills_both_tallies(self):
+        # the hand hides the right part of the tool; the prediction covers
+        # only the visible part, so its hand-free mask is exact while its
+        # box overlaps the amodal box by 40/100
+        visible = mask_from_rect(10, 10, 40, 30)
+        amodal = mask_from_rect(10, 10, 100, 30)
+        hand = mask_from_rect(50, 10, 60, 30)
+        ann = frame(0, {0: visible}, hand=hand, visible={0: visible}, amodal={0: amodal})
+        m = Matches()
+        m.add(0, [(0, 0, 0.9, visible)], ann)
+        assert m.frames == {0}
+        assert m.pose.preds[0] == [(0, 0.9, 0, 1.0)]
+        assert m.detection.preds[0] == [(0, 0.9, 0, pytest.approx(0.4))]
+        assert m.pose.report().mean_ap == 1.0
+        assert m.detection.report().mean_ap == 0.0
+
+
+def _reference_class_ap(preds, gt_frames, thresholds, iou_fn):
+    """The matcher before IoUs were precomputed: any number of
+    annotations per frame, each a (payload, removed) pair, matched
+    through ``iou_fn``.  Kept as the oracle for ``_class_ap``."""
+    npos = sum(
+        1 for entries in gt_frames.values() for _, removed in entries if not removed
+    )
+    order = sorted(range(len(preds)), key=lambda i: -preds[i][0])
+    candidates = []
+    for i in order:
+        _, fid, payload = preds[i]
+        cand = [
+            (iou_fn(payload, gt_payload), removed, ann_idx, fid)
+            for ann_idx, (gt_payload, removed) in enumerate(gt_frames.get(fid, []))
+        ]
+        cand.sort(key=lambda c: (-c[0], c[2]))
+        candidates.append(cand)
+    total = 0.0
+    for tau in thresholds:
+        matched = set()
+        flags = []
+        for cand in candidates:
+            hit = None
+            ignore = False
+            for iou, removed, ann_idx, fid in cand:
+                if iou < tau:
+                    break
+                if removed:
+                    ignore = True
+                    continue
+                if (fid, ann_idx) in matched:
+                    continue
+                hit = (fid, ann_idx)
+                break
+            if hit is not None:
+                matched.add(hit)
+                flags.append(1)
+            elif ignore:
+                flags.append(None)
+            else:
+                flags.append(0)
+        total += _interpolated_ap(flags, npos)
+    return total / len(thresholds)
+
+
+@st.composite
+def one_class_matches(draw):
+    """Frames with at most one instance each, some removed, and
+    predictions with tied confidences; IoU is None off annotated frames."""
+    n_frames = draw(st.integers(1, 6))
+    gt = {
+        fid: draw(st.booleans())
+        for fid in range(n_frames)
+        if draw(st.booleans())
+    }
+    ious = st.one_of(st.sampled_from((0.0, 1.0) + IOU_THRESHOLDS), st.floats(0.0, 1.0))
+    preds = []
+    for _ in range(draw(st.integers(0, 12))):
+        fid = draw(st.integers(0, n_frames - 1))
+        confidence = draw(st.sampled_from((0.3, 0.5, 0.7, 0.9, 1.0)))
+        preds.append((confidence, fid, draw(ious) if fid in gt else None))
+    return preds, gt
+
+
+class TestClassApEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(case=one_class_matches())
+    def test_matches_the_reference_matcher(self, case):
+        preds, gt = case
+        reference = _reference_class_ap(
+            preds,
+            {fid: [(None, removed)] for fid, removed in gt.items()},
+            IOU_THRESHOLDS,
+            lambda iou, _: iou,
+        )
+        assert _class_ap(preds, gt, IOU_THRESHOLDS) == reference
 
 
 class TestIo:
@@ -371,7 +463,7 @@ class TestIo:
         }
         (tmp_path / "annotations.json").write_text(json.dumps(index))
         annotations = list(iter_annotations(tmp_path / "annotations.json"))
-        preds = [PredictionRecord(0, 0, 0.9, mask=read_mask_pgm(tmp_path / "tool0.pgm"))]
+        preds = [(0, 0, 0.9, read_mask_pgm(tmp_path / "tool0.pgm"))]
         assert len(annotations) == 1
         assert annotations[0].tool_masks[0].pixel_count() == tool.pixel_count()
         assert class_ap(preds, annotations, 0) == 1.0

@@ -325,6 +325,21 @@ class TestExport:
         with pytest.raises(ParseError, match="not a rotation"):
             load_dataset(path)
 
+    def test_bad_object_named_by_frame_and_index(self, tmp_path, clean_run):
+        _, gt_path = clean_run
+        for frame, index, field, edit, message in (
+            (1, 0, "R", lambda R: [1.001 * v for v in R], "R is not a rotation"),
+            (2, 1, "bbox_amodal", lambda box: box[:3], "not enough values to unpack"),
+        ):
+            payload = json.loads(gt_path.read_text())
+            rec = payload["frames"][frame]["objects"][index]
+            rec[field] = edit(rec[field])
+            path = tmp_path / "scene_gt.json"
+            path.write_text(json.dumps(payload))
+            frame_id = payload["frames"][frame]["frame_id"]
+            with pytest.raises(ParseError, match=f"frame {frame_id}, object {index}\\): {message}"):
+                load_dataset(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "scene_gt.json"
         path.write_text("not json")
