@@ -3,13 +3,16 @@
 One round runs: track the detections, keep frames with a stable streak
 and a confident box, re-estimate the pose there, reproject the model to
 tighten the box, then keep only pose labels that pass the confidence,
-outlier and reprojection gates.  Rounds chain by feeding the refined
-boxes back in as the next round's detections.  Actual network training
-is out of scope; the product is the label sets.
+outlier and reprojection gates.  A round returns plain values: its
+detection labels (``Detection`` records flagged ``refined``), its pose
+labels as (frame_id, PoseEstimate) pairs, and its ``RoundMetrics``.
+Rounds chain by feeding the detection labels back in as the next round's
+detections.  Actual network training is out of scope; the product is
+the label sets.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +29,8 @@ from .formats import canonical_json, decode_pose, encode_pose
 from .meshes import ArticulatedModel, ArticulationState, articulate, normalize_vertices
 from .pnp import CorrSet, PnPResult, pairs_from_map, pnp_ransac
 from .raster import render_amodal, render_correspondence
-from .simulate import CROP_OUT_SIZE, CROP_SCALE, NoiseConfig, model_corr_bbox
-from .tracking import STREAK_MIN, Detection, TrackerParams, run_tracker
+from .simulate import CROP_OUT_SIZE, NoiseConfig, model_corr_bbox, square_crop
+from .tracking import STREAK_MIN, Detection, run_tracker
 
 DEFAULT_CONF_MIN = 0.85
 DEFAULT_OUTLIER_MAX_FRAC = 0.25
@@ -78,38 +81,6 @@ class PoseEstimate:
 
 
 @dataclass(frozen=True)
-class DetectionLabel:
-    """Refined (or kept) box for one selected frame."""
-
-    frame_id: int
-    class_id: int
-    bbox: BBox
-    confidence: float
-    refined: bool
-
-
-@dataclass(frozen=True)
-class PseudoLabelSet:
-    detection_labels: tuple
-    pose_labels: tuple
-    thresholds: FilterThresholds
-    mixing_ratio: float = DEFAULT_MIXING_RATIO
-
-    def __post_init__(self):
-        if not 0.0 <= self.mixing_ratio <= 1.0:
-            raise ConfigError(f"mixing_ratio must be in [0, 1], got {self.mixing_ratio}")
-        object.__setattr__(self, "detection_labels", tuple(self.detection_labels))
-        object.__setattr__(self, "pose_labels", tuple(self.pose_labels))
-
-
-@dataclass(frozen=True)
-class AdaptationConfig:
-    tracker: TrackerParams = field(default_factory=TrackerParams)
-    thresholds: FilterThresholds = field(default_factory=FilterThresholds)
-    mixing_ratio: float = DEFAULT_MIXING_RATIO
-
-
-@dataclass(frozen=True)
 class RoundMetrics:
     """Summary of one adaptation round."""
 
@@ -119,13 +90,6 @@ class RoundMetrics:
     n_pose_labels: int
     mean_refined_iou: float | None = None
     mean_input_iou: float | None = None
-
-
-@dataclass(frozen=True)
-class RefineResult:
-    bbox: BBox
-    refined: bool
-    estimate: PoseEstimate | None
 
 
 def solve_object(
@@ -263,46 +227,40 @@ def load_estimates(path) -> dict:
 def select_pseudo_frames(tracks, conf_min: float):
     """Confident detections on a streak of at least three consecutive hits.
 
-    Returns (frame_id, Detection) pairs ordered by frame then class; the
-    confidence bound is inclusive.
+    Returns the detections ordered by frame then class; the confidence
+    bound is inclusive.
     """
     out = [
-        (hit.frame_id, hit.detection)
+        hit.detection
         for track in tracks
         for hit in track.hits
         if hit.hit_streak >= STREAK_MIN and hit.detection.confidence >= conf_min
     ]
-    out.sort(key=lambda item: (item[0], item[1].class_id))
+    out.sort(key=lambda det: (det.frame_id, det.class_id))
     return out
 
 
-def square_crop(bbox: BBox, scale: float = CROP_SCALE) -> BBox:
-    """Square crop window around a box, matching the training-crop shape."""
-    side = scale * max(bbox.w, bbox.h)
-    return BBox(cx=bbox.cx, cy=bbox.cy, w=side, h=side)
-
-
-def refine_bbox(frame_id, det: Detection, estimator, model: ArticulatedModel, camera: CameraIntrinsics) -> RefineResult:
+def refine_bbox(det: Detection, estimator, model: ArticulatedModel, camera: CameraIntrinsics):
     """Tighten a detection box by reprojecting the estimated pose.
 
     The estimator runs on the detection's own box; the articulated model
     rendered at the estimated pose yields the refined box (clipped to the
-    image by construction).  Any estimator or render failure keeps the
-    original box, flagged unrefined.
+    image by construction).  Returns (box, estimate); any estimator or
+    render failure keeps the original box, with estimate None.
     """
     try:
-        est = estimator(frame_id, det.bbox, det.class_id)
+        est = estimator(det.frame_id, det.bbox, det.class_id)
         mesh = articulate(model, ArticulationState(est.articulation))
         mask = render_amodal(mesh, est.pose, camera)
     except InputError:
         raise
     except ArtiposeError:
-        return RefineResult(bbox=det.bbox, refined=False, estimate=None)
-    return RefineResult(bbox=mask.bbox(), refined=True, estimate=est)
+        return det.bbox, None
+    return mask.bbox(), est
 
 
-def filter_pose_labels(estimates, thresholds: FilterThresholds, detection_labels=(), mixing_ratio: float = DEFAULT_MIXING_RATIO) -> PseudoLabelSet:
-    """Keep estimates passing all three gates.
+def filter_pose_labels(estimates, thresholds: FilterThresholds) -> list:
+    """Keep the (frame_id, estimate) pairs whose estimate passes all three gates.
 
     An estimate survives when its class confidence reaches ``conf_min``,
     its outlier fraction stays at or below ``outlier_max_frac``, and its
@@ -320,20 +278,16 @@ def filter_pose_labels(estimates, thresholds: FilterThresholds, detection_labels
             and est.pnp.mean_reproj_err <= thresholds.reproj_max_px
         ):
             kept.append((frame_id, est))
-    return PseudoLabelSet(
-        detection_labels=tuple(detection_labels),
-        pose_labels=tuple(kept),
-        thresholds=thresholds,
-        mixing_ratio=mixing_ratio,
-    )
+    return kept
 
 
-def adaptation_round(detections, estimator, models, camera: CameraIntrinsics, config: AdaptationConfig = AdaptationConfig(), gt_boxes=None):
+def adaptation_round(detections, estimator, models, camera: CameraIntrinsics, thresholds: FilterThresholds = FilterThresholds(), gt_boxes=None):
     """One full pass: track, select, refine boxes, estimate, filter.
 
     ``models`` maps class id to its articulated model; ``gt_boxes``
     optionally maps (frame_id, class_id) to the true amodal box, enabling
-    the refined-IoU metric.  Returns (PseudoLabelSet, RoundMetrics).
+    the refined-IoU metric.  Returns (detection_labels, pose_labels,
+    RoundMetrics).
 
     Raises:
         EmptySequence: no detections at all.
@@ -341,11 +295,11 @@ def adaptation_round(detections, estimator, models, camera: CameraIntrinsics, co
     detections = list(detections)
     if not detections:
         raise EmptySequence("adaptation needs at least one detection")
-    tracks = run_tracker(detections, config.tracker)
+    tracks = run_tracker(detections)
     eligible = sum(
         1 for track in tracks for hit in track.hits if hit.hit_streak >= STREAK_MIN
     )
-    selected = select_pseudo_frames(tracks, config.thresholds.conf_min)
+    selected = select_pseudo_frames(tracks, thresholds.conf_min)
     selection_rate = len(selected) / eligible if eligible else 0.0
 
     detection_labels = []
@@ -353,77 +307,66 @@ def adaptation_round(detections, estimator, models, camera: CameraIntrinsics, co
     n_failed = 0
     refined_ious = []
     input_ious = []
-    for frame_id, det in selected:
+    for det in selected:
         if det.class_id not in models:
             raise InputError(f"no model registered for class {det.class_id}")
-        rr = refine_bbox(frame_id, det, estimator, models[det.class_id], camera)
-        confidence = rr.estimate.class_confidence if rr.refined else det.confidence
+        box, refine_est = refine_bbox(det, estimator, models[det.class_id], camera)
+        refined = refine_est is not None
         detection_labels.append(
-            DetectionLabel(
-                frame_id=frame_id,
+            Detection(
+                frame_id=det.frame_id,
                 class_id=det.class_id,
-                bbox=rr.bbox,
-                confidence=confidence,
-                refined=rr.refined,
+                confidence=refine_est.class_confidence if refined else det.confidence,
+                bbox=box,
+                refined=refined,
             )
         )
-        if not rr.refined:
+        if not refined:
             n_failed += 1
-        if gt_boxes is not None and (frame_id, det.class_id) in gt_boxes:
-            gt_box = gt_boxes[(frame_id, det.class_id)]
-            refined_ious.append(bbox_iou(rr.bbox, gt_box))
+        if gt_boxes is not None and (det.frame_id, det.class_id) in gt_boxes:
+            gt_box = gt_boxes[(det.frame_id, det.class_id)]
+            refined_ious.append(bbox_iou(box, gt_box))
             input_ious.append(bbox_iou(det.bbox, gt_box))
         try:
-            est = estimator(frame_id, square_crop(rr.bbox), det.class_id)
+            est = estimator(det.frame_id, square_crop(box), det.class_id)
         except InputError:
             raise
         except ArtiposeError:
             n_failed += 1
             continue
-        estimates.append((frame_id, est))
+        estimates.append((det.frame_id, est))
 
-    labels = filter_pose_labels(
-        estimates, config.thresholds, detection_labels, config.mixing_ratio
-    )
+    pose_labels = filter_pose_labels(estimates, thresholds)
     metrics = RoundMetrics(
         selection_rate=selection_rate,
         n_selected=len(selected),
         n_refine_failed=n_failed,
-        n_pose_labels=len(labels.pose_labels),
+        n_pose_labels=len(pose_labels),
         mean_refined_iou=float(np.mean(refined_ious)) if refined_ious else None,
         mean_input_iou=float(np.mean(input_ious)) if input_ious else None,
     )
-    return labels, metrics
+    return detection_labels, pose_labels, metrics
 
 
-def adaptation_loop(detections, estimator, models, camera: CameraIntrinsics, config: AdaptationConfig = AdaptationConfig(), rounds: int = 2, gt_boxes=None):
-    """Chain rounds, feeding each round's refined boxes back in as
-    detections for the next.  Returns the per-round (labels, metrics)."""
+def adaptation_loop(detections, estimator, models, camera: CameraIntrinsics, thresholds: FilterThresholds = FilterThresholds(), rounds: int = 2, gt_boxes=None):
+    """Chain rounds, feeding each round's detection labels back in as
+    detections for the next.  Returns the per-round (detection_labels,
+    pose_labels, metrics)."""
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     results = []
-    current = list(detections)
+    current = detections
     for _ in range(rounds):
-        labels, metrics = adaptation_round(
-            current, estimator, models, camera, config, gt_boxes
-        )
-        results.append((labels, metrics))
-        current = [
-            Detection(
-                frame_id=lab.frame_id,
-                class_id=lab.class_id,
-                confidence=lab.confidence,
-                bbox=lab.bbox,
-            )
-            for lab in labels.detection_labels
-        ]
+        result = adaptation_round(current, estimator, models, camera, thresholds, gt_boxes)
+        results.append(result)
+        current = result[0]
         if not current:
             break
     return results
 
 
-def write_pseudo_labels(labels: PseudoLabelSet, path) -> None:
-    """Serialize a label set as a canonical JSON manifest."""
+def write_pseudo_labels(path, detection_labels, pose_labels, thresholds: FilterThresholds, mixing_ratio: float) -> None:
+    """Serialize one round's labels as a canonical JSON manifest."""
     payload = {
         "detection_labels": [
             {
@@ -433,14 +376,14 @@ def write_pseudo_labels(labels: PseudoLabelSet, path) -> None:
                 "confidence": float(lab.confidence),
                 "refined": bool(lab.refined),
             }
-            for lab in labels.detection_labels
+            for lab in detection_labels
         ],
         "pose_labels": [
             encode_estimate(frame_id, est.class_id, est.class_confidence, est.articulation, est.pnp)
-            for frame_id, est in labels.pose_labels
+            for frame_id, est in pose_labels
         ],
-        "thresholds": asdict(labels.thresholds),
-        "mixing_ratio": labels.mixing_ratio,
+        "thresholds": asdict(thresholds),
+        "mixing_ratio": mixing_ratio,
     }
     Path(path).write_text(canonical_json(payload))
 

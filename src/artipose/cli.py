@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .adaptation import (
-    AdaptationConfig,
+    DEFAULT_MIXING_RATIO,
     FilterThresholds,
     RenderEstimator,
     adaptation_loop,
@@ -68,7 +69,7 @@ from .simulate import (
     needle_holder_model,
     tweezers_model,
 )
-from .tracking import Detection, TrackerParams
+from .tracking import Detection
 
 
 def _read_config(path):
@@ -85,10 +86,33 @@ def _read_config(path):
     return doc
 
 
+@contextmanager
+def _config_errors(what):
+    """Report a config value that fails to convert or validate as a ConfigError."""
+    try:
+        yield
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from None
+
+
 def _from_config(record, doc):
     """``record`` from a config dict: each field is ``float(doc[name])``,
     or its default when ``doc`` lacks it."""
-    return record(**{f.name: float(doc.get(f.name, f.default)) for f in fields(record)})
+    with _config_errors(f"{record.__name__} config"):
+        return record(**{f.name: float(doc.get(f.name, f.default)) for f in fields(record)})
+
+
+def _non_negative(convert):
+    """argparse type: ``convert(text)`` if it is finite and >= 0."""
+
+    def parse(text):
+        value = convert(text)
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _config_sha256(effective):
@@ -129,34 +153,33 @@ def _dataset_models(ds):
 
 def cmd_simgen(args):
     cfg = _read_config(args.config)
-    frames_n = args.frames if args.frames is not None else int(cfg.get("frames", 200))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    occ_cfg = cfg.get("occluders", {})
-    occ_enabled = bool(occ_cfg.get("enabled", True)) and not args.no_occluders
-    occluder = OccluderConfig(
-        enabled=occ_enabled,
-        count_range=tuple(occ_cfg.get("count_range", (1, 2))),
-        size_range=tuple(occ_cfg.get("size_range", (0.015, 0.04))),
-    )
-    depth_range = tuple(cfg.get("depth_range", (0.75, 1.05)))
+    models = (needle_holder_model(), tweezers_model())
+    with _config_errors("simgen config"):
+        frames_n = args.frames if args.frames is not None else int(cfg.get("frames", 200))
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        occ_cfg = cfg.get("occluders", {})
+        occ_enabled = bool(occ_cfg.get("enabled", True)) and not args.no_occluders
+        occluder = OccluderConfig(
+            enabled=occ_enabled,
+            count_range=tuple(occ_cfg.get("count_range", (1, 2))),
+            size_range=tuple(occ_cfg.get("size_range", (0.015, 0.04))),
+        )
+        depth_range = tuple(cfg.get("depth_range", (0.75, 1.05)))
+        scene = SceneConfig(
+            models=models,
+            camera=DEFAULT_CAMERA,
+            depth_range=depth_range,
+            occluder=occluder,
+            seed=seed,
+        )
+    rendered = generate_sequence(scene, frames_n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    models = (needle_holder_model(), tweezers_model())
     names = ("needle_holder", "tweezers")
     rel_paths = []
     for model, name in zip(models, names):
         manifest = save_model_manifest(model, out / "models", name)
         rel_paths.append(str(manifest.relative_to(out)))
-
-    scene = SceneConfig(
-        models=models,
-        camera=DEFAULT_CAMERA,
-        depth_range=depth_range,
-        occluder=occluder,
-        seed=seed,
-    )
-    rendered = generate_sequence(scene, frames_n)
     export_gt(rendered, out, scene.camera, rel_paths)
     _write_snapshot(
         out / "simgen_config.json",
@@ -369,25 +392,26 @@ def cmd_adapt(args):
     )
     cfg = _read_config(args.config)
     thresholds = _from_config(FilterThresholds, cfg.get("thresholds", {}))
-    config = AdaptationConfig(
-        tracker=TrackerParams(),
-        thresholds=thresholds,
-        mixing_ratio=float(cfg.get("mixing_ratio", AdaptationConfig().mixing_ratio)),
-    )
+    with _config_errors("mixing_ratio"):
+        mixing_ratio = float(cfg.get("mixing_ratio", DEFAULT_MIXING_RATIO))
+    if not 0.0 <= mixing_ratio <= 1.0:
+        raise ConfigError(f"mixing_ratio must be in [0, 1], got {mixing_ratio}")
     results = adaptation_loop(
         detections,
         estimator,
         models_by_class,
         ds.camera,
-        config,
+        thresholds,
         rounds=args.rounds,
         gt_boxes=gt_boxes,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metric_rows = []
-    for i, (labels, metrics) in enumerate(results, start=1):
-        write_pseudo_labels(labels, out / f"labels_round{i}.json")
+    for i, (detection_labels, pose_labels, metrics) in enumerate(results, start=1):
+        write_pseudo_labels(
+            out / f"labels_round{i}.json", detection_labels, pose_labels, thresholds, mixing_ratio
+        )
         metric_rows.append({"round": i, **asdict(metrics)})
     (out / "metrics.json").write_text(canonical_json({"rounds": metric_rows}))
     _write_snapshot(
@@ -401,7 +425,7 @@ def cmd_adapt(args):
             "noise_sigma": args.noise_sigma,
             "box_jitter": args.box_jitter,
             "thresholds": asdict(thresholds),
-            "mixing_ratio": config.mixing_ratio,
+            "mixing_ratio": mixing_ratio,
         },
     )
     last = metric_rows[-1]
@@ -443,10 +467,8 @@ def _losses_for_object(obj, est, model, box, camera, weights, pts, n_classes):
     pred_corr = render_correspondence(
         pred_mesh, coords, est.pose, camera, crop, CROP_OUT_SIZE
     )
-    pred_crop_masks = rasterize_crop(
-        [(pred_mesh, est.pose)], camera, crop, CROP_OUT_SIZE
-    )
-    pred_full = pred_crop_masks[0].data.astype(np.float64)
+    # with one mesh, the visible and the full mask are the same pixels
+    pred_full = pred_corr.valid.data.astype(np.float64)
     pred = PosePrediction(
         rot6d=matrix_to_rot6d(ego_to_allo(est.pose.R, center, camera)),
         site=encode_translation(est.pose.t, crop, camera),
@@ -541,7 +563,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--frames", type=int, help="number of frames")
-    p.add_argument("--seed", type=int, help="generator seed")
+    p.add_argument("--seed", type=_non_negative(int), help="generator seed")
     p.add_argument("--no-occluders", action="store_true", help="disable occluders")
     p.set_defaults(func=cmd_simgen)
 
@@ -555,7 +577,7 @@ def build_parser():
         default="inlier_fraction",
         help="how prediction confidence is derived",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative(int), default=0)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
@@ -570,9 +592,9 @@ def build_parser():
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--detections", help="detection JSONL; synthesized from GT when absent")
     p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative(int), default=0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--box-jitter", type=float, default=0.1, help="relative box jitter for synthesized detections")
+    p.add_argument("--box-jitter", type=_non_negative(float), default=0.1, help="relative box jitter for synthesized detections")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("losses", help="loss breakdown of predictions vs ground truth")

@@ -49,6 +49,12 @@ OCC_ANCHOR_FRAC = 0.35
 SPHERE_SUBDIVISIONS = 2
 
 
+def square_crop(bbox: BBox, scale: float = CROP_SCALE) -> BBox:
+    """Square crop window around a box, matching the training-crop shape."""
+    side = scale * max(bbox.w, bbox.h)
+    return BBox(cx=bbox.cx, cy=bbox.cy, w=side, h=side)
+
+
 @dataclass(frozen=True)
 class OccluderConfig:
     enabled: bool = True
@@ -93,6 +99,8 @@ class SceneConfig:
         zmin, zmax = self.depth_range
         if not (0.0 < zmin < zmax):
             raise ConfigError(f"depth_range must satisfy 0 < zmin < zmax, got {self.depth_range}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def needle_holder_model() -> ArticulatedModel:
@@ -339,9 +347,7 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
         for k, model in enumerate(config.models):
             visible = scene_masks[k].tight()
             amodal = render_amodal(meshes[k], poses[k], cam)
-            box = amodal.bbox()
-            side = CROP_SCALE * max(box.w, box.h)
-            crop = BBox(cx=box.cx, cy=box.cy, w=side, h=side)
+            crop = square_crop(amodal.bbox())
             coords = normalize_vertices(meshes[k], corr_boxes[k])
             corr = render_correspondence(meshes[k], coords, poses[k], cam, crop, CROP_OUT_SIZE)
             crop_masks = rasterize_crop(scene, cam, crop, CROP_OUT_SIZE)

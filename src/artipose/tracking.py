@@ -1,8 +1,10 @@
 """Box tracking over detection sequences.
 
-A constant-velocity Kalman filter per track plus greedy IoU association
-is enough here: downstream selection only needs consecutive-hit streaks
-and confidences, not identity across occlusions.
+A constant-velocity Kalman filter per track plus greedy IoU association,
+SORT-style: the IoU gate (``IOU_GATE``) and the number of missed frames
+that drops a track (``MAX_MISSED``) are fixed constants.  Downstream
+selection only needs consecutive-hit streaks and confidences, not
+identity across occlusions.
 """
 
 from dataclasses import dataclass, field
@@ -26,12 +28,14 @@ _R = np.diag([1.0, 1.0, 1.0, 1.0])
 
 @dataclass(frozen=True)
 class Detection:
-    """One detector output box on one frame."""
+    """One box on one frame: a detector output, or a detection label,
+    whose ``refined`` tells whether a pose reprojection tightened it."""
 
     frame_id: int
     class_id: int
     confidence: float
     bbox: BBox
+    refined: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
@@ -39,22 +43,9 @@ class Detection:
 
 
 @dataclass(frozen=True)
-class TrackerParams:
-    iou_gate: float = IOU_GATE
-    max_missed: int = MAX_MISSED
-
-    def __post_init__(self):
-        if not 0.0 < self.iou_gate <= 1.0:
-            raise ValueError(f"iou_gate must be in (0, 1], got {self.iou_gate}")
-        if self.max_missed < 1:
-            raise ValueError(f"max_missed must be >= 1, got {self.max_missed}")
-
-
-@dataclass(frozen=True)
 class TrackHit:
     """A matched detection together with the streak length it produced."""
 
-    frame_id: int
     detection: Detection
     hit_streak: int
 
@@ -110,17 +101,17 @@ def _spawn(track_id: int, det: Detection) -> Track:
         mean=mean,
         cov=_P0.copy(),
     )
-    track.hits.append(TrackHit(det.frame_id, det, 1))
+    track.hits.append(TrackHit(det, 1))
     return track
 
 
-def tracker_step(tracks, detections, params: TrackerParams = TrackerParams(), next_id: int = 0):
+def tracker_step(tracks, detections, next_id: int = 0):
     """Advance all tracks by one frame of detections.
 
     Tracks predict forward, then greedily claim the highest-IoU same-class
     detection above the gate.  Matched tracks extend their streak;
     unmatched tracks reset it and are dropped once they miss
-    ``params.max_missed`` frames in a row; unmatched detections spawn
+    ``MAX_MISSED`` frames in a row; unmatched detections spawn
     fresh tracks.
 
     Returns (live tracks, dropped tracks, next free track id).  Output
@@ -139,7 +130,7 @@ def tracker_step(tracks, detections, params: TrackerParams = TrackerParams(), ne
             if det.class_id != track.class_id:
                 continue
             iou = bbox_iou(preds[ti], det.bbox)
-            if iou >= params.iou_gate:
+            if iou >= IOU_GATE:
                 candidates.append((-iou, ti, di))
     candidates.sort()
     matched_tracks = set()
@@ -154,7 +145,7 @@ def tracker_step(tracks, detections, params: TrackerParams = TrackerParams(), ne
         _kalman_update(track, det.bbox)
         track.hit_streak += 1
         track.missed = 0
-        track.hits.append(TrackHit(det.frame_id, det, track.hit_streak))
+        track.hits.append(TrackHit(det, track.hit_streak))
     live = []
     dropped = []
     for ti, track in enumerate(tracks):
@@ -163,7 +154,7 @@ def tracker_step(tracks, detections, params: TrackerParams = TrackerParams(), ne
             continue
         track.hit_streak = 0
         track.missed += 1
-        (dropped if track.missed >= params.max_missed else live).append(track)
+        (dropped if track.missed >= MAX_MISSED else live).append(track)
     for di, det in enumerate(detections):
         if di not in matched_dets:
             live.append(_spawn(next_id, det))
@@ -171,22 +162,29 @@ def tracker_step(tracks, detections, params: TrackerParams = TrackerParams(), ne
     return live, dropped, next_id
 
 
-def run_tracker(detections, params: TrackerParams = TrackerParams()):
+def run_tracker(detections):
     """Track a whole sequence and return every track ever created.
 
     ``detections`` may span many frames; they are grouped by frame_id and
-    processed in frame order.
+    processed in frame order.  A frame without detections counts as a
+    miss for each live track; once none is live, the tracker jumps to the
+    next frame that has detections.
     """
     by_frame = {}
     for det in detections:
         by_frame.setdefault(det.frame_id, []).append(det)
-    if not by_frame:
-        return []
     live = []
     finished = []
     next_id = 0
-    # step through empty frames too; a gap must count as a miss
-    for frame_id in range(min(by_frame), max(by_frame) + 1):
-        live, dropped, next_id = tracker_step(live, by_frame.get(frame_id, []), params, next_id)
+    last = None
+    for frame_id in sorted(by_frame):
+        # an empty frame is a miss for every live track, so this runs at
+        # most MAX_MISSED times
+        while live and last + 1 < frame_id:
+            last += 1
+            live, dropped, next_id = tracker_step(live, [], next_id)
+            finished.extend(dropped)
+        live, dropped, next_id = tracker_step(live, by_frame[frame_id], next_id)
         finished.extend(dropped)
+        last = frame_id
     return finished + live

@@ -15,7 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from artipose.adaptation import AdaptationConfig, RenderEstimator, adaptation_round, select_pseudo_frames
+from artipose.adaptation import RenderEstimator, adaptation_round, select_pseudo_frames
 from artipose.camera import (
     BBox,
     Pose,
@@ -429,13 +429,13 @@ def test_criterion_8_adaptation_gain(criteria_report):
     estimator = RenderEstimator(
         frames, models, DEFAULT_CAMERA, noise=NoiseConfig(corr_px_sigma=0.5), seed=1
     )
-    _, metrics = adaptation_round(dets, estimator, models, DEFAULT_CAMERA, AdaptationConfig(), gt_boxes)
+    _, _, metrics = adaptation_round(dets, estimator, models, DEFAULT_CAMERA, gt_boxes=gt_boxes)
     gain = metrics.mean_refined_iou - metrics.mean_input_iou
 
     script = [
         Detection(k, 0, 0.95, BBox(cx=200, cy=150, w=100, h=100)) for k in range(10) if k != 3
     ]
-    picked = [f for f, _ in select_pseudo_frames(run_tracker(script), conf_min=0.5)]
+    picked = [d.frame_id for d in select_pseudo_frames(run_tracker(script), conf_min=0.5)]
     streak_ok = picked == [2, 6, 7, 8, 9]
 
     ok = gain >= 0.05 and streak_ok

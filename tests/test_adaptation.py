@@ -23,7 +23,7 @@ from artipose.simulate import (
 )
 from artipose.tracking import Detection, run_tracker
 from artipose.adaptation import (
-    AdaptationConfig,
+    DEFAULT_MIXING_RATIO,
     FilterThresholds,
     PoseEstimate,
     RenderEstimator,
@@ -93,7 +93,7 @@ def scene():
 def clean_round(scene):
     frames, dets, gt_boxes = scene
     estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
-    return adaptation_round(dets, estimator, MODELS, DEFAULT_CAMERA, AdaptationConfig(), gt_boxes)
+    return adaptation_round(dets, estimator, MODELS, DEFAULT_CAMERA, FilterThresholds(), gt_boxes)
 
 
 class TestSelection:
@@ -106,7 +106,7 @@ class TestSelection:
         ]
         tracks = run_tracker(dets)
         picked = select_pseudo_frames(tracks, conf_min=0.9)
-        assert [f for f, _ in picked] == [2, 7, 8, 9]
+        assert [d.frame_id for d in picked] == [2, 7, 8, 9]
 
     def test_short_streak_excluded(self):
         tracks = run_tracker([det(0, 200, 150), det(1, 200, 150)])
@@ -115,13 +115,12 @@ class TestSelection:
     def test_streak_of_three_with_boundary_confidence(self):
         tracks = run_tracker([det(k, 200, 150, conf=0.85) for k in range(3)])
         picked = select_pseudo_frames(tracks, conf_min=0.85)
-        assert [f for f, _ in picked] == [2]
+        assert [d.frame_id for d in picked] == [2]
 
 
 class TestFilter:
     def test_all_gates_pass(self):
-        labels = filter_pose_labels([(0, fake_estimate())], FilterThresholds())
-        assert len(labels.pose_labels) == 1
+        assert len(filter_pose_labels([(0, fake_estimate())], FilterThresholds())) == 1
 
     def test_each_gate_drops(self):
         thr = FilterThresholds()
@@ -129,11 +128,11 @@ class TestFilter:
         many_outliers = fake_estimate(outliers=40, inliers=60)
         bad_reproj = fake_estimate(reproj=5.0)
         for est in (low_conf, many_outliers, bad_reproj):
-            assert filter_pose_labels([(0, est)], thr).pose_labels == ()
+            assert filter_pose_labels([(0, est)], thr) == []
 
     def test_boundaries_inclusive(self):
         est = fake_estimate(conf=0.85, outliers=25, inliers=75, reproj=3.0)
-        assert len(filter_pose_labels([(0, est)], FilterThresholds()).pose_labels) == 1
+        assert len(filter_pose_labels([(0, est)], FilterThresholds())) == 1
 
     def test_subset_and_monotone(self):
         rng = np.random.default_rng(3)
@@ -150,7 +149,7 @@ class TestFilter:
             for k in range(60)
         ]
         base = FilterThresholds(conf_min=0.7, outlier_max_frac=0.3, reproj_max_px=4.0)
-        kept = set(id(e) for _, e in filter_pose_labels(batch, base).pose_labels)
+        kept = set(id(e) for _, e in filter_pose_labels(batch, base))
         assert kept <= set(id(e) for _, e in batch)
         tighter = [
             FilterThresholds(conf_min=0.8, outlier_max_frac=0.3, reproj_max_px=4.0),
@@ -158,7 +157,7 @@ class TestFilter:
             FilterThresholds(conf_min=0.7, outlier_max_frac=0.3, reproj_max_px=2.0),
         ]
         for thr in tighter:
-            sub = set(id(e) for _, e in filter_pose_labels(batch, thr).pose_labels)
+            sub = set(id(e) for _, e in filter_pose_labels(batch, thr))
             assert sub <= kept
 
     def test_threshold_validation(self):
@@ -204,10 +203,10 @@ class TestRefineBbox:
         frames, dets, gt_boxes = scene
         estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         d = dets[10]
-        rr = refine_bbox(d.frame_id, d, estimator, MODELS[d.class_id], DEFAULT_CAMERA)
-        assert rr.refined
+        box, est = refine_bbox(d, estimator, MODELS[d.class_id], DEFAULT_CAMERA)
+        assert est is estimator(d.frame_id, d.bbox, d.class_id)
         gt = gt_boxes[(d.frame_id, d.class_id)]
-        for got, want in ((rr.bbox.cx, gt.cx), (rr.bbox.cy, gt.cy), (rr.bbox.w, gt.w), (rr.bbox.h, gt.h)):
+        for got, want in ((box.cx, gt.cx), (box.cy, gt.cy), (box.w, gt.w), (box.h, gt.h)):
             assert got == pytest.approx(want, abs=1.0)
 
     def test_estimator_failure_keeps_box(self):
@@ -215,26 +214,25 @@ class TestRefineBbox:
             raise NoConsensus("no support")
 
         d = det(0, 200, 150)
-        rr = refine_bbox(0, d, broken, MODELS[0], DEFAULT_CAMERA)
-        assert not rr.refined
-        assert rr.bbox == d.bbox
-        assert rr.estimate is None
+        box, est = refine_bbox(d, broken, MODELS[0], DEFAULT_CAMERA)
+        assert box == d.bbox
+        assert est is None
 
     def test_refined_box_inside_image(self, scene):
         frames, dets, gt_boxes = scene
         estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         for d in dets[:8]:
-            rr = refine_bbox(d.frame_id, d, estimator, MODELS[d.class_id], DEFAULT_CAMERA)
-            assert rr.bbox.x0 >= 0.0
-            assert rr.bbox.y0 >= 0.0
-            assert rr.bbox.x1 <= DEFAULT_CAMERA.width
-            assert rr.bbox.y1 <= DEFAULT_CAMERA.height
+            box, _ = refine_bbox(d, estimator, MODELS[d.class_id], DEFAULT_CAMERA)
+            assert box.x0 >= 0.0
+            assert box.y0 >= 0.0
+            assert box.x1 <= DEFAULT_CAMERA.width
+            assert box.y1 <= DEFAULT_CAMERA.height
 
     def test_missing_gt_propagates(self, scene):
         frames, dets, gt_boxes = scene
         estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
         with pytest.raises(InputError):
-            refine_bbox(999, det(999, 200, 150), estimator, MODELS[0], DEFAULT_CAMERA)
+            refine_bbox(det(999, 200, 150), estimator, MODELS[0], DEFAULT_CAMERA)
 
 
 class TestRenderEstimatorReuse:
@@ -267,19 +265,21 @@ class TestRenderEstimatorReuse:
 
 class TestRound:
     def test_zero_noise_round(self, clean_round):
-        labels, metrics = clean_round
+        detection_labels, pose_labels, metrics = clean_round
         assert metrics.selection_rate == 1.0
         assert metrics.n_refine_failed == 0
         assert metrics.mean_refined_iou >= 0.95
-        assert metrics.n_pose_labels == metrics.n_selected
+        assert metrics.n_pose_labels == metrics.n_selected == len(pose_labels)
+        assert len(detection_labels) == metrics.n_selected
+        assert all(lab.refined for lab in detection_labels)
 
     def test_refinement_beats_jittered_input(self, scene):
         frames, dets, gt_boxes = scene
         estimator = RenderEstimator(
             frames, MODELS, DEFAULT_CAMERA, NoiseConfig(corr_px_sigma=0.5)
         )
-        _, metrics = adaptation_round(
-            dets, estimator, MODELS, DEFAULT_CAMERA, AdaptationConfig(), gt_boxes
+        _, _, metrics = adaptation_round(
+            dets, estimator, MODELS, DEFAULT_CAMERA, FilterThresholds(), gt_boxes
         )
         assert metrics.n_selected >= 50
         assert metrics.mean_refined_iou > metrics.mean_input_iou
@@ -288,9 +288,9 @@ class TestRound:
         frames, dets, gt_boxes = scene
         weak = [Detection(d.frame_id, d.class_id, 0.5, d.bbox) for d in dets]
         estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
-        labels, metrics = adaptation_round(weak, estimator, MODELS, DEFAULT_CAMERA)
-        assert labels.detection_labels == ()
-        assert labels.pose_labels == ()
+        detection_labels, pose_labels, metrics = adaptation_round(weak, estimator, MODELS, DEFAULT_CAMERA)
+        assert detection_labels == []
+        assert pose_labels == []
         assert metrics.selection_rate == 0.0
 
     def test_empty_sequence(self):
@@ -301,14 +301,12 @@ class TestRound:
     def test_reproducible(self, scene, clean_round):
         frames, dets, gt_boxes = scene
         estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA)
-        labels2, metrics2 = adaptation_round(
-            dets, estimator, MODELS, DEFAULT_CAMERA, AdaptationConfig(), gt_boxes
+        labels2, _, metrics2 = adaptation_round(
+            dets, estimator, MODELS, DEFAULT_CAMERA, FilterThresholds(), gt_boxes
         )
-        labels1, metrics1 = clean_round
+        labels1, _, metrics1 = clean_round
         assert metrics1 == metrics2
-        assert [l.bbox for l in labels1.detection_labels] == [
-            l.bbox for l in labels2.detection_labels
-        ]
+        assert labels1 == labels2
 
 
 class TestLoop:
@@ -319,9 +317,13 @@ class TestLoop:
             dets, estimator, MODELS, DEFAULT_CAMERA, rounds=2, gt_boxes=gt_boxes
         )
         assert len(results) == 2
-        for labels, metrics in results:
+        for _, _, metrics in results:
             assert metrics.mean_refined_iou >= 0.95
-        assert results[1][1].n_selected > 0
+        assert results[1][2].n_selected > 0
+        # round 2 runs on round 1's detection labels as they are
+        again = adaptation_round(results[0][0], estimator, MODELS, DEFAULT_CAMERA, gt_boxes=gt_boxes)
+        assert again[0] == results[1][0]
+        assert again[2] == results[1][2]
 
     def test_rounds_validated(self, scene):
         frames, dets, _ = scene
@@ -332,16 +334,17 @@ class TestLoop:
 
 class TestIO:
     def test_manifest_written(self, clean_round, tmp_path):
-        labels, _ = clean_round
+        detection_labels, pose_labels, _ = clean_round
         path = tmp_path / "labels.json"
-        write_pseudo_labels(labels, path)
+        thresholds = FilterThresholds()
+        write_pseudo_labels(path, detection_labels, pose_labels, thresholds, DEFAULT_MIXING_RATIO)
         import json
 
         payload = json.loads(path.read_text())
-        assert payload["mixing_ratio"] == labels.mixing_ratio
-        assert payload["thresholds"]["conf_min"] == labels.thresholds.conf_min
-        assert len(payload["detection_labels"]) == len(labels.detection_labels)
-        assert len(payload["pose_labels"]) == len(labels.pose_labels)
+        assert payload["mixing_ratio"] == DEFAULT_MIXING_RATIO
+        assert payload["thresholds"]["conf_min"] == thresholds.conf_min
+        assert len(payload["detection_labels"]) == len(detection_labels)
+        assert len(payload["pose_labels"]) == len(pose_labels)
         rec = payload["pose_labels"][0]
         assert len(rec["R"]) == 9
         assert len(rec["t_mm"]) == 3
@@ -350,13 +353,13 @@ class TestIO:
         # pose labels written as estimate lines load back as the estimates
         import json
 
-        labels, _ = clean_round
+        _, pose_labels, _ = clean_round
         path = tmp_path / "estimates.jsonl"
-        lines = [json.dumps(label_record(f, e)) for f, e in labels.pose_labels]
+        lines = [json.dumps(label_record(f, e)) for f, e in pose_labels]
         path.write_text("\n".join(lines) + "\n")
         loaded = load_estimates(path)
-        assert len(loaded) == len(labels.pose_labels)
-        frame_id, want = labels.pose_labels[0]
+        assert len(loaded) == len(pose_labels)
+        frame_id, want = pose_labels[0]
         got = loaded[(frame_id, want.class_id)]
         assert np.abs(got.pose.t - want.pose.t).max() < 1e-12
         assert got.class_confidence == want.class_confidence
@@ -390,8 +393,10 @@ class TestIO:
         # a pose label decodes to an estimate that encodes to the same bytes
         import json
 
-        labels, _ = clean_round
-        write_pseudo_labels(labels, tmp_path / "labels.json")
+        detection_labels, pose_labels, _ = clean_round
+        write_pseudo_labels(
+            tmp_path / "labels.json", detection_labels, pose_labels, FilterThresholds(), DEFAULT_MIXING_RATIO
+        )
         entries = json.loads((tmp_path / "labels.json").read_text())["pose_labels"]
         assert entries
         path = tmp_path / "estimates.jsonl"

@@ -111,6 +111,69 @@ class TestExitCodes:
         assert rc == 2
         assert f":{len(lines) + 1}: second estimate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simgen", "estimate", "adapt"])
+    def test_negative_seed_is_exit_2(self, command, dataset, tmp_path, capsys):
+        argv = {
+            "simgen": ["simgen", "--out", str(tmp_path / "out"), "--frames", "1"],
+            "estimate": ["estimate", "--dataset", str(dataset), "--out", str(tmp_path / "out" / "p.jsonl")],
+            "adapt": ["adapt", "--dataset", str(dataset), "--out", str(tmp_path / "out")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jitter", ["-0.1", "nan"])
+    def test_bad_box_jitter_is_exit_2(self, jitter, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["adapt", "--dataset", str(dataset), "--out", str(tmp_path / "out"), "--box-jitter", jitter])
+        assert exc.value.code == 2
+        assert "--box-jitter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, flags",
+        [
+            ({"depth_range": [0.8, 0.9, 1.0]}, ["--frames", "1"]),
+            ({"seed": -1}, ["--frames", "1"]),
+            ({}, ["--frames", "0"]),
+        ],
+        ids=["depth_range", "config_seed", "zero_frames"],
+    )
+    def test_bad_simgen_config_writes_nothing(self, cfg, flags, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simgen", "--out", str(tmp_path / "out"), "--config", str(path), *flags])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_loss_weight_is_exit_2(self, dataset, predictions, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"w_geom": -1.0}))
+        rc = main(
+            ["losses", "--dataset", str(dataset), "--predictions", str(predictions), "--out", str(tmp_path / "l.json"), "--weights", str(weights)]
+        )
+        assert rc == 2
+        assert "bad LossWeights config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"thresholds": {"conf_min": "high"}}, {"thresholds": [0.5]}, {"mixing_ratio": "half"}, {"mixing_ratio": 1.5}],
+        ids=["threshold_text", "thresholds_list", "mixing_text", "mixing_range"],
+    )
+    def test_bad_adapt_config_is_exit_2_before_any_round(self, cfg, dataset, tmp_path, monkeypatch, capsys):
+        import artipose.cli as cli
+
+        rounds = []
+        monkeypatch.setattr(cli, "adaptation_loop", lambda *a, **k: rounds.append(a) or [])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["adapt", "--dataset", str(dataset), "--out", str(tmp_path / "out"), "--config", str(path)])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+        assert rounds == []
+
     def test_console_script_missing_input(self):
         proc = subprocess.run(
             [sys.executable, "-m", "artipose.cli", "losses", "--dataset", "/does/not/exist", "--predictions", "x", "--out", "y"],

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from artipose.camera import BBox, bbox_iou
-from artipose.tracking import (
-    Detection,
-    TrackerParams,
-    run_tracker,
-    tracker_step,
-)
+import artipose.tracking as tracking
+from artipose.tracking import MAX_MISSED, Detection, run_tracker, tracker_step
 
 
 def det(frame, cx, cy, w=100.0, h=100.0, cls=0, conf=1.0):
@@ -18,16 +14,6 @@ def det(frame, cx, cy, w=100.0, h=100.0, cls=0, conf=1.0):
 
 
 class TestParams:
-    def test_gate_bounds(self):
-        with pytest.raises(ValueError):
-            TrackerParams(iou_gate=0.0)
-        with pytest.raises(ValueError):
-            TrackerParams(iou_gate=1.5)
-
-    def test_max_missed_positive(self):
-        with pytest.raises(ValueError):
-            TrackerParams(max_missed=0)
-
     def test_confidence_range(self):
         with pytest.raises(ValueError):
             det(0, 100, 100, conf=1.2)
@@ -104,7 +90,8 @@ class TestStep:
         tracks = run_tracker(dets)
         for t in tracks:
             assert t.hit_streak <= t.age
-            assert [h.frame_id for h in t.hits] == sorted(h.frame_id for h in t.hits)
+            frame_ids = [h.detection.frame_id for h in t.hits]
+            assert frame_ids == sorted(frame_ids)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -135,3 +122,43 @@ class TestPrediction:
         assert len(live) == 1
         assert min(ious) > 0.8
         assert live[0].hit_streak == 12
+
+
+def frame_by_frame(dets):
+    """Reference tracker: one step for every frame id from first to last."""
+    by_frame = {}
+    for d in dets:
+        by_frame.setdefault(d.frame_id, []).append(d)
+    live, finished, next_id = [], [], 0
+    for k in range(min(by_frame), max(by_frame) + 1):
+        live, dropped, next_id = tracker_step(live, by_frame.get(k, []), next_id)
+        finished.extend(dropped)
+    return finished + live
+
+
+def hit_summary(tracks):
+    return [
+        (t.track_id, t.hit_streak, t.age, t.missed, t.mean.tolist(), [(h.detection, h.hit_streak) for h in t.hits])
+        for t in tracks
+    ]
+
+
+class TestGaps:
+    def test_long_gap_is_skipped(self, monkeypatch):
+        calls = []
+        step = tracking.tracker_step
+        monkeypatch.setattr(tracking, "tracker_step", lambda *a: calls.append(a) or step(*a))
+        tracks = run_tracker([det(0, 200, 150), det(100_000, 200, 150)])
+        assert len(calls) <= 10
+        assert [t.track_id for t in tracks] == [0, 1]
+        assert tracks[0].missed == MAX_MISSED
+
+    def test_small_gaps_match_frame_by_frame(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            frames = sorted(rng.choice(40, size=12, replace=False))
+            dets = [
+                det(int(k), 200 + rng.uniform(-5, 5), 150 + rng.uniform(-5, 5), cls=int(rng.integers(2)))
+                for k in frames
+            ]
+            assert hit_summary(run_tracker(dets)) == hit_summary(frame_by_frame(dets))
