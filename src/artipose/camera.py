@@ -254,12 +254,16 @@ def _ray_alignment(obj_center_2d, camera: CameraIntrinsics) -> np.ndarray:
     vx, vy, vz = rx / n, ry / n, 1.0 / n
     if vz <= MIN_RAY_COS:
         raise BackfacingRay("viewing ray points away from the optical axis")
-    angle = math.acos(min(1.0, max(-1.0, vz)))
-    if angle < 1e-9:
-        return np.eye(3)
-    # axis = z_hat x v, normalized; it lies in the image plane.
-    s = math.sqrt(vx * vx + vy * vy)
-    return rotation_about_axis(np.array([-vy / s, vx / s, 0.0]), angle)
+    # Rodrigues about the unit axis z_hat x v / sin, with cos = vz and
+    # sin = hypot(vx, vy); (1 - cos) / sin^2 = 1 / (1 + cos)
+    k = 1.0 / (1.0 + vz)
+    return np.array(
+        [
+            [vz + vy * vy * k, -vx * vy * k, vx],
+            [-vx * vy * k, vz + vx * vx * k, vy],
+            [-vx, -vy, vz],
+        ]
+    )
 
 
 def allo_to_ego(R_allo: np.ndarray, obj_center_2d, camera: CameraIntrinsics) -> np.ndarray:

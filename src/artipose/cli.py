@@ -102,6 +102,15 @@ def _from_config(record, doc):
         return record(**{f.name: float(doc.get(f.name, f.default)) for f in fields(record)})
 
 
+def _config_int(doc, name, default):
+    """``doc[name]`` (or ``default``) if it is a JSON integer: a fraction
+    such as 2.7 is refused rather than truncated."""
+    value = doc.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _non_negative(convert):
     """argparse type: ``convert(text)`` if it is finite and >= 0."""
 
@@ -155,8 +164,8 @@ def cmd_simgen(args):
     cfg = _read_config(args.config)
     models = (needle_holder_model(), tweezers_model())
     with _config_errors("simgen config"):
-        frames_n = args.frames if args.frames is not None else int(cfg.get("frames", 200))
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        frames_n = args.frames if args.frames is not None else _config_int(cfg, "frames", 200)
+        seed = args.seed if args.seed is not None else _config_int(cfg, "seed", 0)
         occ_cfg = cfg.get("occluders", {})
         occ_enabled = bool(occ_cfg.get("enabled", True)) and not args.no_occluders
         occluder = OccluderConfig(

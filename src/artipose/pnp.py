@@ -4,19 +4,27 @@ The linear stage is a direct linear transform on normalized image
 coordinates with the rotation projected back onto SO(3); refinement runs
 Levenberg-Marquardt with rotation increments in the tangent space.  The
 robust loop scores hypotheses with a truncated quadratic (MSAC) and is
-deterministic for a fixed seed.
+deterministic for a fixed seed.  Inliers are counted in a band scaled to
+the pixel noise that the leading hypothesis's residuals show, in the
+spirit of MAGSAC++'s sigma-consensus (Barath et al., CVPR 2020), so that
+noise is not taken for outliers and the adaptive exit fires on noisy
+maps.  A nearly planar support also gets the planar two-fold check of
+IPPE (Collins and Bartoli, IJCV 2014): the mirrored pose is polished and
+kept when it fits clearly better.
 
 The robust loop works on blocks of minimal samples rather than one at a
 time.  Block sizes double (1, 2, 4, ...) up to ``MAX_BLOCK``, and never
 exceed the number of samples the adaptive bound still asks for, so a
 loop that exits after a few samples solves few extra ones.  A block's
-linear solves are one stacked SVD, its hypotheses are scored in chunks
-of at most ``SCORE_CHUNK`` hypothesis-point pairs, and the samples that
-need a geometric polish share one masked, batched Levenberg-Marquardt
-run (a lone one takes the faster one-pose form); so the temporaries stay
-near a megabyte whatever the block and map size.  The ordered part of
-the loop (local optimization, the best hypothesis and the adaptive exit)
-then walks the block sample by sample.
+linear solves are one stacked SVD; a sample whose linear pose puts one
+of its own points behind the camera is dropped, and the others are
+scored in chunks of at most ``SCORE_CHUNK`` hypothesis-point pairs.  The
+samples that need a geometric polish share one masked, batched
+Levenberg-Marquardt run (a lone one takes the faster one-pose form); so
+the temporaries stay near a megabyte whatever the block and map size.
+The ordered part of the loop (local optimization, the best hypothesis,
+its noise band and the adaptive exit) then walks the block sample by
+sample.
 Batching changes no arithmetic: a hypothesis's linear solve, polish and
 score come out bit for bit as when it is computed alone, and the samples
 come from the same stream as one-at-a-time draws, so the loop stops at
@@ -48,8 +56,18 @@ DEFAULT_MAX_ITERS = 400
 # Local optimization re-fits a leading hypothesis on the points it catches
 # inside successively tighter bands (multiples of the inlier threshold).
 LO_BANDS = (16.0, 4.0, 1.0)
+# Under 2-D Gaussian pixel noise of scale sigma the residual norms are
+# Rayleigh: their median is sqrt(2 ln 2) sigma and 99 % of them fall
+# within sqrt(-2 ln 0.01) sigma = 3.035 sigma.
+RAYLEIGH_MEDIAN = math.sqrt(2.0 * math.log(2.0))
+BAND_SIGMAS = math.sqrt(-2.0 * math.log(0.01))
 # Robust loop gives up below this inlier fraction.
 MIN_INLIER_RATIO = 0.2
+# A support counts as nearly planar when its smallest covariance
+# eigenvalue is below this share of the middle one.
+PLANAR_RATIO = 0.05
+# The other planar solution replaces the fit only below this cost share.
+FLIP_GAIN = 0.95
 # Confidence level for the adaptive iteration bound.
 RANSAC_CONFIDENCE = 0.999
 LM_MAX_ITERS = 100
@@ -295,9 +313,9 @@ def _lm_batch(pts3d, pts2d, camera, R, t, max_iters, tol):
     after a rejected one; a step is accepted if it solves, no point ends
     behind the camera and the cost does not rise; an iteration ends at
     the first accepted step, or after ``LM_DAMPING_TRIES`` rejected ones,
-    which stops the pose (reported as converged: no descent direction
-    left); a pose also stops converged when an accepted step is shorter
-    than ``tol``, and unconverged after ``max_iters`` iterations.
+    which stalls the pose; a pose stops converged when an accepted step
+    is shorter than ``tol``, and unconverged when it stalls or after
+    ``max_iters`` iterations.
 
     Poses do not wait for each other: each round makes one damped try
     for every pose still running, whichever iteration and try that pose
@@ -354,13 +372,11 @@ def _lm_batch(pts3d, pts2d, camera, R, t, max_iters, tol):
             Rl[take], tl[take], cost[take] = R_new[take], t_new[take], cost_new[take]
             pc[take], du[take], dv[take] = pc_new[take], du_new[take], dv_new[take]
         short = take & ((delta * delta).sum(axis=1) < tol * tol)
-        # a pose out of tries has no descent direction left: converged too
-        stop_conv = short | (tries == LM_DAMPING_TRIES)
         fresh = take & ~short
-        done = stop_conv | (fresh & (iters == max_iters))
+        done = short | (tries == LM_DAMPING_TRIES) | (fresh & (iters == max_iters))
         if done.any():
             fin = live[done]
-            R[fin], t[fin], converged[fin] = Rl[done], tl[done], stop_conv[done]
+            R[fin], t[fin], converged[fin] = Rl[done], tl[done], short[done]
             keep = ~done
             live = live[keep]
             pts3d, pts2d, pc, du, dv = (a[keep] for a in (pts3d, pts2d, pc, du, dv))
@@ -419,8 +435,6 @@ def _lm(
             converged = bool((delta * delta).sum() < tol * tol)
             break
         if converged or not stepped:
-            # no descent direction left counts as converged
-            converged = True
             break
     # re-orthonormalize against drift
     U, _, Vt = np.linalg.svd(R)
@@ -454,15 +468,20 @@ def _hypotheses(corr, camera, samples, inlier_px):
 
     Each sample is solved linearly; one whose solve lands outside even
     the widest band is re-fit geometrically on its own six points.
-    ``ok`` is False for degenerate samples and for re-fits that cannot
-    start.
+    ``ok`` is False for degenerate samples, for samples whose linear
+    pose puts one of their own points behind the camera (no re-fit can
+    start there), and for re-fits that cannot start; only the others are
+    scored over the whole map.
     """
     P, uv = corr.pts3d[samples], corr.pts2d[samples]
     R, t, ok = _dlt(P, uv, camera)
-    score, support = _score(corr, camera, R, t, inlier_px)
+    ok &= ((P @ R.transpose(0, 2, 1))[..., 2] + t[:, 2, None] > MIN_DEPTH).all(axis=1)
+    live = np.flatnonzero(ok)
+    score = np.full(len(samples), np.inf)
+    score[live], support = _score(corr, camera, R[live], t[live], inlier_px)
     # pixel noise can throw the linear minimal solve outside every band;
     # a geometric fit on the sample is its only way back
-    polish = np.flatnonzero(ok & (support < MIN_CORRESPONDENCES))
+    polish = live[support < MIN_CORRESPONDENCES]
     if polish.size > 1:
         R[polish], t[polish], ok[polish], _ = _lm_batch(
             P[polish], uv[polish], camera, R[polish], t[polish], LM_SAMPLE_ITERS, LM_TOL
@@ -481,6 +500,64 @@ def _hypotheses(corr, camera, samples, inlier_px):
     return R, t, ok, score
 
 
+def _noise_band(errs, inlier_px):
+    """Inlier band of a hypothesis, from the noise scale its residuals show.
+
+    The scale is the median residual below ``LO_BANDS[1] * inlier_px``
+    over the Rayleigh median; the band holds 99 % of 2-D Gaussian
+    residuals of that scale, clamped to [``inlier_px``, the same cap].
+    The cap keeps a far-off hypothesis from widening its own band.
+    """
+    cap = LO_BANDS[1] * inlier_px
+    near = errs[errs < cap]
+    if near.size == 0:
+        return inlier_px
+    # the upper middle, by a plain sort: np.median would import numpy.ma,
+    # and numpy's own sorts and selections page in their SIMD kernels
+    mid = sorted(near.tolist())[near.size // 2]
+    return min(max(BAND_SIGMAS * mid / RAYLEIGH_MEDIAN, inlier_px), cap)
+
+
+def _flipped(corr, camera, pose, errs, tau):
+    """The other planar solution of ``pose`` if it fits clearly better.
+
+    Only a nearly planar camera-frame support (the points within ``tau``
+    under ``pose``, whose errors are ``errs``) has one: its normal,
+    reflected about the viewing ray to its centroid, gives a pose that
+    projects the support almost alike (Collins and Bartoli's IPPE).  That
+    pose, rotated about the centroid and polished on the support, is
+    returned as (pose, converged, errors) when its ``tau``-truncated cost
+    is below ``FLIP_GAIN`` times that of ``pose``; otherwise None.
+    """
+    inliers = np.flatnonzero(errs < tau)
+    pc = corr.pts3d[inliers] @ pose.R.T + pose.t
+    c = pc.mean(axis=0)
+    d = pc - c
+    # the scatter matrix's singular values are its eigenvalues, descending
+    _, w, Vt = np.linalg.svd(d.T @ d)
+    if not w[2] < PLANAR_RATIO * w[1]:
+        return None
+    n = Vt[2]
+    ray = c / np.linalg.norm(c)
+    cos = float(n @ ray)
+    axis = np.cross(n, 2.0 * cos * ray - n)
+    s = float(np.linalg.norm(axis))
+    if s == 0.0:
+        return None
+    # turn n onto its reflection n', about n x n': cos(n, n') = 2 cos^2 - 1
+    Q = _rodrigues((axis * (math.atan2(s, 2.0 * cos * cos - 1.0) / s))[None])[0]
+    start = Pose(R=Q @ pose.R, t=Q @ (pose.t - c) + c)
+    try:
+        flip, converged = _lm(corr.subset(inliers), camera, start, LM_MAX_ITERS, LM_TOL)
+    except NonFiniteResidual:
+        return None
+    ferrs = _reproj_errors(corr, camera, flip)
+    tau_sq = tau * tau
+    if np.minimum(ferrs * ferrs, tau_sq).sum() < FLIP_GAIN * np.minimum(errs * errs, tau_sq).sum():
+        return flip, converged, ferrs
+    return None
+
+
 def pnp_ransac(
     corr: CorrSet,
     camera: CameraIntrinsics,
@@ -491,23 +568,34 @@ def pnp_ransac(
     """Robust pose from contaminated correspondences.
 
     Minimal six-point samples are solved linearly and scored with a
-    truncated quadratic: inliers contribute their squared error, outliers
-    a constant ``inlier_px**2``.  A sample whose linear solve lands
-    outside even the widest band is first re-fit geometrically on its own
-    six points.  Hypotheses tie-break on (score, index).  Whenever a
-    sample takes the lead it is locally optimized: re-fit on the points
-    it catches inside successively tighter error bands, each stage kept
-    only if it lowers the score.  The sample loop ends early
-    once the best hypothesis's inlier fraction makes further samples
-    pointless at 99.9% confidence.  The best hypothesis is refined on its
-    inliers and statistics are recomputed under the refined pose.
+    truncated quadratic: points within ``inlier_px`` contribute their
+    squared error, the others a constant ``inlier_px**2``.  A sample
+    whose linear pose puts one of its own points behind the camera is
+    dropped unscored; one whose linear solve lands outside even the
+    widest band is first re-fit geometrically on its own six points.
+    Hypotheses tie-break on (score, index).  Whenever a sample takes the
+    lead it is locally optimized: re-fit on the points it catches inside
+    successively tighter error bands, each stage kept only if it lowers
+    the score.
+
+    Each new leader then gets a noise band ``tau`` (see ``_noise_band``):
+    at least ``inlier_px``, wider when its residuals show more pixel
+    noise, at most ``LO_BANDS[1] * inlier_px``.  Its share of points
+    within ``tau`` sets the adaptive bound: the sample loop ends once
+    further samples are pointless at 99.9 % confidence.  The best
+    hypothesis is refined on its points within ``tau``.  When that
+    support is nearly planar, the other planar solution is polished
+    too and kept if it fits clearly better (see ``_flipped``).  Inlier
+    and outlier counts and the mean inlier error are those within
+    ``tau`` under the final pose.
 
     Samples are drawn and solved in blocks (see the module docstring);
     the result is that of taking them one at a time.
 
     Raises:
         TooFewCorrespondences: fewer than six pairs.
-        NoConsensus: no hypothesis reached a 20% inlier fraction.
+        NoConsensus: no usable sample, or the best hypothesis holds
+            fewer than 20 % of the points within its band.
     """
     n = corr.n
     if n < MIN_CORRESPONDENCES:
@@ -518,6 +606,7 @@ def pnp_ransac(
     best_raw = math.inf
     best_pose = None
     best_errs = None
+    tau = inlier_px
     needed = max_iters
     i = 0
     block = 1
@@ -557,7 +646,8 @@ def pnp_ransac(
                         hyp, errs, score = local, lerrs, lscore
                 if score < best_score:
                     best_score, best_pose, best_errs = score, hyp, errs
-                    q = float((errs < inlier_px).mean()) ** MIN_CORRESPONDENCES
+                    tau = _noise_band(errs, inlier_px)
+                    q = float((errs < tau).mean()) ** MIN_CORRESPONDENCES
                     if q >= 1.0:
                         needed = i
                     elif q > 1e-12:  # below that the bound exceeds max_iters anyway
@@ -574,7 +664,7 @@ def pnp_ransac(
                         break
     if best_pose is None:
         raise NoConsensus("every sample was degenerate")
-    inliers = best_errs < inlier_px
+    inliers = best_errs < tau
     if float(inliers.mean()) < MIN_INLIER_RATIO:
         raise NoConsensus(
             f"best hypothesis supports only {inliers.mean():.1%} of the data"
@@ -583,7 +673,12 @@ def pnp_ransac(
         corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
     )
     final_errs = _reproj_errors(corr, camera, refined)
-    final_inliers = final_errs < inlier_px
+    final_inliers = final_errs < tau
+    if int(final_inliers.sum()) >= MIN_CORRESPONDENCES:
+        flip = _flipped(corr, camera, refined, final_errs, tau)
+        if flip is not None:
+            refined, converged, final_errs = flip
+            final_inliers = final_errs < tau
     count = int(final_inliers.sum())
     if count < MIN_CORRESPONDENCES:
         raise NoConsensus("refinement lost the inlier support")

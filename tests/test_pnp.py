@@ -164,6 +164,82 @@ class TestRefineLm:
         refined = refine(corr, camera, init)
         assert rmse(corr, camera, refined) <= rmse(corr, camera, init) + 1e-12
 
+    def test_stall_is_not_converged(self, camera):
+        # a fronto-parallel hexagon 1 mm in front of the camera, observed a
+        # million times farther out than it projects: by symmetry every
+        # damped step only moves it toward the camera, and even the most
+        # damped one carries it through the camera plane, so no try is taken
+        a = np.arange(6) * math.pi / 3.0
+        pts = np.stack([0.05 * np.cos(a), 0.05 * np.sin(a), np.zeros(6)], axis=1)
+        start = Pose(R=np.eye(3), t=np.array([0.0, 0.0, 1e-3]))
+        center = np.array([camera.px, camera.py])
+        uv = center + 1e6 * (project_points(pts, start, camera) - center)
+        pose, converged = pnp_module._lm(CorrSet(pts, uv), camera, start, LM_MAX_ITERS, LM_TOL)
+        np.testing.assert_array_equal(pose.t, start.t)
+        assert not converged
+        _, t, ok, conv = pnp_module._lm_batch(
+            pts[None], uv[None], camera, start.R[None], start.t[None], LM_MAX_ITERS, LM_TOL
+        )
+        np.testing.assert_array_equal(t[0], start.t)
+        assert ok[0] and not conv[0]
+
+
+class TestPlanarFlip:
+    """A planar target seen obliquely has a second, mirrored pose that
+    projects it almost alike."""
+
+    def _scene(self, camera, sigma=0.5):
+        rng = np.random.default_rng(131)
+        g = np.linspace(-0.02, 0.02, 9)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
+        truth = Pose(
+            R=rotation_about_axis([1.0, 0.0, 0.0], math.radians(40.0)),
+            t=np.array([0.05, -0.03, 1.0]),
+        )
+        uv = project_points(pts, truth, camera) + sigma * rng.standard_normal((len(pts), 2))
+        corr = CorrSet(pts, uv)
+        return corr, refine(corr, camera, truth)
+
+    def test_mirror_pose_flips_back(self, camera):
+        corr, fit = self._scene(camera)
+        # the other local minimum: turn the normal toward the viewing ray
+        # through the centroid, past it by as much, and polish
+        pc = corr.pts3d @ fit.R.T + fit.t
+        center = pc.mean(axis=0)
+        ray = center / np.linalg.norm(center)
+        normal = np.linalg.eigh(np.cov(pc.T))[1][:, 0]
+        normal *= np.sign(normal @ ray)
+        turn = rotation_about_axis(np.cross(normal, ray), 2.0 * math.acos(float(normal @ ray)))
+        mirror = refine(corr, camera, Pose(R=turn @ fit.R, t=turn @ (fit.t - center) + center))
+        assert geodesic_angle(mirror.R, fit.R) > math.radians(45.0)
+        out = pnp_module._flipped(
+            corr, camera, mirror, pnp_module._reproj_errors(corr, camera, mirror), 2.0
+        )
+        assert out is not None
+        pose, converged, errs = out
+        assert converged
+        assert geodesic_angle(pose.R, fit.R) < 1e-6
+        assert np.linalg.norm(pose.t - fit.t) < 1e-6
+        np.testing.assert_array_equal(errs, pnp_module._reproj_errors(corr, camera, pose))
+
+    def test_best_pose_is_kept(self, camera):
+        corr, fit = self._scene(camera)
+        errs = pnp_module._reproj_errors(corr, camera, fit)
+        assert pnp_module._flipped(corr, camera, fit, errs, 2.0) is None
+
+    def test_non_planar_support_is_not_flipped(self, camera, monkeypatch):
+        rng = np.random.default_rng(132)
+        pose, corr = _noisy_set(rng, camera, 200, 0.5)
+        fit = refine(corr, camera, pose)
+
+        def no_lm(*args):
+            raise AssertionError("a non-planar support was polished")
+
+        monkeypatch.setattr(pnp_module, "_lm", no_lm)
+        errs = pnp_module._reproj_errors(corr, camera, fit)
+        assert pnp_module._flipped(corr, camera, fit, errs, 2.0) is None
+
 
 class TestRansac:
     def _corrupted(self, rng, camera, n=300, frac=0.3):
@@ -408,18 +484,23 @@ class TestBatchedLoop:
                 np.testing.assert_array_equal(tk[0], t[j])
 
     def test_block_hypotheses_match_per_sample(self, camera):
-        # each sample on its own: linear solve, a one-pose polish when fewer
+        # each sample on its own: linear solve, dropped when it puts one of
+        # its own points behind the camera, a one-pose polish when fewer
         # than six points fall in the widest band, then the MSAC score
         rng = np.random.default_rng(307)
         _, corr = _noisy_set(rng, camera, 500, 2.0, frac=0.2)
         samples = np.array([rng.choice(500, size=6, replace=False) for _ in range(100)])
         R, t, ok, score = pnp_module._hypotheses(corr, camera, samples, 2.0)
-        polished = 0
+        polished = behind = 0
         for k, sample in enumerate(samples):
             sub = corr.subset(sample)
             try:
                 hyp = _reference_dlt(sub, camera)
             except DegenerateConfiguration:
+                assert not ok[k], k
+                continue
+            if _reference_sample_behind(sub, hyp):
+                behind += 1
                 assert not ok[k], k
                 continue
             errs = _reference_errors(corr, camera, hyp, clamp=True)
@@ -436,6 +517,7 @@ class TestBatchedLoop:
             np.testing.assert_array_equal(t[k], hyp.t)
             assert score[k] == np.minimum(errs * errs, 4.0).sum(), k
         assert 0 < polished < len(samples)
+        assert 0 < behind < len(samples)
 
     def test_solve_marks_singular_rows(self):
         A = np.stack([np.eye(6) * 2.0, np.zeros((6, 6)), np.eye(6)])
@@ -469,8 +551,8 @@ class TestBatchedLoop:
 
     def test_adaptive_exit_mid_block_matches_sequential_loop(self, camera, monkeypatch):
         # all but three points on one plane: samples drawn from the plane
-        # alone are degenerate, and the first sample with a point off it
-        # collects every point and ends the loop, inside the 64..127 block
+        # alone are degenerate, and a sample with a point off it collects
+        # every point and ends the loop, inside the 32..63 block
         rng = np.random.default_rng(500)
         pose = random_pose(rng)
         pts = rng.uniform(0, 0.1, size=(300, 3))
@@ -496,9 +578,10 @@ class TestBatchedLoop:
         np.testing.assert_allclose(res.pose.t, ref.pose.t, rtol=0, atol=1e-8)
 
     def test_full_run_matches_sequential_loop(self, camera):
-        # sigma 2 px: every sample is drawn, most need the LM polish
+        # sigma 2 px with half the points outliers: the adaptive bound stays
+        # above the cap, so every sample is drawn, and most need the LM polish
         rng = np.random.default_rng(305)
-        _, corr = _noisy_set(rng, camera, 300, 2.0, frac=0.2)
+        _, corr = _noisy_set(rng, camera, 300, 2.0, frac=0.5)
         res = pnp_ransac(corr, camera, max_iters=150, seed=3)
         ref, stop = _reference_ransac(corr, camera, max_iters=150, seed=3)
         assert res.samples == stop == 150
@@ -523,8 +606,8 @@ class TestBatchedLoop:
 
 # ---------------------------------------------------------------------------
 # One-sample-at-a-time reference: the linear solve, Levenberg-Marquardt and
-# robust loop as they were before hypotheses were solved in blocks.  The
-# batched code must reproduce this loop's samples, exit and results.
+# robust loop written plainly, without blocks of hypotheses.  The batched
+# code must reproduce this loop's samples, exit and results.
 
 
 def _reference_errors(corr, camera, pose, clamp=False):
@@ -664,14 +747,59 @@ def _reference_lm(corr, camera, init, max_iters, tol):
                 break
             lam *= 10.0
         if converged or not step_taken:
-            if not step_taken:
-                converged = True  # no descent direction left
-            break
+            break  # a stall (no step taken) leaves converged False
     # re-orthonormalize against drift before constructing the pose
     U, _, Vt = np.linalg.svd(R)
     d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
     R = U @ np.diag([1.0, 1.0, d]) @ Vt
     return Pose(R=R, t=t), converged
+
+
+def _reference_sample_behind(sample, pose):
+    return bool(((sample.pts3d @ pose.R.T + pose.t)[:, 2] <= 1e-9).any())
+
+
+def _reference_band(errs, inlier_px):
+    """Noise band of a leader: 99 % of 2-D Gaussian residuals whose scale is
+    the middle residual below 8 px over the Rayleigh median, clamped."""
+    cap = 4.0 * inlier_px
+    near = np.sort(errs[errs < cap])
+    if near.size == 0:
+        return inlier_px
+    sigma = near[near.size // 2] / math.sqrt(2.0 * math.log(2.0))
+    return min(max(math.sqrt(-2.0 * math.log(0.01)) * sigma, inlier_px), cap)
+
+
+def _reference_flip(corr, camera, pose, inliers, tau):
+    """Planar two-fold check: (pose, converged) of the reflected-normal
+    solution if the support is nearly planar and it fits clearly better."""
+    pc = corr.pts3d[inliers] @ pose.R.T + pose.t
+    center = pc.mean(axis=0)
+    w, V = np.linalg.eigh(np.cov(pc.T))
+    if not w[0] < 0.05 * w[1]:
+        return None
+    normal = V[:, 0]
+    ray = center / np.linalg.norm(center)
+    cos = float(normal @ ray)
+    axis = np.cross(normal, 2.0 * cos * ray - normal)
+    if not np.linalg.norm(axis) > 0.0:
+        return None
+    turn = rotation_about_axis(axis, 2.0 * math.acos(min(1.0, abs(cos))))
+    start = Pose(R=turn @ pose.R, t=turn @ (pose.t - center) + center)
+    try:
+        flip, converged = _reference_lm(
+            corr.subset(np.flatnonzero(inliers)), camera, start, LM_MAX_ITERS, LM_TOL
+        )
+    except NonFiniteResidual:
+        return None
+
+    def cost(p):
+        errs = _reference_errors(corr, camera, p, clamp=True)
+        return float(np.minimum(errs * errs, tau * tau).sum())
+
+    if cost(flip) < 0.95 * cost(pose):
+        return flip, converged
+    return None
 
 
 def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
@@ -685,6 +813,7 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
     best_raw = math.inf
     best_pose = None
     best_errs = None
+    tau = inlier_px
     needed = max_iters
     i = 0
     while i < min(max_iters, needed):
@@ -693,6 +822,8 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
         try:
             hyp = _reference_dlt(corr.subset(sample), camera)
         except DegenerateConfiguration:
+            continue
+        if _reference_sample_behind(corr.subset(sample), hyp):
             continue
         errs = _reference_errors(corr, camera, hyp, clamp=True)
         if int((errs < LO_BANDS[0] * inlier_px).sum()) < MIN_CORRESPONDENCES:
@@ -731,7 +862,8 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
                     hyp, errs, score = local, lerrs, lscore
         if score < best_score:
             best_score, best_pose, best_errs = score, hyp, errs
-            q = float((errs < inlier_px).mean()) ** MIN_CORRESPONDENCES
+            tau = _reference_band(errs, inlier_px)
+            q = float((errs < tau).mean()) ** MIN_CORRESPONDENCES
             if q >= 1.0:
                 needed = i
             elif q > 1e-12:  # below that the bound exceeds max_iters anyway
@@ -745,7 +877,7 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
                 )
     if best_pose is None:
         raise NoConsensus("every sample was degenerate")
-    inliers = best_errs < inlier_px
+    inliers = best_errs < tau
     if float(inliers.mean()) < MIN_INLIER_RATIO:
         raise NoConsensus(
             f"best hypothesis supports only {inliers.mean():.1%} of the data"
@@ -753,8 +885,13 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
     refined, converged = _reference_lm(
         corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
     )
+    final_inliers = _reference_errors(corr, camera, refined, clamp=True) < tau
+    if final_inliers.sum() >= MIN_CORRESPONDENCES:
+        flip = _reference_flip(corr, camera, refined, final_inliers, tau)
+        if flip is not None:
+            refined, converged = flip
     final_errs = _reference_errors(corr, camera, refined, clamp=True)
-    final_inliers = final_errs < inlier_px
+    final_inliers = final_errs < tau
     count = int(final_inliers.sum())
     if count < MIN_CORRESPONDENCES:
         raise NoConsensus("refinement lost the inlier support")
