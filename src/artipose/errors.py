@@ -58,10 +58,6 @@ class TooFewCorrespondences(ArtiposeError):
     """Fewer than the minimal number of 2D-3D pairs for pose solving."""
 
 
-class DegenerateConfiguration(ArtiposeError):
-    """Correspondence geometry does not constrain a unique pose."""
-
-
 class NonFiniteResidual(ArtiposeError):
     """Optimization encountered a non-finite residual at its starting point."""
 

@@ -111,10 +111,14 @@ def articulate(model: ArticulatedModel, state: ArticulationState) -> TriMesh:
     The fixed part's vertices are passed through bit-exactly; the moving
     part rotates rigidly about the hinge.
     """
-    angle = model.hinge_angle(state)
-    Rh = rotation_about_axis(model.hinge_axis, angle)
-    moved = (model.part_moving.vertices - model.hinge_origin) @ Rh.T + model.hinge_origin
+    moved = moving_vertices(model, state)
     return merge_meshes(model.part_fixed, TriMesh(moved, model.part_moving.faces))
+
+
+def moving_vertices(model: ArticulatedModel, state: ArticulationState) -> np.ndarray:
+    """The moving part's vertices at the given opening."""
+    Rh = rotation_about_axis(model.hinge_axis, model.hinge_angle(state))
+    return (model.part_moving.vertices - model.hinge_origin) @ Rh.T + model.hinge_origin
 
 
 def merge_meshes(a: TriMesh, b: TriMesh) -> TriMesh:
@@ -129,8 +133,15 @@ def tight_bbox(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         DegenerateMesh: any axis extent is below 1e-9 m.
     """
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
+    return checked_bbox(mesh.vertices.min(axis=0), mesh.vertices.max(axis=0))
+
+
+def checked_bbox(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The box (lo, hi), unchanged once its every extent is checked.
+
+    Raises:
+        DegenerateMesh: any axis extent is below 1e-9 m.
+    """
     if np.any(hi - lo < MIN_EXTENT):
         raise DegenerateMesh("bounding box extent vanishes along an axis")
     return lo, hi

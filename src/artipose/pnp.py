@@ -2,15 +2,17 @@
 
 The linear stage is a direct linear transform on normalized image
 coordinates with the rotation projected back onto SO(3); refinement runs
-Levenberg-Marquardt with rotation increments in the tangent space.  The
-robust loop scores hypotheses with a truncated quadratic (MSAC) and is
-deterministic for a fixed seed.  Inliers are counted in a band scaled to
-the pixel noise that the leading hypothesis's residuals show, in the
-spirit of MAGSAC++'s sigma-consensus (Barath et al., CVPR 2020), so that
-noise is not taken for outliers and the adaptive exit fires on noisy
-maps.  A nearly planar support also gets the planar two-fold check of
-IPPE (Collins and Bartoli, IJCV 2014): the mirrored pose is polished and
-kept when it fits clearly better.
+Levenberg-Marquardt with rotation increments in the tangent space, and
+stops converged at a short step or where a try moves the cost by no more
+than rounding.  The robust loop scores hypotheses with a truncated
+quadratic (MSAC), fits each point set once and is deterministic for a
+fixed seed.  Inliers are counted in a band scaled to the pixel noise that
+the leading hypothesis's residuals show, in the spirit of MAGSAC++'s
+sigma-consensus (Barath et al., CVPR 2020), so that noise is not taken
+for outliers and the adaptive exit fires on noisy maps.  A nearly planar
+support also gets the planar two-fold check of IPPE (Collins and
+Bartoli, IJCV 2014): the mirrored pose is polished and kept when it fits
+clearly better.
 
 The robust loop works on blocks of minimal samples rather than one at a
 time.  Block sizes double (1, 2, 4, ...) up to ``MAX_BLOCK``, and never
@@ -72,6 +74,7 @@ FLIP_GAIN = 0.95
 RANSAC_CONFIDENCE = 0.999
 LM_MAX_ITERS = 100
 LM_TOL = 1e-10
+LM_RTOL = 1e-12  # a cost change within this share of the cost is rounding
 # Iteration cap for polishing a minimal sample whose linear solve landed
 # outside every band; bounds worst-case cost at 400 samples per call.
 LM_SAMPLE_ITERS = 25
@@ -314,8 +317,9 @@ def _lm_batch(pts3d, pts2d, camera, R, t, max_iters, tol):
     behind the camera and the cost does not rise; an iteration ends at
     the first accepted step, or after ``LM_DAMPING_TRIES`` rejected ones,
     which stalls the pose; a pose stops converged when an accepted step
-    is shorter than ``tol``, and unconverged when it stalls or after
-    ``max_iters`` iterations.
+    is shorter than ``tol`` or when a try that solves with every point in
+    front moves the cost by at most ``LM_RTOL`` of it (the minimum, up to
+    rounding), and unconverged when it stalls or after ``max_iters``.
 
     Poses do not wait for each other: each round makes one damped try
     for every pose still running, whichever iteration and try that pose
@@ -363,7 +367,9 @@ def _lm_batch(pts3d, pts2d, camera, R, t, max_iters, tol):
         t_new = tl + delta[:, 3:]
         pc_new, behind_new, du_new, dv_new = _project(pts3d, pts2d, camera, R_new, t_new)
         cost_new = (du_new * du_new).sum(axis=1) + (dv_new * dv_new).sum(axis=1)
-        take = solved & ~behind_new.any(axis=1) & (cost_new <= cost)
+        front = solved & ~behind_new.any(axis=1)
+        take = front & (cost_new <= cost)
+        flat = front & (np.abs(cost_new - cost) <= LM_RTOL * cost)
         lam = np.where(take, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
         tries += ~take
         if take.all():
@@ -371,7 +377,7 @@ def _lm_batch(pts3d, pts2d, camera, R, t, max_iters, tol):
         else:
             Rl[take], tl[take], cost[take] = R_new[take], t_new[take], cost_new[take]
             pc[take], du[take], dv[take] = pc_new[take], du_new[take], dv_new[take]
-        short = take & ((delta * delta).sum(axis=1) < tol * tol)
+        short = flat | (take & ((delta * delta).sum(axis=1) < tol * tol))
         fresh = take & ~short
         done = short | (tries == LM_DAMPING_TRIES) | (fresh & (iters == max_iters))
         if done.any():
@@ -426,13 +432,16 @@ def _lm(
             t_new = t + delta[3:]
             pc_new, behind, du_new, dv_new = _project(pts3d, pts2d, camera, R_new, t_new)
             cost_new = (du_new * du_new).sum() + (dv_new * dv_new).sum()
+            converged = not behind.any() and bool(abs(cost_new - cost) <= LM_RTOL * cost)
             if behind.any() or not cost_new <= cost:
+                if converged:
+                    break
                 lam *= 10.0
                 continue
             R, t, pc, du, dv, cost = R_new, t_new, pc_new, du_new, dv_new, cost_new
             lam = max(lam / 3.0, 1e-12)
             stepped = True
-            converged = bool((delta * delta).sum() < tol * tol)
+            converged = converged or bool((delta * delta).sum() < tol * tol)
             break
         if converged or not stepped:
             break
@@ -576,18 +585,19 @@ def pnp_ransac(
     Hypotheses tie-break on (score, index).  Whenever a sample takes the
     lead it is locally optimized: re-fit on the points it catches inside
     successively tighter error bands, each stage kept only if it lowers
-    the score.
+    the score; no stage re-fits the points its hypothesis was fit on.
 
     Each new leader then gets a noise band ``tau`` (see ``_noise_band``):
     at least ``inlier_px``, wider when its residuals show more pixel
     noise, at most ``LO_BANDS[1] * inlier_px``.  Its share of points
     within ``tau`` sets the adaptive bound: the sample loop ends once
     further samples are pointless at 99.9 % confidence.  The best
-    hypothesis is refined on its points within ``tau``.  When that
-    support is nearly planar, the other planar solution is polished
-    too and kept if it fits clearly better (see ``_flipped``).  Inlier
-    and outlier counts and the mean inlier error are those within
-    ``tau`` under the final pose.
+    hypothesis is refined on its points within ``tau``, unless it is the
+    converged fit of just those points already.  When that support is
+    nearly planar, the other planar solution is polished too and kept if
+    it fits clearly better (see ``_flipped``).  Inlier and outlier counts
+    and the mean inlier error are those within ``tau`` under the final
+    pose.
 
     Samples are drawn and solved in blocks (see the module docstring);
     the result is that of taking them one at a time.
@@ -606,6 +616,7 @@ def pnp_ransac(
     best_raw = math.inf
     best_pose = None
     best_errs = None
+    best_fit = no_fit = np.zeros(n, bool)  # the set best_pose is the converged fit of
     tau = inlier_px
     needed = max_iters
     i = 0
@@ -623,15 +634,17 @@ def pnp_ransac(
                 score = best_raw = float(raw[k])
                 hyp = Pose(R=R[k], t=t[k])
                 errs = _reproj_errors(corr, camera, hyp)
+                # the band mask hyp was last fit on, and whether that converged
+                fit, fit_converged = no_fit, False
                 # polish on the hypothesis's own support through shrinking
                 # bands; noise in the minimal sample otherwise caps how many
                 # inliers it can collect
                 for mult in LO_BANDS:
                     mask = errs < mult * inlier_px
-                    if int(mask.sum()) < MIN_CORRESPONDENCES:
+                    if int(mask.sum()) < MIN_CORRESPONDENCES or np.array_equal(mask, fit):
                         continue
                     try:
-                        local, _ = _lm(
+                        local, local_converged = _lm(
                             corr.subset(np.flatnonzero(mask)),
                             camera,
                             hyp,
@@ -644,8 +657,10 @@ def pnp_ransac(
                     lscore = float(np.minimum(lerrs * lerrs, thr_sq).sum())
                     if lscore < score:
                         hyp, errs, score = local, lerrs, lscore
+                        fit, fit_converged = mask, local_converged
                 if score < best_score:
                     best_score, best_pose, best_errs = score, hyp, errs
+                    best_fit = fit if fit_converged else no_fit
                     tau = _noise_band(errs, inlier_px)
                     q = float((errs < tau).mean()) ** MIN_CORRESPONDENCES
                     if q >= 1.0:
@@ -669,9 +684,12 @@ def pnp_ransac(
         raise NoConsensus(
             f"best hypothesis supports only {inliers.mean():.1%} of the data"
         )
-    refined, converged = _lm(
-        corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
-    )
+    if np.array_equal(inliers, best_fit):
+        refined, converged = best_pose, True  # already this set's converged fit
+    else:
+        refined, converged = _lm(
+            corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
+        )
     final_errs = _reproj_errors(corr, camera, refined)
     final_inliers = final_errs < tau
     if int(final_inliers.sum()) >= MIN_CORRESPONDENCES:

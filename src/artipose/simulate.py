@@ -23,9 +23,10 @@ from .meshes import (
     TriMesh,
     articulate,
     box_mesh,
+    checked_bbox,
     ellipsoid_mesh,
+    moving_vertices,
     normalize_vertices,
-    tight_bbox,
 )
 from .raster import (
     CorrespondenceMap,
@@ -134,16 +135,26 @@ def model_corr_bbox(model: ArticulatedModel, samples: int = 21):
 
     Correspondence maps are normalized against this articulation-free box
     so decoding never needs to know the articulation.  A small pad covers
-    arc positions between the sampled angles.
+    arc positions between the sampled angles.  The box comes from the
+    parts' vertex arrays; no mesh is built per sampled angle.
+
+    Raises:
+        DegenerateMesh: the box of a sampled articulation vanishes along
+            an axis.
     """
-    los = []
-    his = []
+    fixed = model.part_fixed.vertices
+    fixed_lo, fixed_hi = fixed.min(axis=0), fixed.max(axis=0)
+    lo, hi = fixed_lo, fixed_hi
     for a in np.linspace(0.0, 1.0, samples):
-        lo, hi = tight_bbox(articulate(model, ArticulationState(float(a))))
-        los.append(lo)
-        his.append(hi)
+        moved = moving_vertices(model, ArticulationState(float(a)))
+        # each sampled articulation must have a box of its own, as
+        # tight_bbox of the articulated mesh would check
+        a_lo, a_hi = checked_bbox(
+            np.minimum(fixed_lo, moved.min(axis=0)), np.maximum(fixed_hi, moved.max(axis=0))
+        )
+        lo, hi = np.minimum(lo, a_lo), np.maximum(hi, a_hi)
     pad = 1e-4
-    return np.min(los, axis=0) - pad, np.max(his, axis=0) + pad
+    return lo - pad, hi + pad
 
 
 def _mesh_radius(corr_box) -> float:

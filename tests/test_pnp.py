@@ -18,7 +18,6 @@ from artipose.camera import (
     rotation_about_axis,
 )
 from artipose.errors import (
-    DegenerateConfiguration,
     NoConsensus,
     NonFiniteResidual,
     PointBehindCamera,
@@ -27,6 +26,7 @@ from artipose.errors import (
 from artipose.meshes import box_mesh, normalize_vertices, tight_bbox
 from artipose.pnp import (
     LM_MAX_ITERS,
+    LM_RTOL,
     LM_SAMPLE_ITERS,
     LM_TOL,
     LO_BANDS,
@@ -182,6 +182,28 @@ class TestRefineLm:
         )
         np.testing.assert_array_equal(t[0], start.t)
         assert ok[0] and not conv[0]
+
+    def test_start_at_own_optimum_converges_at_once(self, camera, monkeypatch):
+        # at the optimum the Gauss-Newton step only moves the cost by
+        # rounding, however long rounding makes it
+        rng = np.random.default_rng(404)
+        builds = []
+        normal_equations = pnp_module._normal_equations
+
+        def counting(*args):
+            builds.append(1)
+            return normal_equations(*args)
+
+        monkeypatch.setattr(pnp_module, "_normal_equations", counting)
+        for _ in range(6):
+            truth, corr = _noisy_set(rng, camera, 300, 1.0)
+            optimum, converged = pnp_module._lm(corr, camera, truth, LM_MAX_ITERS, LM_TOL)
+            assert converged
+            builds.clear()
+            again, converged = pnp_module._lm(corr, camera, optimum, LM_MAX_ITERS, LM_TOL)
+            assert converged and len(builds) <= 1
+            np.testing.assert_allclose(again.R, optimum.R, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(again.t, optimum.t, rtol=0, atol=1e-9)
 
 
 class TestPlanarFlip:
@@ -404,7 +426,7 @@ class TestBatchedLoop:
         for k in range(len(samples)):
             try:
                 ref = _reference_dlt(CorrSet(pts3d[k], pts2d[k]), camera)
-            except DegenerateConfiguration:
+            except _DegenerateSample:
                 assert not ok[k], k
                 continue
             assert ok[k], k
@@ -496,7 +518,7 @@ class TestBatchedLoop:
             sub = corr.subset(sample)
             try:
                 hyp = _reference_dlt(sub, camera)
-            except DegenerateConfiguration:
+            except _DegenerateSample:
                 assert not ok[k], k
                 continue
             if _reference_sample_behind(sub, hyp):
@@ -589,6 +611,60 @@ class TestBatchedLoop:
         np.testing.assert_allclose(res.pose.R, ref.pose.R, rtol=0, atol=1e-8)
         np.testing.assert_allclose(res.pose.t, ref.pose.t, rtol=0, atol=1e-8)
 
+    def test_no_set_is_fit_twice(self, camera, monkeypatch):
+        # a local-optimization band, or the final refit, whose points are
+        # the very ones its start pose was fit on (and converged on) is
+        # not fit again
+        calls = []
+        lm = pnp_module._lm
+
+        def recording_lm(corr, camera, init, max_iters, tol):
+            pose, converged = lm(corr, camera, init, max_iters, tol)
+            calls.append(
+                (corr.pts3d.tobytes(), (init.R.tobytes(), init.t.tobytes()),
+                 (pose.R.tobytes(), pose.t.tobytes()), converged)
+            )
+            return pose, converged
+
+        monkeypatch.setattr(pnp_module, "_lm", recording_lm)
+        # every point within 2 px of the first leader: its 32 px band fit
+        # is also the fit of the 8 px and 2 px bands and of the final set
+        rng = np.random.default_rng(401)
+        _, corr = _noisy_set(rng, camera, 500, 0.5)
+        res = pnp_ransac(corr, camera, seed=401)
+        assert res.samples == 1 and res.inlier_count == 500 and res.converged
+        assert len(calls) == 1
+        for seed, sigma in ((402, 0.5), (403, 2.0), (404, 2.0)):
+            rng = np.random.default_rng(seed)
+            _, corr = _noisy_set(rng, camera, 500, sigma, frac=0.2)
+            pnp_ransac(corr, camera, seed=seed)
+        fits = {(out, points) for points, _, out, converged in calls if converged}
+        assert all((start, points) not in fits for points, start, _, _ in calls)
+
+    @pytest.mark.parametrize(
+        "sigma, normal_equations, projections", [(0.5, 157, 206), (2.0, 188, 237)]
+    )
+    def test_work_stays_bounded(self, camera, monkeypatch, sigma, normal_equations, projections):
+        # deterministic work counts of one solve, about 10 % above the
+        # normal-equation builds and projections that fitting each set once
+        # and stopping at the minimum take (143 and 188 at 0.5 px, 171 and
+        # 216 at 2 px); re-fitting sets and trying damped steps at the
+        # minimum took 170 and 280, 210 and 341
+        counts = {"_normal_equations": 0, "_project": 0}
+        for name in counts:
+            original = getattr(pnp_module, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(pnp_module, name, counting)
+        rng = np.random.default_rng(401)
+        _, corr = _noisy_set(rng, camera, 500, sigma, frac=0.2)
+        pnp_ransac(corr, camera, seed=401)
+        assert counts["_normal_equations"] <= normal_equations, counts
+        assert counts["_project"] <= projections, counts
+
     def test_peak_memory_near_sequential_loop(self, camera):
         # a full 64 x 64 map at sigma 2 px
         rng = np.random.default_rng(306)
@@ -626,6 +702,10 @@ def _reference_errors(corr, camera, pose, clamp=False):
     return err
 
 
+class _DegenerateSample(Exception):
+    """The sample's geometry does not constrain a unique pose."""
+
+
 def _reference_dlt(corr, camera):
     n = corr.n
     if n < MIN_CORRESPONDENCES:
@@ -645,7 +725,7 @@ def _reference_dlt(corr, camera):
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     # the null direction is the solution; uniqueness needs rank 11
     if s[10] <= s[0] / MAX_CONDITION:
-        raise DegenerateConfiguration(
+        raise _DegenerateSample(
             "correspondence geometry does not constrain a unique pose"
         )
     p = vt[-1].reshape(3, 4)
@@ -658,7 +738,7 @@ def _reference_dlt(corr, camera):
     R = U @ np.diag([1.0, 1.0, d]) @ Vt
     scale = sig.sum() / 3.0
     if scale <= 0.0 or not np.isfinite(scale):
-        raise DegenerateConfiguration("vanishing projective scale")
+        raise _DegenerateSample("vanishing projective scale")
     return Pose(R=R, t=p[:, 3] / scale)
 
 
@@ -738,16 +818,22 @@ def _reference_lm(corr, camera, init, max_iters, tol):
                 lam *= 10.0
                 continue
             cost_new = float(r_new @ r_new)
+            # a try in front of the camera that moves the cost only by
+            # rounding, either way, finds the run at its minimum
+            at_minimum = abs(cost_new - cost) <= LM_RTOL * cost
             if cost_new <= cost:
                 R, t, r, pc, cost = R_new, t_new, r_new, pc_new, cost_new
                 lam = max(lam / 3.0, 1e-12)
                 step_taken = True
-                if math.sqrt(float(delta @ delta)) < tol:
+                if at_minimum or math.sqrt(float(delta @ delta)) < tol:
                     converged = True
+                break
+            if at_minimum:
+                converged = True
                 break
             lam *= 10.0
         if converged or not step_taken:
-            break  # a stall (no step taken) leaves converged False
+            break  # a stall away from the minimum leaves converged False
     # re-orthonormalize against drift before constructing the pose
     U, _, Vt = np.linalg.svd(R)
     d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
@@ -813,6 +899,7 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
     best_raw = math.inf
     best_pose = None
     best_errs = None
+    best_fit, best_converged = None, False
     tau = inlier_px
     needed = max_iters
     i = 0
@@ -821,7 +908,7 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
         i += 1
         try:
             hyp = _reference_dlt(corr.subset(sample), camera)
-        except DegenerateConfiguration:
+        except _DegenerateSample:
             continue
         if _reference_sample_behind(corr.subset(sample), hyp):
             continue
@@ -837,6 +924,8 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
                 continue
             errs = _reference_errors(corr, camera, hyp, clamp=True)
         score = float(np.minimum(errs * errs, thr_sq).sum())
+        # the band mask hyp was last fit on, and whether that fit converged
+        fit, fit_converged = None, False
         if score < best_raw:
             best_raw = score
             # polish on the hypothesis's own support through shrinking
@@ -846,8 +935,10 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
                 mask = errs < mult * inlier_px
                 if int(mask.sum()) < MIN_CORRESPONDENCES:
                     continue
+                if fit is not None and (mask == fit).all():
+                    continue  # hyp already is this set's LM optimum
                 try:
-                    local, _ = _reference_lm(
+                    local, local_converged = _reference_lm(
                         corr.subset(np.flatnonzero(mask)),
                         camera,
                         hyp,
@@ -860,8 +951,10 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
                 lscore = float(np.minimum(lerrs * lerrs, thr_sq).sum())
                 if lscore < score:
                     hyp, errs, score = local, lerrs, lscore
+                    fit, fit_converged = mask, local_converged
         if score < best_score:
             best_score, best_pose, best_errs = score, hyp, errs
+            best_fit, best_converged = fit, fit_converged
             tau = _reference_band(errs, inlier_px)
             q = float((errs < tau).mean()) ** MIN_CORRESPONDENCES
             if q >= 1.0:
@@ -882,9 +975,12 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
         raise NoConsensus(
             f"best hypothesis supports only {inliers.mean():.1%} of the data"
         )
-    refined, converged = _reference_lm(
-        corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
-    )
+    if best_converged and best_fit is not None and (inliers == best_fit).all():
+        refined, converged = best_pose, True
+    else:
+        refined, converged = _reference_lm(
+            corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
+        )
     final_inliers = _reference_errors(corr, camera, refined, clamp=True) < tau
     if final_inliers.sum() >= MIN_CORRESPONDENCES:
         flip = _reference_flip(corr, camera, refined, final_inliers, tau)

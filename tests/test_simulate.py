@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from artipose.camera import bbox_iou, check_rotation, geodesic_angle
-from artipose.errors import ConfigError, ParseError
+from artipose.errors import ConfigError, DegenerateMesh, ParseError
 from artipose.formats import canonical_json, encode_pose, read_mask_pgm
-from artipose.meshes import ArticulationState, articulate
+from artipose.meshes import ArticulatedModel, ArticulationState, TriMesh, articulate, tight_bbox
 from artipose.metrics import iter_annotations, mask_iou, occlusion_subtract
 from artipose.pnp import pairs_from_map, pnp_ransac
 from artipose.raster import render_amodal
@@ -218,6 +218,31 @@ class TestCorrespondenceRecovery:
                 res = pnp_ransac(pairs, DEFAULT_CAMERA, seed=0)
                 assert geodesic_angle(res.pose.R, obj.pose.R) < math.radians(0.1)
                 assert np.linalg.norm(res.pose.t - obj.pose.t) < 1e-3
+
+    def test_corr_bbox_matches_articulated_meshes(self):
+        # the box of every sampled articulated mesh, bit for bit
+        for model in (needle_holder_model(), tweezers_model()):
+            boxes = [
+                tight_bbox(articulate(model, ArticulationState(float(a))))
+                for a in np.linspace(0.0, 1.0, 21)
+            ]
+            lo, hi = model_corr_bbox(model)
+            assert lo.tobytes() == (np.min([b[0] for b in boxes], axis=0) - 1e-4).tobytes()
+            assert hi.tobytes() == (np.max([b[1] for b in boxes], axis=0) + 1e-4).tobytes()
+
+    def test_flat_tool_has_no_corr_bbox(self):
+        # both parts in one plane, hinged about its normal: every sampled
+        # articulation stays flat
+        faces = np.array([[0, 1, 2], [1, 3, 2]])
+        quad = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float) * 0.02
+        model = ArticulatedModel(
+            part_fixed=TriMesh(quad - [0.0, 0.02, 0.0], faces),
+            part_moving=TriMesh(quad, faces),
+            hinge_origin=np.zeros(3),
+            hinge_axis=np.array([0.0, 0.0, 1.0]),
+        )
+        with pytest.raises(DegenerateMesh, match="extent"):
+            model_corr_bbox(model)
 
     def test_valid_pixels_lie_inside_visible_mask_fraction(self, walk):
         # occluded pixels are dropped from the map, so validity cannot
