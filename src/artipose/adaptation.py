@@ -29,7 +29,7 @@ from .formats import canonical_json, decode_pose, encode_pose
 from .meshes import ArticulatedModel, ArticulationState, articulate, normalize_vertices
 from .pnp import CorrSet, PnPResult, pairs_from_map, pnp_ransac
 from .raster import render_amodal, render_correspondence
-from .simulate import CROP_OUT_SIZE, NoiseConfig, model_corr_bbox, square_crop
+from .simulate import CROP_OUT_SIZE, model_corr_bbox, square_crop
 from .tracking import STREAK_MIN, Detection, run_tracker
 
 DEFAULT_CONF_MIN = 0.85
@@ -95,39 +95,38 @@ class RoundMetrics:
 def solve_object(
     pairs: CorrSet,
     camera: CameraIntrinsics,
-    noise: NoiseConfig,
+    sigma: float,
     seed: int,
     frame_id: int,
     class_id: int,
 ) -> tuple[PnPResult, float]:
     """Pose of one object from its 2D-3D pairs, as the estimators report it.
 
-    Adds ``noise.corr_px_sigma`` px of Gaussian pixel noise drawn from
-    ``(seed, frame_id, class_id)``, solves with ``pnp_ransac`` seeded from
-    the same triple, and scores confidence per ``noise.detector_conf_model``:
-    1 for ``constant``, else the inlier fraction.
+    Adds ``sigma`` px of Gaussian pixel noise drawn from
+    ``(seed, frame_id, class_id)`` and solves with ``pnp_ransac`` seeded
+    from the same triple.  The confidence is the solve's inlier fraction.
 
     Returns:
         (PnPResult, confidence)
     """
-    if noise.corr_px_sigma > 0.0:
+    if sigma > 0.0:
         rng = np.random.default_rng([seed, frame_id, class_id])
-        jitter = noise.corr_px_sigma * rng.standard_normal(pairs.pts2d.shape)
+        jitter = sigma * rng.standard_normal(pairs.pts2d.shape)
         pairs = CorrSet(pairs.pts3d, pairs.pts2d + jitter)
     result = pnp_ransac(pairs, camera, seed=seed * 1000003 + frame_id * 1009 + class_id)
-    confidence = 1.0 if noise.detector_conf_model == "constant" else result.inlier_ratio
-    return result, float(confidence)
+    return result, float(result.inlier_ratio)
 
 
 class RenderEstimator:
     """Stand-in for the trained network: renders the known object into the
-    requested crop, optionally perturbs the pixel observations, and solves
-    the pose back.  Deterministic for a fixed seed; the noise draw depends
-    only on (seed, frame_id, class_id), so an answer depends only on
-    (frame_id, crop, class_id) and a repeated request reuses it.  The
-    ground truth is the poses of ``frames``, rendered or loaded."""
+    requested crop, adds ``sigma`` px of Gaussian noise to the pixel
+    observations, and solves the pose back.  Deterministic for a fixed
+    seed; the noise draw depends only on (seed, frame_id, class_id), so an
+    answer depends only on (frame_id, crop, class_id) and a repeated
+    request reuses it.  The ground truth is the poses of ``frames``,
+    rendered or loaded."""
 
-    def __init__(self, frames, models, camera: CameraIntrinsics, noise: NoiseConfig = NoiseConfig(), seed: int = 0):
+    def __init__(self, frames, models, camera: CameraIntrinsics, sigma: float = 0.0, seed: int = 0):
         self.gt = {
             (f.frame_id, obj.class_id): (obj.pose, obj.articulation)
             for f in frames
@@ -135,7 +134,7 @@ class RenderEstimator:
         }
         self.models = dict(models)
         self.camera = camera
-        self.noise = noise
+        self.sigma = sigma
         self.seed = seed
         self._boxes = {cls: model_corr_bbox(m) for cls, m in self.models.items()}
         self._answers = {}
@@ -159,7 +158,7 @@ class RenderEstimator:
         coords = normalize_vertices(mesh, box)
         cmap = render_correspondence(mesh, coords, pose, self.camera, crop, CROP_OUT_SIZE)
         result, confidence = solve_object(
-            pairs_from_map(cmap, box), self.camera, self.noise, self.seed, frame_id, class_id
+            pairs_from_map(cmap, box), self.camera, self.sigma, self.seed, frame_id, class_id
         )
         return PoseEstimate(
             class_id=class_id,

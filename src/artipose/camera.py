@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BackfacingRay,
     DegenerateRotation6D,
     InvalidRotation,
     NonPositiveDepth,
@@ -27,12 +26,11 @@ from .errors import (
 GS_EPS = 1e-8
 # Frobenius tolerance for accepting a matrix as a rotation.
 ROTATION_TOL = 1e-9
-# Viewing rays must not be (numerically) opposite to the optical axis.
-MIN_RAY_COS = -1.0 + 1e-6
 # Depths at or below this value count as "behind the camera".
 MIN_DEPTH = 1e-9
-# Side length, in pixels, of the square crop a detection is zoomed into.
-DEFAULT_ZOOM_SIZE = 256.0
+# Side length, in pixels, of the square crop a detection is zoomed into
+# (GDR-Net's zoomed-in RoI, Wang et al., CVPR 2021).
+ZOOM_SIZE = 256.0
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,8 @@ class BBox:
     h: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.cx, self.cy, self.w, self.h))):
+            raise ValueError(f"box values must be finite, got {self}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box size must be positive, got {self.w}x{self.h}")
 
@@ -124,10 +124,11 @@ def check_rotation(R: np.ndarray) -> np.ndarray:
     xz = a * c + d * f + g * i
     yz = b * c + e * f + h * i
     frob = math.sqrt(xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz))
-    if frob >= ROTATION_TOL:
+    # written as "not below" so that a NaN fails too
+    if not frob < ROTATION_TOL:
         raise InvalidRotation("matrix columns are not orthonormal")
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if abs(det - 1.0) >= ROTATION_TOL:
+    if not abs(det - 1.0) < ROTATION_TOL:
         raise InvalidRotation("matrix determinant is not +1")
     return R
 
@@ -252,8 +253,6 @@ def _ray_alignment(obj_center_2d, camera: CameraIntrinsics) -> np.ndarray:
     ry = (v - camera.py) / camera.f
     n = math.sqrt(rx * rx + ry * ry + 1.0)
     vx, vy, vz = rx / n, ry / n, 1.0 / n
-    if vz <= MIN_RAY_COS:
-        raise BackfacingRay("viewing ray points away from the optical axis")
     # Rodrigues about the unit axis z_hat x v / sin, with cos = vz and
     # sin = hypot(vx, vy); (1 - cos) / sin^2 = 1 / (1 + cos)
     k = 1.0 / (1.0 + vz)
@@ -287,27 +286,18 @@ class CropTranslation:
 
     ``dx`` and ``dy`` are offsets of the projected object center from the
     box center, normalized by box width and height.  ``dz`` is the depth
-    divided by the zoom ratio ``zoom_size / max(w, h)``, which makes it
+    divided by the zoom ratio ``ZOOM_SIZE / max(w, h)``, which makes it
     invariant to the apparent object scale.
     """
 
     dx: float
     dy: float
     dz: float
-    zoom_size: float = DEFAULT_ZOOM_SIZE
-
-    def __post_init__(self):
-        if not self.zoom_size > 0:
-            raise ValueError("zoom size must be positive")
 
 
-def encode_translation(
-    t: np.ndarray,
-    box: BBox,
-    camera: CameraIntrinsics,
-    zoom_size: float = DEFAULT_ZOOM_SIZE,
-) -> CropTranslation:
-    """Encode a camera-frame translation relative to a detection box.
+def encode_translation(t: np.ndarray, box: BBox, camera: CameraIntrinsics) -> CropTranslation:
+    """Encode a camera-frame translation relative to a detection box, for
+    a crop zoomed to ``ZOOM_SIZE`` pixels.
 
     Raises:
         NonPositiveDepth: the translation has depth <= 0.
@@ -318,13 +308,8 @@ def encode_translation(
         raise NonPositiveDepth(f"translation depth {tz} is not positive")
     ox = camera.f * float(t[0]) / tz + camera.px
     oy = camera.f * float(t[1]) / tz + camera.py
-    r = zoom_size / max(box.w, box.h)
-    return CropTranslation(
-        dx=(ox - box.cx) / box.w,
-        dy=(oy - box.cy) / box.h,
-        dz=tz / r,
-        zoom_size=zoom_size,
-    )
+    r = ZOOM_SIZE / max(box.w, box.h)
+    return CropTranslation(dx=(ox - box.cx) / box.w, dy=(oy - box.cy) / box.h, dz=tz / r)
 
 
 def decode_translation(
@@ -337,7 +322,7 @@ def decode_translation(
     """
     ox = box.cx + s.dx * box.w
     oy = box.cy + s.dy * box.h
-    r = s.zoom_size / max(box.w, box.h)
+    r = ZOOM_SIZE / max(box.w, box.h)
     tz = s.dz * r
     if tz <= MIN_DEPTH:
         raise NonPositiveDepth(f"decoded depth {tz} is not positive")

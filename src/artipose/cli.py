@@ -58,7 +58,6 @@ from .raster import rasterize_crop, render_amodal, render_correspondence
 from .simulate import (
     CROP_OUT_SIZE,
     DEFAULT_CAMERA,
-    NoiseConfig,
     OccluderConfig,
     SceneConfig,
     export_gt,
@@ -210,7 +209,7 @@ def cmd_simgen(args):
 # estimate
 
 
-def _estimate_frame(frame, ds, boxes, noise, seed):
+def _estimate_frame(frame, ds, boxes, sigma, seed):
     records = []
     skipped = 0
     for obj in frame.objects:
@@ -219,7 +218,7 @@ def _estimate_frame(frame, ds, boxes, noise, seed):
             res, confidence = solve_object(
                 pairs_from_map(cmap, boxes[obj.model_index]),
                 ds.camera,
-                noise,
+                sigma,
                 seed,
                 frame.frame_id,
                 obj.class_id,
@@ -239,10 +238,9 @@ def cmd_estimate(args):
     ds = _open_dataset(args.dataset)
     models, _ = _dataset_models(ds)
     boxes = [model_corr_bbox(m) for m in models]
-    noise = NoiseConfig(corr_px_sigma=args.noise_sigma, detector_conf_model=args.conf_model)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    results = [_estimate_frame(frame, ds, boxes, noise, args.seed) for frame in ds.frames]
+    results = [_estimate_frame(frame, ds, boxes, args.noise_sigma, args.seed) for frame in ds.frames]
     skipped = sum(s for _, s in results)
     lines = [json.dumps(rec, sort_keys=True) for recs, _ in results for rec in recs]
     out.write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -252,7 +250,6 @@ def cmd_estimate(args):
         {
             "dataset": str(Path(args.dataset)),
             "noise_sigma": args.noise_sigma,
-            "conf_model": args.conf_model,
             "seed": args.seed,
         },
     )
@@ -396,7 +393,7 @@ def cmd_adapt(args):
         ds.frames,
         models_by_class,
         ds.camera,
-        noise=NoiseConfig(corr_px_sigma=args.noise_sigma),
+        sigma=args.noise_sigma,
         seed=args.seed,
     )
     cfg = _read_config(args.config)
@@ -579,13 +576,7 @@ def build_parser():
     p = sub.add_parser("estimate", help="solve poses from stored correspondence maps")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output JSONL file")
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="correspondence pixel noise")
-    p.add_argument(
-        "--conf-model",
-        choices=("inlier_fraction", "constant"),
-        default="inlier_fraction",
-        help="how prediction confidence is derived",
-    )
+    p.add_argument("--noise-sigma", type=_non_negative(float), default=0.0, help="correspondence pixel noise")
     p.add_argument("--seed", type=_non_negative(int), default=0)
     p.set_defaults(func=cmd_estimate)
 
@@ -602,7 +593,7 @@ def build_parser():
     p.add_argument("--detections", help="detection JSONL; synthesized from GT when absent")
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--seed", type=_non_negative(int), default=0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--noise-sigma", type=_non_negative(float), default=0.0)
     p.add_argument("--box-jitter", type=_non_negative(float), default=0.1, help="relative box jitter for synthesized detections")
     p.set_defaults(func=cmd_adapt)
 

@@ -30,10 +30,6 @@ class InvalidRotation(ArtiposeError):
     """Matrix is not a proper rotation within tolerance."""
 
 
-class BackfacingRay(ArtiposeError):
-    """Viewing ray points away from the camera optical axis."""
-
-
 class NonPositiveDepth(ArtiposeError):
     """Translation depth is zero or negative where a positive one is required."""
 

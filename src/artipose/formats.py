@@ -46,11 +46,13 @@ def decode_pose(rec) -> Pose:
     ``encode_pose``.
 
     Raises:
-        ParseError: ``R`` is not a proper rotation.
+        ParseError: ``R`` is not a proper rotation, or ``t_mm`` is not finite.
         KeyError, TypeError, ValueError: a field is missing or malformed.
     """
     R = np.array([float(v) for v in rec["R"]], dtype=np.float64).reshape(3, 3)
     t = np.array([float(v) for v in rec["t_mm"]], dtype=np.float64) / 1000.0
+    if not np.isfinite(t).all():
+        raise ParseError(f"t_mm is not finite: {rec['t_mm']}")
     try:
         return Pose(R=R, t=t)
     except InvalidRotation as exc:

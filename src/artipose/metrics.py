@@ -176,8 +176,8 @@ class _Tally:
         self.gt = {}
         self.preds = {}
 
-    def class_ap(self, class_id, thresholds=IOU_THRESHOLDS) -> float:
-        """AP for one class, averaged over IoU thresholds.
+    def class_ap(self, class_id) -> float:
+        """AP for one class, averaged over ``IOU_THRESHOLDS``.
 
         Raises:
             NoAnnotations: no frame annotates the class at all.
@@ -185,17 +185,17 @@ class _Tally:
         if class_id not in self.gt:
             raise NoAnnotations(f"class {class_id} appears in no annotation")
         preds = [p[1:] for p in sorted(self.preds.get(class_id, []), key=lambda p: p[0])]
-        return _class_ap(preds, self.gt[class_id], thresholds)
+        return _class_ap(preds, self.gt[class_id], IOU_THRESHOLDS)
 
-    def report(self, thresholds=IOU_THRESHOLDS) -> APReport:
+    def report(self) -> APReport:
         """Per-class AP plus the class mean."""
         if not self.gt:
             raise NoAnnotations(self.empty_message)
-        per_class = {cls: self.class_ap(cls, thresholds) for cls in sorted(self.gt)}
+        per_class = {cls: self.class_ap(cls) for cls in sorted(self.gt)}
         return APReport(
             per_class_ap=per_class,
             mean_ap=mean_ap(per_class),
-            thresholds=tuple(thresholds),
+            thresholds=IOU_THRESHOLDS,
         )
 
 

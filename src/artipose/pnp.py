@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Pose
+from .camera import MIN_DEPTH, CameraIntrinsics, Pose
 from .errors import (
     NoConsensus,
     NonFiniteResidual,
@@ -53,7 +53,8 @@ MIN_CORRESPONDENCES = 6
 # Rank-deficiency guard: ratio between the largest singular value and the
 # eleventh must stay below this for the solution direction to be unique.
 MAX_CONDITION = 1e12
-DEFAULT_INLIER_PX = 2.0
+# Pixel threshold of the MSAC score, and the floor of the noise band.
+INLIER_PX = 2.0
 DEFAULT_MAX_ITERS = 400
 # Local optimization re-fits a leading hypothesis on the points it catches
 # inside successively tighter bands (multiples of the inlier threshold).
@@ -84,8 +85,6 @@ LM_DAMPING_TRIES = 8
 MAX_BLOCK = 256
 # Hypothesis-point pairs scored together (the rasterizer's chunk bound).
 SCORE_CHUNK = CHUNK_PIXELS
-# Points closer to the camera plane than this count as behind it.
-MIN_DEPTH = 1e-9
 
 _EYE3 = np.eye(3)
 # Row i is [e_i]x flattened: (B, 3) @ _CROSS gives [v]x as (B, 9) rows.
@@ -457,22 +456,22 @@ def _draw(rng, n, count):
     )
 
 
-def _score(corr, camera, R, t, inlier_px):
+def _score(corr, camera, R, t):
     """MSAC scores of hypotheses (R, t) and their support in the widest
     band, ``SCORE_CHUNK`` hypothesis-point pairs at a time."""
     B = R.shape[0]
-    thr_sq = inlier_px * inlier_px
+    thr_sq = INLIER_PX * INLIER_PX
     score = np.empty(B)
     support = np.empty(B, dtype=np.int64)
     step = max(1, SCORE_CHUNK // corr.n)
     for s in range(0, B, step):
         errs = _errors(corr.pts3d, corr.pts2d, camera, R[s : s + step], t[s : s + step])
         score[s : s + step] = np.minimum(errs * errs, thr_sq).sum(axis=1)
-        support[s : s + step] = (errs < LO_BANDS[0] * inlier_px).sum(axis=1)
+        support[s : s + step] = (errs < LO_BANDS[0] * INLIER_PX).sum(axis=1)
     return score, support
 
 
-def _hypotheses(corr, camera, samples, inlier_px):
+def _hypotheses(corr, camera, samples):
     """Hypotheses of a block of minimal samples, with MSAC scores.
 
     Each sample is solved linearly; one whose solve lands outside even
@@ -487,7 +486,7 @@ def _hypotheses(corr, camera, samples, inlier_px):
     ok &= ((P @ R.transpose(0, 2, 1))[..., 2] + t[:, 2, None] > MIN_DEPTH).all(axis=1)
     live = np.flatnonzero(ok)
     score = np.full(len(samples), np.inf)
-    score[live], support = _score(corr, camera, R[live], t[live], inlier_px)
+    score[live], support = _score(corr, camera, R[live], t[live])
     # pixel noise can throw the linear minimal solve outside every band;
     # a geometric fit on the sample is its only way back
     polish = live[support < MIN_CORRESPONDENCES]
@@ -505,26 +504,26 @@ def _hypotheses(corr, camera, samples, inlier_px):
         except NonFiniteResidual:
             ok[k] = False
     if polish.size:
-        score[polish], _ = _score(corr, camera, R[polish], t[polish], inlier_px)
+        score[polish], _ = _score(corr, camera, R[polish], t[polish])
     return R, t, ok, score
 
 
-def _noise_band(errs, inlier_px):
+def _noise_band(errs):
     """Inlier band of a hypothesis, from the noise scale its residuals show.
 
-    The scale is the median residual below ``LO_BANDS[1] * inlier_px``
+    The scale is the median residual below ``LO_BANDS[1] * INLIER_PX``
     over the Rayleigh median; the band holds 99 % of 2-D Gaussian
-    residuals of that scale, clamped to [``inlier_px``, the same cap].
+    residuals of that scale, clamped to [``INLIER_PX``, the same cap].
     The cap keeps a far-off hypothesis from widening its own band.
     """
-    cap = LO_BANDS[1] * inlier_px
+    cap = LO_BANDS[1] * INLIER_PX
     near = errs[errs < cap]
     if near.size == 0:
-        return inlier_px
+        return INLIER_PX
     # the upper middle, by a plain sort: np.median would import numpy.ma,
     # and numpy's own sorts and selections page in their SIMD kernels
     mid = sorted(near.tolist())[near.size // 2]
-    return min(max(BAND_SIGMAS * mid / RAYLEIGH_MEDIAN, inlier_px), cap)
+    return min(max(BAND_SIGMAS * mid / RAYLEIGH_MEDIAN, INLIER_PX), cap)
 
 
 def _flipped(corr, camera, pose, errs, tau):
@@ -570,15 +569,14 @@ def _flipped(corr, camera, pose, errs, tau):
 def pnp_ransac(
     corr: CorrSet,
     camera: CameraIntrinsics,
-    inlier_px: float = DEFAULT_INLIER_PX,
     max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = 0,
 ) -> PnPResult:
     """Robust pose from contaminated correspondences.
 
     Minimal six-point samples are solved linearly and scored with a
-    truncated quadratic: points within ``inlier_px`` contribute their
-    squared error, the others a constant ``inlier_px**2``.  A sample
+    truncated quadratic: points within ``INLIER_PX`` contribute their
+    squared error, the others a constant ``INLIER_PX**2``.  A sample
     whose linear pose puts one of its own points behind the camera is
     dropped unscored; one whose linear solve lands outside even the
     widest band is first re-fit geometrically on its own six points.
@@ -588,8 +586,8 @@ def pnp_ransac(
     the score; no stage re-fits the points its hypothesis was fit on.
 
     Each new leader then gets a noise band ``tau`` (see ``_noise_band``):
-    at least ``inlier_px``, wider when its residuals show more pixel
-    noise, at most ``LO_BANDS[1] * inlier_px``.  Its share of points
+    at least ``INLIER_PX``, wider when its residuals show more pixel
+    noise, at most ``LO_BANDS[1] * INLIER_PX``.  Its share of points
     within ``tau`` sets the adaptive bound: the sample loop ends once
     further samples are pointless at 99.9 % confidence.  The best
     hypothesis is refined on its points within ``tau``, unless it is the
@@ -611,13 +609,13 @@ def pnp_ransac(
     if n < MIN_CORRESPONDENCES:
         raise TooFewCorrespondences(f"need {MIN_CORRESPONDENCES} pairs, got {n}")
     rng = np.random.default_rng(seed)
-    thr_sq = inlier_px * inlier_px
+    thr_sq = INLIER_PX * INLIER_PX
     best_score = math.inf
     best_raw = math.inf
     best_pose = None
     best_errs = None
     best_fit = no_fit = np.zeros(n, bool)  # the set best_pose is the converged fit of
-    tau = inlier_px
+    tau = INLIER_PX
     needed = max_iters
     i = 0
     block = 1
@@ -625,7 +623,7 @@ def pnp_ransac(
         count = min(block, min(max_iters, needed) - i)
         block = min(2 * block, MAX_BLOCK)
         samples = _draw(rng, n, count)
-        R, t, ok, raw = _hypotheses(corr, camera, samples, inlier_px)
+        R, t, ok, raw = _hypotheses(corr, camera, samples)
         for k in range(count):
             i += 1
             # a sample that does not beat the best raw score cannot beat
@@ -640,7 +638,7 @@ def pnp_ransac(
                 # bands; noise in the minimal sample otherwise caps how many
                 # inliers it can collect
                 for mult in LO_BANDS:
-                    mask = errs < mult * inlier_px
+                    mask = errs < mult * INLIER_PX
                     if int(mask.sum()) < MIN_CORRESPONDENCES or np.array_equal(mask, fit):
                         continue
                     try:
@@ -661,7 +659,7 @@ def pnp_ransac(
                 if score < best_score:
                     best_score, best_pose, best_errs = score, hyp, errs
                     best_fit = fit if fit_converged else no_fit
-                    tau = _noise_band(errs, inlier_px)
+                    tau = _noise_band(errs)
                     q = float((errs < tau).mean()) ** MIN_CORRESPONDENCES
                     if q >= 1.0:
                         needed = i

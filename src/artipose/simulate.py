@@ -38,21 +38,24 @@ from .raster import (
 )
 
 DEFAULT_CAMERA = CameraIntrinsics(f=800.0, px=320.0, py=240.0, width=640, height=480)
-CENTER_MARGIN_PX = 10.0
 MAX_ROT_STEP = math.radians(2.0)
 MAX_TRANS_STEP = 0.005
 MAX_ART_STEP = 0.02
 CROP_SCALE = 1.1
 CROP_OUT_SIZE = 64
+# hinge openings the articulation-free correspondence box is sampled at;
+# the box normalizes every FMAP, so this fixes the FMAP format
+BOX_SAMPLES = 21
 # occluder anchors stay within this fraction of the model box diagonal of
 # the hinge so each occluder keeps riding its own tool
 OCC_ANCHOR_FRAC = 0.35
 SPHERE_SUBDIVISIONS = 2
 
 
-def square_crop(bbox: BBox, scale: float = CROP_SCALE) -> BBox:
-    """Square crop window around a box, matching the training-crop shape."""
-    side = scale * max(bbox.w, bbox.h)
+def square_crop(bbox: BBox) -> BBox:
+    """Square crop window around a box, matching the training-crop shape:
+    ``CROP_SCALE`` times the box's longer side."""
+    side = CROP_SCALE * max(bbox.w, bbox.h)
     return BBox(cx=bbox.cx, cy=bbox.cy, w=side, h=side)
 
 
@@ -69,20 +72,6 @@ class OccluderConfig:
         slo, shi = self.size_range
         if not (0.0 < slo <= shi):
             raise ConfigError(f"size_range must satisfy 0 < lo <= hi, got {self.size_range}")
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    corr_px_sigma: float = 0.0
-    detector_conf_model: str = "inlier_fraction"
-
-    def __post_init__(self):
-        if self.corr_px_sigma < 0.0 or not np.isfinite(self.corr_px_sigma):
-            raise ConfigError(f"corr_px_sigma must be finite and >= 0, got {self.corr_px_sigma}")
-        if self.detector_conf_model not in ("inlier_fraction", "constant"):
-            raise ConfigError(
-                f"unknown detector_conf_model {self.detector_conf_model!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -130,12 +119,13 @@ def tweezers_model() -> ArticulatedModel:
     )
 
 
-def model_corr_bbox(model: ArticulatedModel, samples: int = 21):
+def model_corr_bbox(model: ArticulatedModel):
     """Axis-aligned box containing the model at every articulation.
 
     Correspondence maps are normalized against this articulation-free box
-    so decoding never needs to know the articulation.  A small pad covers
-    arc positions between the sampled angles.  The box comes from the
+    so decoding never needs to know the articulation.  The articulation is
+    sampled at ``BOX_SAMPLES`` evenly spaced openings, and a small pad
+    covers arc positions between them.  The box comes from the
     parts' vertex arrays; no mesh is built per sampled angle.
 
     Raises:
@@ -145,7 +135,7 @@ def model_corr_bbox(model: ArticulatedModel, samples: int = 21):
     fixed = model.part_fixed.vertices
     fixed_lo, fixed_hi = fixed.min(axis=0), fixed.max(axis=0)
     lo, hi = fixed_lo, fixed_hi
-    for a in np.linspace(0.0, 1.0, samples):
+    for a in np.linspace(0.0, 1.0, BOX_SAMPLES):
         moved = moving_vertices(model, ArticulationState(float(a)))
         # each sampled articulation must have a box of its own, as
         # tight_bbox of the articulated mesh would check
@@ -172,21 +162,14 @@ def _footprint_radius(corr_box, config: SceneConfig) -> float:
     return r
 
 
-def sample_pose(rng, config: SceneConfig, region=None) -> Pose:
-    """Random pose: uniform rotation, center uniform in image and depth.
+def sample_pose(rng, config: SceneConfig, region) -> Pose:
+    """Random pose: uniform rotation, center uniform in ``region`` and in
+    depth.
 
-    ``region`` restricts the projected center to pixel bounds
-    (x_lo, x_hi, y_lo, y_hi); by default the full image minus a 10 px
-    margin.
+    ``region`` bounds the projected center in pixels as (x_lo, x_hi,
+    y_lo, y_hi), such as a tool's lane from ``_lane_regions``.
     """
     cam = config.camera
-    if region is None:
-        region = (
-            CENTER_MARGIN_PX,
-            cam.width - CENTER_MARGIN_PX,
-            CENTER_MARGIN_PX,
-            cam.height - CENTER_MARGIN_PX,
-        )
     x_lo, x_hi, y_lo, y_hi = region
     u = rng.uniform(x_lo, x_hi)
     v = rng.uniform(y_lo, y_hi)

@@ -48,7 +48,6 @@ from artipose.pnp import CorrSet, pairs_from_map, pnp_ransac
 from artipose.raster import MaskImage, render_amodal, render_correspondence
 from artipose.simulate import (
     DEFAULT_CAMERA,
-    NoiseConfig,
     SceneConfig,
     generate_sequence,
     model_corr_bbox,
@@ -186,7 +185,7 @@ def test_criterion_4_contamination_robustness(criteria_report):
         idx = rng.choice(n_pts, n_bad, replace=False)
         uv[idx, 0] = rng.uniform(0, cam.width, n_bad)
         uv[idx, 1] = rng.uniform(0, cam.height, n_bad)
-        res = pnp_ransac(CorrSet(pts, uv), cam, inlier_px=2.0, seed=trial)
+        res = pnp_ransac(CorrSet(pts, uv), cam, seed=trial)
         rot_errs.append(math.degrees(geodesic_angle(pose.R, res.pose.R)))
         errs = np.linalg.norm(project_points(pts, res.pose, cam) - uv, axis=1)
         flagged += int((errs[idx] >= 2.0).sum())
@@ -427,7 +426,7 @@ def test_criterion_8_adaptation_gain(criteria_report):
                 )
             )
     estimator = RenderEstimator(
-        frames, models, DEFAULT_CAMERA, noise=NoiseConfig(corr_px_sigma=0.5), seed=1
+        frames, models, DEFAULT_CAMERA, sigma=0.5, seed=1
     )
     _, _, metrics = adaptation_round(dets, estimator, models, DEFAULT_CAMERA, gt_boxes=gt_boxes)
     gain = metrics.mean_refined_iou - metrics.mean_input_iou

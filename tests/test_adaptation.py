@@ -15,7 +15,6 @@ from artipose.errors import (
 from artipose.pnp import CorrSet, PnPResult, pnp_ransac
 from artipose.simulate import (
     DEFAULT_CAMERA,
-    NoiseConfig,
     SceneConfig,
     generate_sequence,
     needle_holder_model,
@@ -176,8 +175,7 @@ class TestSolveObject:
         return CorrSet(pts, project_points(pts, pose, DEFAULT_CAMERA))
 
     def test_noise_and_solver_seeds(self, pairs):
-        noise = NoiseConfig(corr_px_sigma=2.0)
-        result, confidence = solve_object(pairs, DEFAULT_CAMERA, noise, 3, 5, 1)
+        result, confidence = solve_object(pairs, DEFAULT_CAMERA, 2.0, 3, 5, 1)
         rng = np.random.default_rng([3, 5, 1])
         noisy = CorrSet(pairs.pts3d, pairs.pts2d + 2.0 * rng.standard_normal(pairs.pts2d.shape))
         direct = pnp_ransac(noisy, DEFAULT_CAMERA, seed=3 * 1000003 + 5 * 1009 + 1)
@@ -185,14 +183,8 @@ class TestSolveObject:
         np.testing.assert_array_equal(result.pose.t, direct.pose.t)
         assert confidence == direct.inlier_ratio < 1.0
 
-    def test_constant_confidence(self, pairs):
-        noise = NoiseConfig(corr_px_sigma=2.0, detector_conf_model="constant")
-        result, confidence = solve_object(pairs, DEFAULT_CAMERA, noise, 3, 5, 1)
-        assert confidence == 1.0
-        assert result.inlier_ratio < 1.0
-
     def test_zero_noise_leaves_pairs(self, pairs):
-        result, confidence = solve_object(pairs, DEFAULT_CAMERA, NoiseConfig(), 3, 5, 1)
+        result, confidence = solve_object(pairs, DEFAULT_CAMERA, 0.0, 3, 5, 1)
         direct = pnp_ransac(pairs, DEFAULT_CAMERA, seed=3 * 1000003 + 5 * 1009 + 1)
         np.testing.assert_array_equal(result.pose.R, direct.pose.R)
         assert confidence == 1.0 == direct.inlier_ratio
@@ -245,8 +237,7 @@ class TestRenderEstimatorReuse:
         monkeypatch.setattr(
             adaptation, "pnp_ransac", lambda *a, **k: calls.append(a) or solve(*a, **k)
         )
-        noise = NoiseConfig(corr_px_sigma=0.5)
-        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, noise)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)
         d = dets[10]
         first = estimator(d.frame_id, d.bbox, d.class_id)
         same_box = BBox(cx=d.bbox.cx, cy=d.bbox.cy, w=d.bbox.w, h=d.bbox.h)
@@ -255,7 +246,7 @@ class TestRenderEstimatorReuse:
         estimator(d.frame_id, square_crop(d.bbox), d.class_id)
         assert len(calls) == 2
         # a fresh estimator computes the reused answer anew, bit for bit
-        fresh = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, noise)
+        fresh = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)
         again = fresh(d.frame_id, d.bbox, d.class_id)
         assert len(calls) == 3
         np.testing.assert_array_equal(again.pose.R, first.pose.R)
@@ -275,9 +266,7 @@ class TestRound:
 
     def test_refinement_beats_jittered_input(self, scene):
         frames, dets, gt_boxes = scene
-        estimator = RenderEstimator(
-            frames, MODELS, DEFAULT_CAMERA, NoiseConfig(corr_px_sigma=0.5)
-        )
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)
         _, _, metrics = adaptation_round(
             dets, estimator, MODELS, DEFAULT_CAMERA, FilterThresholds(), gt_boxes
         )

@@ -110,6 +110,9 @@ class TestCheckRotation:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(InvalidRotation, match="orthonormal"):
             check_rotation(np.eye(3) * 1.01)
+        # NaN compares false to everything, so it must fail the check too
+        with pytest.raises(InvalidRotation, match="orthonormal"):
+            check_rotation(np.full((3, 3), np.nan))
 
     def test_pose_validates_rotation(self):
         with pytest.raises(InvalidRotation):
@@ -150,7 +153,7 @@ class TestAlloEgo:
 
     def test_far_corner_ray_still_valid(self, camera):
         # Rays built from pixel coordinates always have positive z, so even
-        # an extreme corner stays well clear of the backfacing guard.
+        # an extreme corner gives a proper rotation.
         R = allo_to_ego(np.eye(3), (1e6, 1e6), camera)
         check_rotation(R)
 
@@ -160,7 +163,7 @@ class TestCropTranslation:
         # A box centered at the principal point with zero offsets decodes to
         # a translation along the optical axis of depth dz * zoom / max(w, h).
         box = BBox(cx=camera.px, cy=camera.py, w=128.0, h=64.0)
-        s = CropTranslation(dx=0.0, dy=0.0, dz=0.4, zoom_size=256.0)
+        s = CropTranslation(dx=0.0, dy=0.0, dz=0.4)
         t = decode_translation(s, box, camera)
         np.testing.assert_allclose(t, [0.0, 0.0, 0.4 * 256.0 / 128.0], atol=1e-15)
 

@@ -73,17 +73,19 @@ class TestExitCodes:
         assert rc == 3
 
     def test_scaled_gt_rotation_is_exit_2(self, dataset, predictions, tmp_path, capsys):
-        payload = json.loads((dataset / "scene_gt.json").read_text())
-        rec = payload["frames"][2]["objects"][1]
-        rec["R"] = [1.001 * v for v in rec["R"]]
-        broken = tmp_path / "ds"
-        broken.mkdir()
-        (broken / "scene_gt.json").write_text(json.dumps(payload))
-        rc = main(
-            ["losses", "--dataset", str(broken), "--predictions", str(predictions), "--out", str(tmp_path / "l.json")]
-        )
-        assert rc == 2
-        assert "not a rotation" in capsys.readouterr().err
+        # 1.001 is off by a little; NaN compares false to any bound
+        for scale in (1.001, float("nan")):
+            payload = json.loads((dataset / "scene_gt.json").read_text())
+            rec = payload["frames"][2]["objects"][1]
+            rec["R"] = [scale * v for v in rec["R"]]
+            broken = tmp_path / f"ds{scale}"
+            broken.mkdir()
+            (broken / "scene_gt.json").write_text(json.dumps(payload))
+            rc = main(
+                ["losses", "--dataset", str(broken), "--predictions", str(predictions), "--out", str(tmp_path / "l.json")]
+            )
+            assert rc == 2
+            assert "not a rotation" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["negative_frame_id", "mask_size"])
     def test_malformed_annotation_is_exit_2(self, fault, dataset, predictions, tmp_path, capsys):
@@ -113,6 +115,22 @@ class TestExitCodes:
         )
         assert rc == 2
         assert f":{len(lines) + 1}: second estimate" in capsys.readouterr().err
+        # a line whose pose is not finite is as malformed as a repeated one
+        for field, value, message in [
+            ("R", float("nan"), "R is not a rotation"),
+            ("t_mm", float("nan"), "t_mm is not finite"),
+            ("t_mm", float("inf"), "t_mm is not finite"),
+        ]:
+            rec = json.loads(lines[5])
+            rec[field] = [value] * len(rec[field])
+            broken = tmp_path / "broken.jsonl"
+            broken.write_text("\n".join(lines[:5] + [json.dumps(rec)] + lines[6:]) + "\n")
+            for command in ("evaluate", "losses"):
+                out = tmp_path / command / "r.json"
+                rc = main([command, "--dataset", str(dataset), "--predictions", str(broken), "--out", str(out)])
+                assert rc == 2, (command, field, value)
+                assert f":6: bad estimate record: {message}" in capsys.readouterr().err
+                assert not out.parent.exists()
 
     @pytest.mark.parametrize("command", ["simgen", "estimate", "adapt"])
     def test_negative_seed_is_exit_2(self, command, dataset, tmp_path, capsys):
@@ -133,6 +151,30 @@ class TestExitCodes:
             main(["adapt", "--dataset", str(dataset), "--out", str(tmp_path / "out"), "--box-jitter", jitter])
         assert exc.value.code == 2
         assert "--box-jitter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "adapt"])
+    @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
+    def test_bad_noise_sigma_is_exit_2(self, command, sigma, dataset, tmp_path, capsys):
+        out = {"estimate": tmp_path / "out" / "p.jsonl", "adapt": tmp_path / "out"}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(dataset), "--out", str(out), f"--noise-sigma={sigma}"])
+        assert exc.value.code == 2
+        assert "--noise-sigma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "box",
+        [[float("nan"), 100, 50, 50], [float("inf"), 100, 50, 50], [100, 100, float("inf"), 50]],
+        ids=["nan_cx", "inf_cx", "inf_w"],
+    )
+    def test_non_finite_detection_box_is_exit_2(self, box, dataset, tmp_path, capsys):
+        good = {"frame_id": 0, "class": 0, "confidence": 1.0, "bbox": [100, 100, 50, 50]}
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(good) + "\n" + json.dumps({**good, "frame_id": 1, "bbox": box}) + "\n")
+        rc = main(["adapt", "--dataset", str(dataset), "--out", str(tmp_path / "out"), "--detections", str(dets)])
+        assert rc == 2
+        assert ":2: bad detection record: box values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "cfg, flags",

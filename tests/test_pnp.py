@@ -278,7 +278,7 @@ class TestRansac:
         rng = np.random.default_rng(121)
         for trial in range(20):
             pose, corr, idx = self._corrupted(rng, camera)
-            res = pnp_ransac(corr, camera, inlier_px=2.0, seed=trial)
+            res = pnp_ransac(corr, camera, seed=trial)
             assert geodesic_angle(pose.R, res.pose.R) < math.radians(0.5)
             errs = np.linalg.norm(
                 project_points(corr.pts3d, res.pose, camera) - corr.pts2d, axis=1
@@ -316,7 +316,7 @@ class TestRansac:
             [rng.uniform(0, 640, 60), rng.uniform(0, 480, 60)], axis=1
         )
         with pytest.raises(NoConsensus):
-            pnp_ransac(CorrSet(pts, uv), camera, inlier_px=2.0, max_iters=50, seed=1)
+            pnp_ransac(CorrSet(pts, uv), camera, max_iters=50, seed=1)
 
     def test_error_monotone_in_noise(self, camera):
         # same scenes and unit perturbations across noise levels
@@ -487,7 +487,7 @@ class TestBatchedLoop:
         samples = np.array([rng.choice(400, size=6, replace=False) for _ in range(400)])
         P, uv = corr.pts3d[samples], corr.pts2d[samples]
         R0, t0, ok0 = pnp_module._dlt(P, uv, camera)
-        _, support = pnp_module._score(corr, camera, R0, t0, 2.0)
+        _, support = pnp_module._score(corr, camera, R0, t0)
         need = np.flatnonzero(ok0 & (support < MIN_CORRESPONDENCES))
         R, t, started, _ = pnp_module._lm_batch(
             P[need], uv[need], camera, R0[need], t0[need], LM_SAMPLE_ITERS, LM_TOL
@@ -499,7 +499,7 @@ class TestBatchedLoop:
 
         monkeypatch.setattr(pnp_module, "_lm_batch", no_batch)
         for j, k in enumerate(need):
-            Rk, tk, ok, _ = pnp_module._hypotheses(corr, camera, samples[k : k + 1], 2.0)
+            Rk, tk, ok, _ = pnp_module._hypotheses(corr, camera, samples[k : k + 1])
             assert ok[0] == started[j], k
             if ok[0]:
                 np.testing.assert_array_equal(Rk[0], R[j])
@@ -512,7 +512,7 @@ class TestBatchedLoop:
         rng = np.random.default_rng(307)
         _, corr = _noisy_set(rng, camera, 500, 2.0, frac=0.2)
         samples = np.array([rng.choice(500, size=6, replace=False) for _ in range(100)])
-        R, t, ok, score = pnp_module._hypotheses(corr, camera, samples, 2.0)
+        R, t, ok, score = pnp_module._hypotheses(corr, camera, samples)
         polished = behind = 0
         for k, sample in enumerate(samples):
             sub = corr.subset(sample)

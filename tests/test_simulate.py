@@ -20,7 +20,6 @@ from artipose.simulate import (
     MAX_ART_STEP,
     MAX_ROT_STEP,
     MAX_TRANS_STEP,
-    NoiseConfig,
     OccluderConfig,
     SceneConfig,
     export_gt,
@@ -78,14 +77,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             OccluderConfig(size_range=(0.0, 0.02))
 
-    def test_noise_sigma_nonnegative(self):
-        with pytest.raises(ConfigError):
-            NoiseConfig(corr_px_sigma=-0.5)
-
-    def test_noise_conf_model_name(self):
-        with pytest.raises(ConfigError):
-            NoiseConfig(detector_conf_model="oracle")
-
     def test_frame_count_positive(self):
         with pytest.raises(ConfigError):
             generate_sequence(two_tool_config(), 0)
@@ -101,8 +92,9 @@ class TestSamplePose:
         cfg = two_tool_config()
         rng = np.random.default_rng(0)
         cam = cfg.camera
+        region = (10.0, cam.width - 10.0, 10.0, cam.height - 10.0)
         for _ in range(500):
-            pose = sample_pose(rng, cfg)
+            pose = sample_pose(rng, cfg, region)
             check_rotation(pose.R)
             assert cfg.depth_range[0] <= pose.t[2] <= cfg.depth_range[1]
             u = cam.f * pose.t[0] / pose.t[2] + cam.px
@@ -128,7 +120,7 @@ class TestSamplePose:
         rng = np.random.default_rng(2)
         axes = []
         for _ in range(10000):
-            R = sample_pose(rng, cfg).R
+            R = sample_pose(rng, cfg, (0.0, cfg.camera.width, 0.0, cfg.camera.height)).R
             a = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
             n = np.linalg.norm(a)
             if n > 1e-8:
