@@ -14,7 +14,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -137,6 +139,24 @@ def _write_snapshot(path, command, effective):
     Path(path).write_text(canonical_json(payload))
 
 
+def _input_record(path, snapshot_dir, read=None):
+    """An input as a snapshot records it: its path relative to the
+    snapshot's directory, and the sha256 of the file read from it
+    (``read``, or the input itself)."""
+    digest = hashlib.sha256()
+    with open(read or path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return {
+        "path": Path(os.path.relpath(path, snapshot_dir)).as_posix(),
+        "sha256": digest.hexdigest(),
+    }
+
+
+def _dataset_record(dataset_dir, snapshot_dir):
+    return _input_record(dataset_dir, snapshot_dir, Path(dataset_dir) / "scene_gt.json")
+
+
 def _require_file(path, kind):
     path = Path(path)
     if not path.is_file():
@@ -210,8 +230,9 @@ def cmd_simgen(args):
 
 
 def _estimate_frame(frame, ds, boxes, sigma, seed):
+    """(estimate records, failure class names) of a frame's objects."""
     records = []
-    skipped = 0
+    skipped = []
     for obj in frame.objects:
         cmap = load_correspondence(obj.corr_path, obj.crop)
         try:
@@ -225,8 +246,8 @@ def _estimate_frame(frame, ds, boxes, sigma, seed):
             )
         except InputError:
             raise
-        except ArtiposeError:
-            skipped += 1
+        except ArtiposeError as exc:
+            skipped.append(type(exc).__name__)
             continue
         records.append(
             encode_estimate(frame.frame_id, obj.class_id, confidence, obj.articulation, res)
@@ -241,19 +262,22 @@ def cmd_estimate(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     results = [_estimate_frame(frame, ds, boxes, args.noise_sigma, args.seed) for frame in ds.frames]
-    skipped = sum(s for _, s in results)
+    failures = Counter(name for _, names in results for name in names)
     lines = [json.dumps(rec, sort_keys=True) for recs, _ in results for rec in recs]
     out.write_text("\n".join(lines) + ("\n" if lines else ""))
     _write_snapshot(
         out.with_name(out.stem + "_config.json"),
         "estimate",
         {
-            "dataset": str(Path(args.dataset)),
+            "dataset": _dataset_record(args.dataset, out.parent),
             "noise_sigma": args.noise_sigma,
             "seed": args.seed,
         },
     )
-    print(f"wrote {len(lines)} estimates to {out} ({skipped} skipped)")
+    skipped = f"{failures.total()} skipped"
+    if failures:
+        skipped += ": " + ", ".join(f"{name} {n}" for name, n in sorted(failures.items()))
+    print(f"wrote {len(lines)} estimates to {out} ({skipped})")
     return 0
 
 
@@ -331,9 +355,11 @@ def cmd_evaluate(args):
     pose_report = matches.pose.report()
     det_report = matches.detection.report()
 
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     effective = {
-        "dataset": str(Path(args.dataset)),
-        "predictions": str(Path(args.predictions)),
+        "dataset": _dataset_record(args.dataset, out.parent),
+        "predictions": _input_record(args.predictions, out.parent),
     }
     payload = {
         "version": __version__,
@@ -344,8 +370,6 @@ def cmd_evaluate(args):
         "n_predictions": sum(map(len, matches.pose.preds.values())),
         "n_frames": len(matches.frames),
     }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(canonical_json(payload))
     out.with_suffix(".txt").write_text(_format_report_txt(payload))
     _write_snapshot(out.with_name(out.stem + "_config.json"), "evaluate", effective)
@@ -424,8 +448,8 @@ def cmd_adapt(args):
         out / "adapt_config.json",
         "adapt",
         {
-            "dataset": str(Path(args.dataset)),
-            "detections": None if args.detections is None else str(Path(args.detections)),
+            "dataset": _dataset_record(args.dataset, out),
+            "detections": None if args.detections is None else _input_record(args.detections, out),
             "rounds": args.rounds,
             "seed": args.seed,
             "noise_sigma": args.noise_sigma,
@@ -532,9 +556,11 @@ def cmd_losses(args):
     if not rows:
         raise InputError("no prediction produced a loss value")
     means = {f.name: float(np.mean([r[f.name] for r in rows])) for f in fields(LossBreakdown)}
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     effective = {
-        "dataset": str(Path(args.dataset)),
-        "predictions": str(Path(args.predictions)),
+        "dataset": _dataset_record(args.dataset, out.parent),
+        "predictions": _input_record(args.predictions, out.parent),
         "weights": asdict(weights),
     }
     payload = {
@@ -545,8 +571,6 @@ def cmd_losses(args):
         "per_object": rows,
         "n_skipped": skipped,
     }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(canonical_json(payload))
     _write_snapshot(out.with_name(out.stem + "_config.json"), "losses", effective)
     print(f"mean total loss {means['total']:.4f} over {len(rows)} objects -> {out}")

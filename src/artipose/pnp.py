@@ -1,7 +1,7 @@
-"""Pose from 2D-3D correspondences: linear solve, refinement, robust loop.
+"""Pose from 2D-3D correspondences: minimal solve, refinement, robust loop.
 
-The linear stage is a direct linear transform on normalized image
-coordinates with the rotation projected back onto SO(3); refinement runs
+The minimal stage is Grunert's three-point solution (P3P) in closed
+form, the sample's other points choosing among its roots; refinement runs
 Levenberg-Marquardt with rotation increments in the tangent space, and
 stops converged at a short step or where a try moves the cost by no more
 than rounding.  The robust loop scores hypotheses with a truncated
@@ -18,19 +18,14 @@ The robust loop works on blocks of minimal samples rather than one at a
 time.  Block sizes double (1, 2, 4, ...) up to ``MAX_BLOCK``, and never
 exceed the number of samples the adaptive bound still asks for, so a
 loop that exits after a few samples solves few extra ones.  A block's
-linear solves are one stacked SVD; a sample whose linear pose puts one
-of its own points behind the camera is dropped, and the others are
-scored in chunks of at most ``SCORE_CHUNK`` hypothesis-point pairs.  The
-samples that need a geometric polish share one masked, batched
-Levenberg-Marquardt run (a lone one takes the faster one-pose form); so
+P3P solves run as one set of array operations, and its hypotheses are
+scored in chunks of at most ``SCORE_CHUNK`` hypothesis-point pairs, so
 the temporaries stay near a megabyte whatever the block and map size.
 The ordered part of the loop (local optimization, the best hypothesis,
 its noise band and the adaptive exit) then walks the block sample by
-sample.
-Batching changes no arithmetic: a hypothesis's linear solve, polish and
-score come out bit for bit as when it is computed alone, and the samples
-come from the same stream as one-at-a-time draws, so the loop stops at
-the same sample and returns what a one-sample-at-a-time loop returns.
+sample.  The samples come from the same stream as one-at-a-time draws,
+so the loop stops at the same sample and returns what a
+one-sample-at-a-time loop returns.
 """
 
 from __future__ import annotations
@@ -50,9 +45,9 @@ from .meshes import denormalize_coords
 from .raster import CHUNK_PIXELS, CorrespondenceMap
 
 MIN_CORRESPONDENCES = 6
-# Rank-deficiency guard: ratio between the largest singular value and the
-# eleventh must stay below this for the solution direction to be unique.
-MAX_CONDITION = 1e12
+# A sample's first three points count as collinear where the sine of the
+# angle they make at the first one is at most this.
+MIN_SINE = 1e-9
 # Pixel threshold of the MSAC score, and the floor of the noise band.
 INLIER_PX = 2.0
 DEFAULT_MAX_ITERS = 400
@@ -76,9 +71,6 @@ RANSAC_CONFIDENCE = 0.999
 LM_MAX_ITERS = 100
 LM_TOL = 1e-10
 LM_RTOL = 1e-12  # a cost change within this share of the cost is rounding
-# Iteration cap for polishing a minimal sample whose linear solve landed
-# outside every band; bounds worst-case cost at 400 samples per call.
-LM_SAMPLE_ITERS = 25
 # Damping increases tried per LM iteration before it counts as stalled.
 LM_DAMPING_TRIES = 8
 # Minimal samples solved together at most; blocks double up to this.
@@ -200,38 +192,124 @@ def _reproj_errors(corr: CorrSet, camera: CameraIntrinsics, pose: Pose) -> np.nd
     return _errors(corr.pts3d, corr.pts2d, camera, pose.R[None], pose.t[None])[0]
 
 
-def _dlt(pts3d, pts2d, camera):
-    """Stacked linear solves: (B, M, 3) and (B, M, 2) to (R, t, ok).
+def _quartic_roots(A):
+    """Real roots of the quartics ``A[:, 0] x^4 + ... + A[:, 4]``, (B, 4),
+    NaN in place of complex ones.
 
-    Each solve finds the projective [R|t] in normalized image coordinates
-    by SVD, flips its sign so the depths are positive, and projects the
-    rotation onto SO(3).  ``ok`` is False where the points do not
-    determine a unique solution (for example, collinear points); that
-    pose is then meaningless.
+    Ferrari's method in real arithmetic: the largest real root m of the
+    resolvent cubic (Cardano's or the trigonometric form) splits the
+    depressed quartic y^4 + p y^2 + q y + r into two real quadratics.
     """
-    B, m = pts3d.shape[:2]
-    x = (pts2d[..., 0] - camera.px) / camera.f
-    y = (pts2d[..., 1] - camera.py) / camera.f
-    A = np.zeros((B, 2 * m, 12))
-    A[:, 0::2, 0:3] = pts3d
-    A[:, 0::2, 3] = 1.0
-    A[:, 0::2, 8:11] = -x[..., None] * pts3d
-    A[:, 0::2, 11] = -x
-    A[:, 1::2, 4:7] = pts3d
-    A[:, 1::2, 7] = 1.0
-    A[:, 1::2, 8:11] = -y[..., None] * pts3d
-    A[:, 1::2, 11] = -y
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    # the null direction is the solution; uniqueness needs rank 11
-    ok = s[:, 10] > s[:, 0] / MAX_CONDITION
-    p = vt[:, -1].reshape(B, 3, 4)
-    depths = (pts3d @ p[:, 2, :3, None])[..., 0] + p[:, 2, 3, None]
-    p = np.where((depths.sum(axis=1) < 0.0)[:, None, None], -p, p)
-    U, sig, Vt = np.linalg.svd(p[:, :, :3])
+    b, c, d, e = (A[:, 1:] / A[:, :1]).T
+    bb = b * b
+    p = c - 0.375 * bb
+    q = d - 0.5 * b * c + 0.125 * bb * b
+    r = e - 0.25 * b * d + 0.0625 * bb * c - 0.01171875 * bb * bb
+    # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8, depressed by m = z - p/3
+    P = -p * p / 12.0 - r
+    Q = -p * p * p / 108.0 + p * r / 3.0 - 0.125 * q * q
+    disc = 0.25 * Q * Q + P * P * P / 27.0
+    one = -np.where(Q < 0.0, -1.0, 1.0) * np.cbrt(np.abs(0.5 * Q) + np.sqrt(np.maximum(disc, 0.0)))
+    one -= P / (3.0 * np.where(one == 0.0, 1.0, one))
+    rad = np.sqrt(np.maximum(-P / 3.0, 0.0))
+    cos = np.clip(-0.5 * Q / np.where(rad == 0.0, 1.0, rad) ** 3, -1.0, 1.0)
+    m = np.maximum(np.where(disc > 0.0, one, 2.0 * rad * np.cos(np.arccos(cos) / 3.0)) - p / 3.0, 0.0)
+    # y^4 + p y^2 + q y + r = (y^2 + p/2 + m)^2 - (s y - w)^2, s = sqrt(2 m)
+    s = np.sqrt(2.0 * m)
+    w = np.where(q < 0.0, -1.0, 1.0) * np.sqrt(np.maximum((m + 0.5 * p) ** 2 - r, 0.0))
+    h = -2.0 * (m + p)
+    r1 = np.sqrt(np.where(h >= 4.0 * w, h - 4.0 * w, np.nan))
+    r2 = np.sqrt(np.where(h >= -4.0 * w, h + 4.0 * w, np.nan))
+    return 0.5 * np.stack([s + r1, s - r1, r2 - s, -s - r2], axis=1) - 0.25 * b[:, None]
+
+
+def _p3p_depths(P, ray):
+    """Depths along the unit ``ray``s (B, 3, 3) of the model points ``P``
+    (B, 3, 3): (B, 4, 3), one row per real root, NaN where there is none.
+
+    Grunert's solution, in Haralick et al.'s notation (IJCV 1994): with
+    s2 = u s1 and s3 = v s1, the law of cosines on the three sides gives
+    a quartic in v and u as a function of v.  Two Gauss-Newton steps on
+    the three side equations then restore the digits that the quartic
+    loses when the depths are nearly equal.
+    """
+    # squared sides opposite each point, and cosines between the other rays
+    side = P[:, [1, 0, 0]] - P[:, [2, 2, 1]]
+    a2, b2, c2 = (side * side).sum(axis=2).T
+    ca, cb, cg = (ray[:, [1, 0, 0]] * ray[:, [2, 2, 1]]).sum(axis=2).T
+    amc = (a2 - c2) / b2
+    apc = (a2 + c2) / b2
+    A = np.stack(
+        [
+            (amc - 1.0) ** 2 - 4.0 * c2 / b2 * ca * ca,
+            4.0 * (amc * (1.0 - amc) * cb - (1.0 - apc) * ca * cg + 2.0 * c2 / b2 * ca * ca * cb),
+            2.0 * (amc * amc - 1.0 + 2.0 * amc * amc * cb * cb + 2.0 * (b2 - c2) / b2 * ca * ca
+                   - 4.0 * apc * ca * cb * cg + 2.0 * (b2 - a2) / b2 * cg * cg),
+            4.0 * (-amc * (1.0 + amc) * cb + 2.0 * a2 / b2 * cg * cg * cb - (1.0 - apc) * ca * cg),
+            (1.0 + amc) ** 2 - 4.0 * a2 / b2 * cg * cg,
+        ],
+        axis=1,
+    )
+    a2, b2, c2, ca, cb, cg, amc = (x[:, None] for x in (a2, b2, c2, ca, cb, cg, amc))
+    v = _quartic_roots(A)
+    u = ((amc - 1.0) * v * v - 2.0 * amc * cb * v + 1.0 + amc) / (2.0 * (cg - v * ca))
+    s1 = np.sqrt(b2 / (1.0 + v * v - 2.0 * v * cb))
+    s2, s3 = u * s1, v * s1
+    for _ in range(2):
+        # halved residuals and Jacobian [[j1, k1, 0], [j2, 0, l2], [0, k3, l3]]
+        f1 = 0.5 * (s1 * s1 + s2 * s2 - c2) - cg * s1 * s2
+        f2 = 0.5 * (s1 * s1 + s3 * s3 - b2) - cb * s1 * s3
+        f3 = 0.5 * (s2 * s2 + s3 * s3 - a2) - ca * s2 * s3
+        j1, k1 = s1 - cg * s2, s2 - cg * s1
+        j2, l2 = s1 - cb * s3, s3 - cb * s1
+        k3, l3 = s2 - ca * s3, s3 - ca * s2
+        det = -j1 * l2 * k3 - k1 * j2 * l3
+        s1, s2, s3 = (
+            s1 - (k1 * (l2 * f3 - l3 * f2) - f1 * l2 * k3) / det,
+            s2 - (j1 * (l3 * f2 - l2 * f3) - f1 * j2 * l3) / det,
+            s3 - (j2 * (f1 * k3 - k1 * f3) - j1 * k3 * f2) / det,
+        )
+    return np.stack([s1, s2, s3], axis=2)
+
+
+def _p3p(pts3d, pts2d, camera):
+    """Stacked minimal solves: (B, M, 3) and (B, M, 2) to (R, t, ok).
+
+    Each sample's first three points give up to four poses (see
+    ``_p3p_depths``): the three model points aligned to their camera
+    points by the nearest rotation (Kabsch).  Poses that put one of the
+    M points behind the camera are dropped, and of the others the one
+    with the smallest squared reprojection error on the remaining points
+    is kept.  ``ok`` is False where the three points are collinear (or
+    repeated) or no pose is left; that pose is then meaningless.
+    """
+    B = pts3d.shape[0]
+    P = pts3d[:, :3]
+    ray = np.concatenate(
+        [(pts2d[:, :3] - (camera.px, camera.py)) / camera.f, np.ones((B, 3, 1))], axis=2
+    )
+    ray /= np.sqrt((ray * ray).sum(axis=2))[..., None]
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    cross = e1[:, [1, 2, 0]] * e2[:, [2, 0, 1]] - e1[:, [2, 0, 1]] * e2[:, [1, 2, 0]]
+    flat = (cross * cross).sum(axis=1) <= MIN_SINE**2 * (e1 * e1).sum(axis=1) * (e2 * e2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        X = _p3p_depths(P, ray)[..., None] * ray[:, None]
+        root = np.isfinite(X).all(axis=(2, 3)) & ~flat[:, None]
+    # a missing root aligns the points to themselves; its pose is dropped
+    X = np.where(root[..., None, None], X, P[:, None]).reshape(4 * B, 3, 3)
+    P = np.repeat(P, 4, axis=0)
+    mx, mp = X.mean(axis=1), P.mean(axis=1)
+    U, _, Vt = np.linalg.svd((X - mx[:, None]).transpose(0, 2, 1) @ (P - mp[:, None]))
     R = _proper(U, Vt)
-    scale = sig.sum(axis=1) / 3.0
-    ok &= (scale > 0.0) & np.isfinite(scale)
-    return R, p[:, :, 3] / np.where(ok, scale, 1.0)[:, None], ok
+    t = mx - (R @ mp[..., None])[..., 0]
+    _, behind, du, dv = _project(
+        np.repeat(pts3d, 4, axis=0), np.repeat(pts2d, 4, axis=0), camera, R, t
+    )
+    cost = (du[:, 3:] ** 2).sum(axis=1) + (dv[:, 3:] ** 2).sum(axis=1)
+    cost = np.where(root.ravel() & ~behind.any(axis=1), cost, np.inf).reshape(B, 4)
+    pick = cost.argmin(axis=1)
+    k = 4 * np.arange(B) + pick
+    return R[k], t[k], np.isfinite(cost[np.arange(B), pick])
 
 
 def _proper(U, Vt):
@@ -291,109 +369,6 @@ def _normal_equations(pc, t, du, dv, f):
     return J @ J.transpose(0, 2, 1), (J @ r[:, :, None])[..., 0]
 
 
-def _solve(A, b):
-    """Solve stacked 6x6 systems; rows whose matrix is singular come back
-    as NaN and False in the returned mask."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(A), bool)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        for j in range(len(A)):
-            try:
-                x[j] = np.linalg.solve(A[j], b[j])
-            except np.linalg.LinAlgError:
-                pass
-        return x, ~np.isnan(x[:, 0])
-
-
-def _lm_batch(pts3d, pts2d, camera, R, t, max_iters, tol):
-    """Levenberg-Marquardt on B independent poses at once.
-
-    ``pts3d`` (B, N, 3) and ``pts2d`` (B, N, 2) hold each pose's own
-    points.  Every pose follows the one-pose rules on its own: damping
-    starts at 1e-3, falls by 3 after an accepted step and rises by 10
-    after a rejected one; a step is accepted if it solves, no point ends
-    behind the camera and the cost does not rise; an iteration ends at
-    the first accepted step, or after ``LM_DAMPING_TRIES`` rejected ones,
-    which stalls the pose; a pose stops converged when an accepted step
-    is shorter than ``tol`` or when a try that solves with every point in
-    front moves the cost by at most ``LM_RTOL`` of it (the minimum, up to
-    rounding), and unconverged when it stalls or after ``max_iters``.
-
-    Poses do not wait for each other: each round makes one damped try
-    for every pose still running, whichever iteration and try that pose
-    is on, and poses that stop leave the batch.
-
-    Returns (R, t, ok, converged): ``ok`` is False where the start pose
-    has a point behind the camera or a non-finite residual (where ``_lm``
-    raises ``NonFiniteResidual``); such a pose is not refined.
-    """
-    B = R.shape[0]
-    R = R.copy()
-    t = t.copy()
-    pc, behind, du, dv = _project(pts3d, pts2d, camera, R, t)
-    ok = ~behind.any(axis=1) & np.isfinite(du).all(axis=1) & np.isfinite(dv).all(axis=1)
-    converged = np.zeros(B, bool)
-    # state of the poses still running; `live` maps them to the output
-    live = np.flatnonzero(ok) if max_iters > 0 else np.zeros(0, int)
-    if live.size < B:
-        pts3d, pts2d, pc, du, dv = (a[live] for a in (pts3d, pts2d, pc, du, dv))
-    Rl, tl = R[live], t[live]
-    cost = (du * du).sum(axis=1) + (dv * dv).sum(axis=1)
-    lam = np.full(live.size, 1e-3)
-    iters = np.zeros(live.size, int)
-    tries = np.zeros(live.size, int)
-    H = np.empty((live.size, 6, 6))
-    g = np.empty((live.size, 6))
-    fresh = np.ones(live.size, bool)
-    while live.size:
-        # poses starting an iteration linearize at their current pose
-        if fresh.all():
-            H, g = _normal_equations(pc, tl, du, dv, camera.f)
-        elif fresh.any():
-            H[fresh], g[fresh] = _normal_equations(
-                pc[fresh], tl[fresh], du[fresh], dv[fresh], camera.f
-            )
-        iters += fresh
-        tries[fresh] = 0
-        damped = H.copy()
-        damped.reshape(-1, 36)[:, ::7] += lam[:, None] * np.maximum(
-            H.reshape(-1, 36)[:, ::7], 1e-12
-        )
-        delta, solved = _solve(damped, -g)
-        delta[~solved] = 0.0
-        R_new = _rodrigues(delta[:, :3]) @ Rl
-        t_new = tl + delta[:, 3:]
-        pc_new, behind_new, du_new, dv_new = _project(pts3d, pts2d, camera, R_new, t_new)
-        cost_new = (du_new * du_new).sum(axis=1) + (dv_new * dv_new).sum(axis=1)
-        front = solved & ~behind_new.any(axis=1)
-        take = front & (cost_new <= cost)
-        flat = front & (np.abs(cost_new - cost) <= LM_RTOL * cost)
-        lam = np.where(take, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
-        tries += ~take
-        if take.all():
-            Rl, tl, cost, pc, du, dv = R_new, t_new, cost_new, pc_new, du_new, dv_new
-        else:
-            Rl[take], tl[take], cost[take] = R_new[take], t_new[take], cost_new[take]
-            pc[take], du[take], dv[take] = pc_new[take], du_new[take], dv_new[take]
-        short = flat | (take & ((delta * delta).sum(axis=1) < tol * tol))
-        fresh = take & ~short
-        done = short | (tries == LM_DAMPING_TRIES) | (fresh & (iters == max_iters))
-        if done.any():
-            fin = live[done]
-            R[fin], t[fin], converged[fin] = Rl[done], tl[done], short[done]
-            keep = ~done
-            live = live[keep]
-            pts3d, pts2d, pc, du, dv = (a[keep] for a in (pts3d, pts2d, pc, du, dv))
-            Rl, tl, cost, lam, iters, tries = (
-                a[keep] for a in (Rl, tl, cost, lam, iters, tries)
-            )
-            H, g, fresh = H[keep], g[keep], fresh[keep]
-    # re-orthonormalize against drift
-    U, _, Vt = np.linalg.svd(R)
-    return _proper(U, Vt), t, ok, converged
-
-
 def _lm(
     corr: CorrSet,
     camera: CameraIntrinsics,
@@ -403,8 +378,18 @@ def _lm(
 ) -> tuple[Pose, bool]:
     """Levenberg-Marquardt over (rotation tangent, translation).
 
-    The one-pose form of ``_lm_batch``, with the same rules and the same
-    arithmetic, without the bookkeeping of a batch.
+    Damping starts at 1e-3, falls by 3 after an accepted step and rises by
+    10 after a rejected one; a step is accepted if it solves, no point
+    ends behind the camera and the cost does not rise.  An iteration ends
+    at the first accepted step, or after ``LM_DAMPING_TRIES`` rejected
+    ones, which stalls the run.  The run stops converged when an accepted
+    step is shorter than ``tol`` or when a try that keeps every point in
+    front moves the cost by at most ``LM_RTOL`` of it (the minimum, up to
+    rounding), and unconverged when it stalls or after ``max_iters``.
+
+    Raises:
+        NonFiniteResidual: the start pose has a point behind the camera or
+            a non-finite residual.
     """
     pts3d, pts2d = corr.pts3d, corr.pts2d
     R, t = init.R[None], init.t[None]
@@ -457,54 +442,29 @@ def _draw(rng, n, count):
 
 
 def _score(corr, camera, R, t):
-    """MSAC scores of hypotheses (R, t) and their support in the widest
-    band, ``SCORE_CHUNK`` hypothesis-point pairs at a time."""
+    """MSAC scores of hypotheses (R, t), ``SCORE_CHUNK`` hypothesis-point
+    pairs at a time."""
     B = R.shape[0]
     thr_sq = INLIER_PX * INLIER_PX
     score = np.empty(B)
-    support = np.empty(B, dtype=np.int64)
     step = max(1, SCORE_CHUNK // corr.n)
     for s in range(0, B, step):
         errs = _errors(corr.pts3d, corr.pts2d, camera, R[s : s + step], t[s : s + step])
         score[s : s + step] = np.minimum(errs * errs, thr_sq).sum(axis=1)
-        support[s : s + step] = (errs < LO_BANDS[0] * INLIER_PX).sum(axis=1)
-    return score, support
+    return score
 
 
 def _hypotheses(corr, camera, samples):
     """Hypotheses of a block of minimal samples, with MSAC scores.
 
-    Each sample is solved linearly; one whose solve lands outside even
-    the widest band is re-fit geometrically on its own six points.
-    ``ok`` is False for degenerate samples, for samples whose linear
-    pose puts one of their own points behind the camera (no re-fit can
-    start there), and for re-fits that cannot start; only the others are
-    scored over the whole map.
+    Each sample is solved by P3P on its first three points, the other
+    three choosing among the solutions (see ``_p3p``).  ``ok`` is False
+    for samples left without a pose; only the others are scored over the
+    whole map.
     """
-    P, uv = corr.pts3d[samples], corr.pts2d[samples]
-    R, t, ok = _dlt(P, uv, camera)
-    ok &= ((P @ R.transpose(0, 2, 1))[..., 2] + t[:, 2, None] > MIN_DEPTH).all(axis=1)
-    live = np.flatnonzero(ok)
+    R, t, ok = _p3p(corr.pts3d[samples], corr.pts2d[samples], camera)
     score = np.full(len(samples), np.inf)
-    score[live], support = _score(corr, camera, R[live], t[live])
-    # pixel noise can throw the linear minimal solve outside every band;
-    # a geometric fit on the sample is its only way back
-    polish = live[support < MIN_CORRESPONDENCES]
-    if polish.size > 1:
-        R[polish], t[polish], ok[polish], _ = _lm_batch(
-            P[polish], uv[polish], camera, R[polish], t[polish], LM_SAMPLE_ITERS, LM_TOL
-        )
-    elif polish.size:
-        # the one-pose form gives the same bits without the batch bookkeeping
-        k = polish[0]
-        init = Pose(R=R[k], t=t[k])
-        try:
-            pose, _ = _lm(CorrSet(P[k], uv[k]), camera, init, LM_SAMPLE_ITERS, LM_TOL)
-            R[k], t[k] = pose.R, pose.t
-        except NonFiniteResidual:
-            ok[k] = False
-    if polish.size:
-        score[polish], _ = _score(corr, camera, R[polish], t[polish])
+    score[ok] = _score(corr, camera, R[ok], t[ok])
     return R, t, ok, score
 
 
@@ -574,13 +534,12 @@ def pnp_ransac(
 ) -> PnPResult:
     """Robust pose from contaminated correspondences.
 
-    Minimal six-point samples are solved linearly and scored with a
-    truncated quadratic: points within ``INLIER_PX`` contribute their
-    squared error, the others a constant ``INLIER_PX**2``.  A sample
-    whose linear pose puts one of its own points behind the camera is
-    dropped unscored; one whose linear solve lands outside even the
-    widest band is first re-fit geometrically on its own six points.
-    Hypotheses tie-break on (score, index).  Whenever a sample takes the
+    Minimal six-point samples are solved by P3P on three of their points,
+    the other three choosing among its solutions (see ``_p3p``), and
+    scored with a truncated quadratic: points within ``INLIER_PX``
+    contribute their squared error, the others a constant
+    ``INLIER_PX**2``.  A sample left without a pose in front of the
+    camera is dropped unscored.  Hypotheses tie-break on (score, index).  Whenever a sample takes the
     lead it is locally optimized: re-fit on the points it catches inside
     successively tighter error bands, each stage kept only if it lowers
     the score; no stage re-fits the points its hypothesis was fit on.

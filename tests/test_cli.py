@@ -14,6 +14,7 @@ import pytest
 
 from artipose.adaptation import encode_estimate, load_estimates
 from artipose.cli import main
+from artipose.formats import read_fmap, write_fmap
 
 
 def tree_digest(root):
@@ -280,6 +281,23 @@ class TestEstimate:
         assert main(["estimate", "--dataset", str(dataset), "--out", str(again), "--seed", "0"]) == 0
         assert again.read_bytes() == predictions.read_bytes()
 
+    def test_summary_names_failure_classes(self, tmp_path, capsys):
+        # an object whose map keeps five valid pixels cannot be solved; the
+        # summary line says why
+        ds = tmp_path / "ds"
+        assert main(["simgen", "--out", str(ds), "--frames", "1", "--seed", "5", "--no-occluders"]) == 0
+        gt = json.loads((ds / "scene_gt.json").read_text())
+        fmap = ds / gt["frames"][0]["objects"][0]["corr_map"]
+        data = read_fmap(fmap)
+        rows, cols = np.nonzero(data[:, :, 3] > 0.5)
+        data[rows[5:], cols[5:], 3] = 0.0
+        write_fmap(data, fmap)
+        capsys.readouterr()
+        out = tmp_path / "pred.jsonl"
+        assert main(["estimate", "--dataset", str(ds), "--out", str(out)]) == 0
+        assert "(1 skipped: TooFewCorrespondences 1)" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 1
+
     def test_noise_changes_output(self, dataset, predictions, tmp_path):
         noisy = tmp_path / "noisy.jsonl"
         assert main(
@@ -397,6 +415,31 @@ class TestAdapt:
         assert tree_digest(tmp_path / "x") == tree_digest(tmp_path / "y")
 
 
+def test_trees_do_not_depend_on_their_directory(tmp_path):
+    # the config snapshots record each input relative to themselves, with
+    # the sha256 of what was read, so one pipeline run in two directories
+    # writes the same bytes
+    digests = []
+    for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+        ds, preds = root / "ds", root / "preds.jsonl"
+        assert main(["simgen", "--out", str(ds), "--frames", "2", "--seed", "19"]) == 0
+        for argv in (
+            ["estimate", "--dataset", str(ds), "--out", str(preds), "--noise-sigma", "0.5"],
+            ["evaluate", "--dataset", str(ds), "--predictions", str(preds), "--out", str(root / "eval" / "report.json")],
+            ["losses", "--dataset", str(ds), "--predictions", str(preds), "--out", str(root / "losses.json")],
+            ["adapt", "--dataset", str(ds), "--out", str(root / "adapt"), "--rounds", "1", "--noise-sigma", "0.5"],
+        ):
+            assert main(argv) == 0
+        digests.append(tree_digest(root))
+    assert digests[0] == digests[1]
+    snap = json.loads((root / "eval" / "report_config.json").read_text())
+    assert snap["effective"]["dataset"] == {
+        "path": "../ds",
+        "sha256": hashlib.sha256((ds / "scene_gt.json").read_bytes()).hexdigest(),
+    }
+    assert snap["effective"]["predictions"]["path"] == "../preds.jsonl"
+
+
 def _perfbench_checks():
     """The benchmark's output checks, loaded from their file: its pose
     tolerance is the measure of a correct pose."""
@@ -468,3 +511,19 @@ class TestNoisyPoses:
         assert main(["estimate", "--dataset", str(ds), "--out", str(pred), "--noise-sigma", "0.5", "--seed", "7010"]) == 0
         attempted, failed, problems = checks.check_estimates(ds, pred, 0.5)
         assert len(attempted) == 24 and not failed, problems
+
+    @pytest.mark.parametrize("sigma", ["0", "1", "2", "3"])
+    def test_coplanar_support_is_solved(self, sigma, tmp_path, capsys):
+        # class 0 of this frame shows only one flat face: every model point
+        # it holds lies on one plane, where the six-point linear solve had
+        # no unique solution, so the object was skipped at every sigma
+        checks = _perfbench_checks()
+        ds = tmp_path / "ds"
+        pred = tmp_path / "pred.jsonl"
+        scene = Path(checks.__file__).with_name("scene.json")
+        assert main(["simgen", "--out", str(ds), "--config", str(scene), "--frames", "1", "--seed", "6024"]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--dataset", str(ds), "--out", str(pred), "--noise-sigma", sigma]) == 0
+        assert "(0 skipped)" in capsys.readouterr().out
+        attempted, failed, problems = checks.check_estimates(ds, pred, float(sigma))
+        assert len(attempted) == 2 and not failed, problems

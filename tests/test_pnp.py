@@ -1,4 +1,4 @@
-"""Tests for linear, refined and robust pose solving."""
+"""Tests for minimal, refined and robust pose solving."""
 
 import math
 import tracemalloc
@@ -27,10 +27,8 @@ from artipose.meshes import box_mesh, normalize_vertices, tight_bbox
 from artipose.pnp import (
     LM_MAX_ITERS,
     LM_RTOL,
-    LM_SAMPLE_ITERS,
     LM_TOL,
     LO_BANDS,
-    MAX_CONDITION,
     MIN_CORRESPONDENCES,
     MIN_INLIER_RATIO,
     RANSAC_CONFIDENCE,
@@ -53,9 +51,9 @@ def cube_corners(side=0.1):
     )
 
 
-def dlt(corr, camera):
-    """One linear solve: (pose, ok)."""
-    R, t, ok = pnp_module._dlt(corr.pts3d[None], corr.pts2d[None], camera)
+def p3p(corr, camera):
+    """One minimal solve: (pose, ok)."""
+    R, t, ok = pnp_module._p3p(corr.pts3d[None], corr.pts2d[None], camera)
     return Pose(R=R[0], t=t[0]), bool(ok[0])
 
 
@@ -79,47 +77,58 @@ def random_pose(rng):
     )
 
 
-class TestDlt:
+class TestP3P:
     def test_cube_exact_recovery(self, camera):
         rng = np.random.default_rng(101)
-        pts = cube_corners()
+        corners = cube_corners()
         for _ in range(50):
             pose = random_pose(rng)
+            pts = corners[rng.permutation(8)[:6]]
             uv = project_points(pts, pose, camera)
-            est, ok = dlt(CorrSet(pts, uv), camera)
+            est, ok = p3p(CorrSet(pts, uv), camera)
             assert ok
-            assert geodesic_angle(pose.R, est.R) < 1e-3
-            assert np.linalg.norm(est.t - pose.t) < 1e-3 * np.linalg.norm(pose.t)
+            assert geodesic_angle(pose.R, est.R) < 1e-6
+            assert np.linalg.norm(est.t - pose.t) < 1e-9 * np.linalg.norm(pose.t)
 
     def test_positive_depth(self, camera):
         rng = np.random.default_rng(102)
-        pts = cube_corners()
+        pts = cube_corners()[:6]
         for _ in range(20):
             pose = random_pose(rng)
-            uv = project_points(pts, pose, camera)
-            est, ok = dlt(CorrSet(pts, uv), camera)
-            assert ok and est.t[2] > 0
+            uv = project_points(pts, pose, camera) + rng.standard_normal((6, 2))
+            est, ok = p3p(CorrSet(pts, uv), camera)
+            assert ok and ((pts @ est.R.T + est.t)[:, 2] > 0).all()
 
     def test_order_invariance(self, camera):
+        # the three choosing points pick the same root in any order, and
+        # the three solving points give the same pose in any order
         rng = np.random.default_rng(103)
-        pts = cube_corners()
+        pts = cube_corners()[:6]
         pose = random_pose(rng)
-        uv = project_points(pts, pose, camera)
-        perm = rng.permutation(pts.shape[0])
-        a, _ = dlt(CorrSet(pts, uv), camera)
-        b, _ = dlt(CorrSet(pts[perm], uv[perm]), camera)
-        np.testing.assert_allclose(a.R, b.R, atol=1e-9)
-        np.testing.assert_allclose(a.t, b.t, atol=1e-9)
+        uv = project_points(pts, pose, camera) + 0.5 * rng.standard_normal((6, 2))
+        a, _ = p3p(CorrSet(pts, uv), camera)
+        for perm in ([0, 1, 2, 5, 3, 4], [0, 1, 2, 4, 5, 3]):
+            b, _ = p3p(CorrSet(pts[perm], uv[perm]), camera)
+            np.testing.assert_array_equal(a.R, b.R)
+            np.testing.assert_array_equal(a.t, b.t)
+        for perm in ([1, 2, 0, 3, 4, 5], [2, 0, 1, 3, 4, 5]):
+            b, _ = p3p(CorrSet(pts[perm], uv[perm]), camera)
+            np.testing.assert_allclose(a.R, b.R, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(a.t, b.t, rtol=0, atol=1e-9)
 
     def test_collinear_points_degenerate(self, camera):
-        pts = np.stack([np.linspace(0, 0.1, 8), np.zeros(8), np.zeros(8)], axis=1)
+        pts = np.stack([np.linspace(0, 0.1, 6), np.zeros(6), np.zeros(6)], axis=1)
         pose = Pose(R=np.eye(3), t=np.array([0.0, 0.0, 1.0]))
         uv = project_points(pts, pose, camera)
-        _, ok = dlt(CorrSet(pts, uv), camera)
+        _, ok = p3p(CorrSet(pts, uv), camera)
+        assert not ok
+        # a repeated point leaves a degenerate triangle too
+        pts = cube_corners()[[0, 0, 1, 2, 3, 4]]
+        _, ok = p3p(CorrSet(pts, project_points(pts, pose, camera)), camera)
         assert not ok
 
     def test_too_few_points(self, camera):
-        # the robust loop refuses fewer pairs than the linear solve needs
+        # the robust loop refuses fewer pairs than a sample holds
         pts = cube_corners()[:5]
         uv = np.zeros((5, 2))
         with pytest.raises(TooFewCorrespondences):
@@ -177,11 +186,6 @@ class TestRefineLm:
         pose, converged = pnp_module._lm(CorrSet(pts, uv), camera, start, LM_MAX_ITERS, LM_TOL)
         np.testing.assert_array_equal(pose.t, start.t)
         assert not converged
-        _, t, ok, conv = pnp_module._lm_batch(
-            pts[None], uv[None], camera, start.R[None], start.t[None], LM_MAX_ITERS, LM_TOL
-        )
-        np.testing.assert_array_equal(t[0], start.t)
-        assert ok[0] and not conv[0]
 
     def test_start_at_own_optimum_converges_at_once(self, camera, monkeypatch):
         # at the optimum the Gauss-Newton step only moves the cost by
@@ -286,14 +290,14 @@ class TestRansac:
             assert (errs[idx] >= 2.0).mean() > 0.9
             assert res.outlier_count >= len(idx) * 0.9
 
-    def test_all_inliers_equals_dlt_refine(self, camera):
+    def test_all_inliers_equals_p3p_refine(self, camera):
         rng = np.random.default_rng(122)
         pts = cube_corners()[:6]
         pose = random_pose(rng)
         uv = project_points(pts, pose, camera)
         corr = CorrSet(pts, uv)
         res = pnp_ransac(corr, camera, seed=5)
-        direct = refine(corr, camera, dlt(corr, camera)[0])
+        direct = refine(corr, camera, p3p(corr, camera)[0])
         np.testing.assert_allclose(res.pose.R, direct.R, atol=1e-9)
         np.testing.assert_allclose(res.pose.t, direct.t, atol=1e-9)
         assert res.inlier_count == 6
@@ -317,6 +321,23 @@ class TestRansac:
         )
         with pytest.raises(NoConsensus):
             pnp_ransac(CorrSet(pts, uv), camera, max_iters=50, seed=1)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_coplanar_support_solves(self, camera, sigma):
+        # every model point on one plane, as when a tool shows one flat
+        # face: a six-point linear solve is rank-deficient there, so every
+        # sample was degenerate and the loop raised NoConsensus
+        rng = np.random.default_rng(126)
+        truth = Pose(
+            R=rotation_about_axis([1.0, 0.5, 0.0], math.radians(35.0)),
+            t=np.array([0.02, -0.01, 0.8]),
+        )
+        pts = np.concatenate([rng.uniform(0, 0.1, size=(300, 2)), np.full((300, 1), 0.02)], axis=1)
+        uv = project_points(pts, truth, camera) + sigma * rng.standard_normal((300, 2))
+        res = pnp_ransac(CorrSet(pts, uv), camera, seed=126)
+        assert geodesic_angle(truth.R, res.pose.R) < math.radians(1e-6 + sigma)
+        assert np.linalg.norm(res.pose.t - truth.t) < 1e-9 + 5e-3 * sigma
+        assert res.inlier_count >= 0.95 * len(pts)
 
     def test_error_monotone_in_noise(self, camera):
         # same scenes and unit perturbations across noise levels
@@ -412,7 +433,7 @@ class TestBatchedLoop:
         one_by_one = [b.choice(500, size=6, replace=False) for _ in range(15)]
         np.testing.assert_array_equal(np.concatenate(blocks), np.array(one_by_one))
 
-    def test_stacked_dlt_matches_per_sample(self, camera):
+    def test_stacked_p3p_matches_per_sample(self, camera):
         rng = np.random.default_rng(301)
         _, corr = _noisy_set(rng, camera, 300, 2.0, frac=0.3)
         samples = np.array([rng.choice(300, size=6, replace=False) for _ in range(60)])
@@ -422,132 +443,45 @@ class TestBatchedLoop:
         pts3d[0] = np.stack([np.linspace(0, 0.1, 6), np.zeros(6), np.zeros(6)], axis=1)
         pts3d[1] = pts3d[1, :1]
         pts2d[1] = pts2d[1, :1]
-        R, t, ok = pnp_module._dlt(pts3d, pts2d, camera)
+        R, t, ok = pnp_module._p3p(pts3d, pts2d, camera)
         for k in range(len(samples)):
+            # a block's solve of a sample has the bits of its solve alone
+            Rk, tk, okk = pnp_module._p3p(pts3d[k : k + 1], pts2d[k : k + 1], camera)
+            assert okk[0] == ok[k], k
             try:
-                ref = _reference_dlt(CorrSet(pts3d[k], pts2d[k]), camera)
+                ref = _reference_p3p(CorrSet(pts3d[k], pts2d[k]), camera)
             except _DegenerateSample:
                 assert not ok[k], k
                 continue
             assert ok[k], k
-            np.testing.assert_allclose(R[k], ref.R, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(t[k], ref.t, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(Rk[0], R[k])
+            np.testing.assert_array_equal(tk[0], t[k])
+            np.testing.assert_allclose(R[k], ref.R, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(t[k], ref.t, rtol=0, atol=1e-9)
         assert not ok[0] and not ok[1]
         assert ok.sum() > 50
 
-    def test_batched_lm_matches_one_pose_lm(self, camera, monkeypatch):
-        # linear solves of noisy minimal samples: some start behind the
-        # camera, some try steps that cross the camera plane or raise the
-        # cost, some converge and some run out of iterations
-        rng = np.random.default_rng(302)
-        _, corr = _noisy_set(rng, camera, 400, 2.0)
-        samples = np.array([rng.choice(400, size=6, replace=False) for _ in range(400)])
-        pts3d, pts2d = corr.pts3d[samples], corr.pts2d[samples]
-        R0, t0, ok0 = pnp_module._dlt(pts3d, pts2d, camera)
-        R0, t0, pts3d, pts2d = R0[ok0], t0[ok0], pts3d[ok0], pts2d[ok0]
-        iters = pnp_module.LM_SAMPLE_ITERS
-        behind_rows = []
-        project = pnp_module._project
-
-        def counting_project(*args):
-            out = project(*args)
-            behind_rows.append(int(out[1].any(axis=-1).sum()))
-            return out
-
-        monkeypatch.setattr(pnp_module, "_project", counting_project)
-        R, t, ok, converged = pnp_module._lm_batch(
-            pts3d, pts2d, camera, R0, t0, iters, pnp_module.LM_TOL
-        )
-        monkeypatch.undo()
-        # the first projection is the start; the rest are one try per round
-        assert behind_rows[0] == (~ok).sum() > 0
-        assert sum(behind_rows[1:]) > 0
-        assert len(behind_rows) - 1 > iters
-        assert converged[ok].any() and not converged[ok].all()
-        for k in range(len(R0)):
-            sub = CorrSet(pts3d[k], pts2d[k])
-            try:
-                pose, conv = pnp_module._lm(
-                    sub, camera, Pose(R=R0[k], t=t0[k]), iters, pnp_module.LM_TOL
-                )
-            except NonFiniteResidual:
-                assert not ok[k], k
-                continue
-            assert ok[k], k
-            np.testing.assert_array_equal(R[k], pose.R)
-            np.testing.assert_array_equal(t[k], pose.t)
-            assert converged[k] == conv, k
-
-    def test_polish_of_one_matches_batched_lm(self, camera, monkeypatch):
-        # a block with one sample to polish takes the one-pose LM, with the
-        # batched LM's bits; a start behind the camera is not started
-        # either way (and the pose of such a sample is never read)
-        rng = np.random.default_rng(302)
-        _, corr = _noisy_set(rng, camera, 400, 2.0)
-        samples = np.array([rng.choice(400, size=6, replace=False) for _ in range(400)])
-        P, uv = corr.pts3d[samples], corr.pts2d[samples]
-        R0, t0, ok0 = pnp_module._dlt(P, uv, camera)
-        _, support = pnp_module._score(corr, camera, R0, t0)
-        need = np.flatnonzero(ok0 & (support < MIN_CORRESPONDENCES))
-        R, t, started, _ = pnp_module._lm_batch(
-            P[need], uv[need], camera, R0[need], t0[need], LM_SAMPLE_ITERS, LM_TOL
-        )
-        assert 0 < started.sum() < need.size
-
-        def no_batch(*args):
-            raise AssertionError("a block of one went to _lm_batch")
-
-        monkeypatch.setattr(pnp_module, "_lm_batch", no_batch)
-        for j, k in enumerate(need):
-            Rk, tk, ok, _ = pnp_module._hypotheses(corr, camera, samples[k : k + 1])
-            assert ok[0] == started[j], k
-            if ok[0]:
-                np.testing.assert_array_equal(Rk[0], R[j])
-                np.testing.assert_array_equal(tk[0], t[j])
-
     def test_block_hypotheses_match_per_sample(self, camera):
-        # each sample on its own: linear solve, dropped when it puts one of
-        # its own points behind the camera, a one-pose polish when fewer
-        # than six points fall in the widest band, then the MSAC score
+        # each sample on its own: P3P on its first three points, the pose
+        # the other three reproject best among those with all six in front
+        # of the camera, then the MSAC score
         rng = np.random.default_rng(307)
         _, corr = _noisy_set(rng, camera, 500, 2.0, frac=0.2)
         samples = np.array([rng.choice(500, size=6, replace=False) for _ in range(100)])
+        samples[0, :3] = samples[0, 0]  # one point three times: degenerate
         R, t, ok, score = pnp_module._hypotheses(corr, camera, samples)
-        polished = behind = 0
         for k, sample in enumerate(samples):
-            sub = corr.subset(sample)
             try:
-                hyp = _reference_dlt(sub, camera)
+                hyp = _reference_p3p(corr.subset(sample), camera)
             except _DegenerateSample:
-                assert not ok[k], k
+                assert not ok[k] and score[k] == np.inf, k
                 continue
-            if _reference_sample_behind(sub, hyp):
-                behind += 1
-                assert not ok[k], k
-                continue
-            errs = _reference_errors(corr, camera, hyp, clamp=True)
-            if (errs < LO_BANDS[0] * 2.0).sum() < MIN_CORRESPONDENCES:
-                polished += 1
-                try:
-                    hyp, _ = pnp_module._lm(sub, camera, hyp, LM_SAMPLE_ITERS, LM_TOL)
-                except NonFiniteResidual:
-                    assert not ok[k], k
-                    continue
-                errs = _reference_errors(corr, camera, hyp, clamp=True)
             assert ok[k], k
-            np.testing.assert_array_equal(R[k], hyp.R)
-            np.testing.assert_array_equal(t[k], hyp.t)
+            np.testing.assert_allclose(R[k], hyp.R, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(t[k], hyp.t, rtol=0, atol=1e-9)
+            errs = _reference_errors(corr, camera, Pose(R=R[k], t=t[k]), clamp=True)
             assert score[k] == np.minimum(errs * errs, 4.0).sum(), k
-        assert 0 < polished < len(samples)
-        assert 0 < behind < len(samples)
-
-    def test_solve_marks_singular_rows(self):
-        A = np.stack([np.eye(6) * 2.0, np.zeros((6, 6)), np.eye(6)])
-        b = np.ones((3, 6))
-        x, solved = pnp_module._solve(A, b)
-        np.testing.assert_array_equal(solved, [True, False, True])
-        np.testing.assert_allclose(x[0], 0.5)
-        np.testing.assert_allclose(x[2], 1.0)
+        assert 0 < (~ok).sum() < len(samples)
 
     @pytest.mark.parametrize("n", [30, 300, 1600])
     def test_lean_lm_matches_reference(self, camera, n):
@@ -572,13 +506,14 @@ class TestBatchedLoop:
             refine(CorrSet(pts, uv), camera, behind)
 
     def test_adaptive_exit_mid_block_matches_sequential_loop(self, camera, monkeypatch):
-        # all but three points on one plane: samples drawn from the plane
-        # alone are degenerate, and a sample with a point off it collects
-        # every point and ends the loop, inside the 32..63 block
-        rng = np.random.default_rng(500)
+        # all but three points on one line: samples that solve on three
+        # points of the line are degenerate, and the first that solves on
+        # a point off it collects every point and ends the loop, inside the
+        # 32..63 block
+        rng = np.random.default_rng(502)
         pose = random_pose(rng)
         pts = rng.uniform(0, 0.1, size=(300, 3))
-        pts[:297, 2] = 0.05
+        pts[:297, 1:] = 0.05
         uv = project_points(pts, pose, camera) + 0.2 * rng.standard_normal((300, 2))
         corr = CorrSet(pts, uv)
         blocks = []
@@ -589,9 +524,9 @@ class TestBatchedLoop:
             return draw(rng, n, count)
 
         monkeypatch.setattr(pnp_module, "_draw", recording_draw)
-        res = pnp_ransac(corr, camera, seed=500)
+        res = pnp_ransac(corr, camera, seed=502)
         monkeypatch.undo()
-        ref, stop = _reference_ransac(corr, camera, seed=500)
+        ref, stop = _reference_ransac(corr, camera, seed=502)
         assert res.samples == stop
         assert blocks[:3] == [1, 2, 4]
         assert stop not in np.cumsum(blocks)
@@ -601,7 +536,7 @@ class TestBatchedLoop:
 
     def test_full_run_matches_sequential_loop(self, camera):
         # sigma 2 px with half the points outliers: the adaptive bound stays
-        # above the cap, so every sample is drawn, and most need the LM polish
+        # above the cap, so every sample is drawn
         rng = np.random.default_rng(305)
         _, corr = _noisy_set(rng, camera, 300, 2.0, frac=0.5)
         res = pnp_ransac(corr, camera, max_iters=150, seed=3)
@@ -614,11 +549,13 @@ class TestBatchedLoop:
     def test_no_set_is_fit_twice(self, camera, monkeypatch):
         # a local-optimization band, or the final refit, whose points are
         # the very ones its start pose was fit on (and converged on) is
-        # not fit again
+        # not fit again, and no six-point sample is fit at all
         calls = []
+        sizes = []
         lm = pnp_module._lm
 
         def recording_lm(corr, camera, init, max_iters, tol):
+            sizes.append(corr.n)
             pose, converged = lm(corr, camera, init, max_iters, tol)
             calls.append(
                 (corr.pts3d.tobytes(), (init.R.tobytes(), init.t.tobytes()),
@@ -640,16 +577,19 @@ class TestBatchedLoop:
             pnp_ransac(corr, camera, seed=seed)
         fits = {(out, points) for points, _, out, converged in calls if converged}
         assert all((start, points) not in fits for points, start, _, _ in calls)
+        # and no minimal sample is fit: every fit holds more than six points
+        assert min(sizes) > MIN_CORRESPONDENCES
 
     @pytest.mark.parametrize(
-        "sigma, normal_equations, projections", [(0.5, 157, 206), (2.0, 188, 237)]
+        "sigma, normal_equations, projections",
+        [(0.5, 18, 41), (2.0, 31, 60)],
+        ids=["0.5", "2.0"],
     )
     def test_work_stays_bounded(self, camera, monkeypatch, sigma, normal_equations, projections):
         # deterministic work counts of one solve, about 10 % above the
-        # normal-equation builds and projections that fitting each set once
-        # and stopping at the minimum take (143 and 188 at 0.5 px, 171 and
-        # 216 at 2 px); re-fitting sets and trying damped steps at the
-        # minimum took 170 and 280, 210 and 341
+        # normal-equation builds and projections that P3P samples take (16
+        # and 37 at 0.5 px, 28 and 54 at 2 px); linear six-point samples
+        # with their LM polish took 143 and 188, 171 and 216
         counts = {"_normal_equations": 0, "_project": 0}
         for name in counts:
             original = getattr(pnp_module, name)
@@ -681,7 +621,7 @@ class TestBatchedLoop:
 
 
 # ---------------------------------------------------------------------------
-# One-sample-at-a-time reference: the linear solve, Levenberg-Marquardt and
+# One-sample-at-a-time reference: the minimal solve, Levenberg-Marquardt and
 # robust loop written plainly, without blocks of hypotheses.  The batched
 # code must reproduce this loop's samples, exit and results.
 
@@ -706,40 +646,72 @@ class _DegenerateSample(Exception):
     """The sample's geometry does not constrain a unique pose."""
 
 
-def _reference_dlt(corr, camera):
+def _reference_p3p(corr, camera):
+    """Grunert's P3P on the first three points (the quartic's coefficients
+    as in Haralick et al., IJCV 1994), two Newton steps on the three side
+    equations per root, Kabsch alignment, and the pose that puts every
+    point in front of the camera and reprojects the others best."""
     n = corr.n
     if n < MIN_CORRESPONDENCES:
         raise TooFewCorrespondences(f"need {MIN_CORRESPONDENCES} pairs, got {n}")
-    x = (corr.pts2d[:, 0] - camera.px) / camera.f
-    y = (corr.pts2d[:, 1] - camera.py) / camera.f
-    P = corr.pts3d
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:3] = P
-    A[0::2, 3] = 1.0
-    A[0::2, 8:11] = -x[:, None] * P
-    A[0::2, 11] = -x
-    A[1::2, 4:7] = P
-    A[1::2, 7] = 1.0
-    A[1::2, 8:11] = -y[:, None] * P
-    A[1::2, 11] = -y
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    # the null direction is the solution; uniqueness needs rank 11
-    if s[10] <= s[0] / MAX_CONDITION:
-        raise _DegenerateSample(
-            "correspondence geometry does not constrain a unique pose"
-        )
-    p = vt[-1].reshape(3, 4)
-    depths = P @ p[2, :3] + p[2, 3]
-    if depths.sum() < 0.0:
-        p = -p
-    M = p[:, :3]
-    U, sig, Vt = np.linalg.svd(M)
-    d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
-    R = U @ np.diag([1.0, 1.0, d]) @ Vt
-    scale = sig.sum() / 3.0
-    if scale <= 0.0 or not np.isfinite(scale):
-        raise _DegenerateSample("vanishing projective scale")
-    return Pose(R=R, t=p[:, 3] / scale)
+    P = corr.pts3d[:3]
+    rays = np.array([[(u - camera.px) / camera.f, (v - camera.py) / camera.f, 1.0] for u, v in corr.pts2d[:3]])
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    e1, e2 = P[1] - P[0], P[2] - P[0]
+    if np.linalg.norm(np.cross(e1, e2)) <= 1e-9 * np.linalg.norm(e1) * np.linalg.norm(e2):
+        raise _DegenerateSample("the three points are collinear")
+    a2, b2, c2 = ((P[1] - P[2]) @ (P[1] - P[2]), e2 @ e2, e1 @ e1)
+    ca, cb, cg = rays[1] @ rays[2], rays[0] @ rays[2], rays[0] @ rays[1]
+    k = (a2 - c2) / b2
+    coefficients = [
+        (k - 1) ** 2 - 4 * c2 / b2 * ca**2,
+        4 * (k * (1 - k) * cb - (1 - (a2 + c2) / b2) * ca * cg + 2 * c2 / b2 * ca**2 * cb),
+        2 * (k**2 - 1 + 2 * k**2 * cb**2 + 2 * (b2 - c2) / b2 * ca**2
+             - 4 * (a2 + c2) / b2 * ca * cb * cg + 2 * (b2 - a2) / b2 * cg**2),
+        4 * (-k * (1 + k) * cb + 2 * a2 / b2 * cg**2 * cb - (1 - (a2 + c2) / b2) * ca * cg),
+        (1 + k) ** 2 - 4 * a2 / b2 * cg**2,
+    ]
+    best, best_cost = None, math.inf
+    for v in np.roots(coefficients):
+        if v.imag != 0.0:
+            continue
+        v = v.real
+        u = ((k - 1) * v * v - 2 * k * cb * v + 1 + k) / (2 * (cg - v * ca))
+        s1 = math.sqrt(b2 / (1 + v * v - 2 * v * cb))
+        s = np.array([s1, u * s1, v * s1])
+        try:
+            for _ in range(2):
+                f = 0.5 * np.array([
+                    s[0] ** 2 + s[1] ** 2 - 2 * cg * s[0] * s[1] - c2,
+                    s[0] ** 2 + s[2] ** 2 - 2 * cb * s[0] * s[2] - b2,
+                    s[1] ** 2 + s[2] ** 2 - 2 * ca * s[1] * s[2] - a2,
+                ])
+                J = np.array([
+                    [s[0] - cg * s[1], s[1] - cg * s[0], 0.0],
+                    [s[0] - cb * s[2], 0.0, s[2] - cb * s[0]],
+                    [0.0, s[1] - ca * s[2], s[2] - ca * s[1]],
+                ])
+                s = s - np.linalg.solve(J, f)
+        except np.linalg.LinAlgError:
+            continue
+        X = s[:, None] * rays
+        if not np.isfinite(X).all():
+            continue
+        # Kabsch: the rotation taking the centered model triangle onto the
+        # centered camera triangle
+        U, _, Vt = np.linalg.svd((X - X.mean(axis=0)).T @ (P - P.mean(axis=0)))
+        d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
+        R = U @ np.diag([1.0, 1.0, d]) @ Vt
+        pose = Pose(R=R, t=X.mean(axis=0) - R @ P.mean(axis=0))
+        if ((corr.pts3d @ R.T + pose.t)[:, 2] <= 1e-9).any():
+            continue
+        err = project_points(corr.pts3d[3:], pose, camera) - corr.pts2d[3:]
+        cost = float((err * err).sum())
+        if cost < best_cost:
+            best, best_cost = pose, cost
+    if best is None:
+        raise _DegenerateSample("no root puts every point in front of the camera")
+    return best
 
 
 def _reference_skew(v):
@@ -841,10 +813,6 @@ def _reference_lm(corr, camera, init, max_iters, tol):
     return Pose(R=R, t=t), converged
 
 
-def _reference_sample_behind(sample, pose):
-    return bool(((sample.pts3d @ pose.R.T + pose.t)[:, 2] <= 1e-9).any())
-
-
 def _reference_band(errs, inlier_px):
     """Noise band of a leader: 99 % of 2-D Gaussian residuals whose scale is
     the middle residual below 8 px over the Rayleigh median, clamped."""
@@ -907,22 +875,10 @@ def _reference_ransac(corr, camera, inlier_px=2.0, max_iters=400, seed=0):
         sample = rng.choice(n, size=MIN_CORRESPONDENCES, replace=False)
         i += 1
         try:
-            hyp = _reference_dlt(corr.subset(sample), camera)
+            hyp = _reference_p3p(corr.subset(sample), camera)
         except _DegenerateSample:
             continue
-        if _reference_sample_behind(corr.subset(sample), hyp):
-            continue
         errs = _reference_errors(corr, camera, hyp, clamp=True)
-        if int((errs < LO_BANDS[0] * inlier_px).sum()) < MIN_CORRESPONDENCES:
-            # pixel noise can throw the linear minimal solve outside every
-            # band; a geometric fit on the sample is its only way back
-            try:
-                hyp, _ = _reference_lm(
-                    corr.subset(sample), camera, hyp, LM_SAMPLE_ITERS, LM_TOL
-                )
-            except NonFiniteResidual:
-                continue
-            errs = _reference_errors(corr, camera, hyp, clamp=True)
         score = float(np.minimum(errs * errs, thr_sq).sum())
         # the band mask hyp was last fit on, and whether that fit converged
         fit, fit_converged = None, False
