@@ -62,7 +62,13 @@ def decode_pose(rec) -> Pose:
 def write_mask_pgm(mask: MaskImage, path: str | Path) -> None:
     """Write the whole image, whatever window the mask keeps."""
     header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + (mask.full() * np.uint8(255)).tobytes())
+    # header and image in one zeroed buffer; only the window is filled
+    blob = np.zeros(len(header) + mask.width * mask.height, dtype=np.uint8)
+    blob[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    image = blob[len(header) :].reshape(mask.height, mask.width)
+    x0, y0, x1, y1 = mask.window
+    np.multiply(mask.data, 255, out=image[y0:y1, x0:x1])
+    Path(path).write_bytes(blob)
 
 
 def read_mask_pgm(path: str | Path) -> MaskImage:

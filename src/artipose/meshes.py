@@ -63,8 +63,13 @@ class TriMesh:
 
 def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     a = vertices[faces[:, 0]]
-    cross = np.cross(vertices[faces[:, 1]] - a, vertices[faces[:, 2]] - a)
-    return 0.5 * np.sqrt((cross * cross).sum(axis=1))
+    ux, uy, uz = (vertices[faces[:, 1]] - a).T
+    vx, vy, vz = (vertices[faces[:, 2]] - a).T
+    # np.cross's components, with its operations in its order
+    cx = uy * vz - uz * vy
+    cy = uz * vx - ux * vz
+    cz = ux * vy - uy * vx
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
 @dataclass(frozen=True)
@@ -360,14 +365,20 @@ _ICO_FACES = np.array(
 )
 
 
-def ellipsoid_mesh(center, radii, subdivisions: int = 1) -> TriMesh:
-    """Ellipsoid built by subdividing an icosahedron onto the unit sphere."""
+def unit_sphere(subdivisions: int = 1) -> TriMesh:
+    """Icosahedron subdivided ``subdivisions`` times onto the unit sphere."""
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
     faces = _ICO_FACES
     for _ in range(subdivisions):
         verts, faces = _subdivide_unit_sphere(verts, faces)
-    pts = verts * np.asarray(radii, dtype=float) + np.asarray(center, dtype=float)
-    return TriMesh(pts, faces)
+    return TriMesh(verts, faces)
+
+
+def ellipsoid_mesh(center, radii, sphere: TriMesh) -> TriMesh:
+    """Ellipsoid: ``sphere``, from :func:`unit_sphere`, scaled per axis by
+    ``radii`` and moved to ``center``."""
+    pts = sphere.vertices * np.asarray(radii, dtype=float) + np.asarray(center, dtype=float)
+    return TriMesh(pts, sphere.faces)
 
 
 def _subdivide_unit_sphere(

@@ -10,11 +10,12 @@ Each mesh is rasterized in batched numpy passes over edge functions
 (Pineda, "A Parallel Algorithm for Polygon Rasterization", 1988) rather
 than one triangle at a time.  The candidate pixels are the rows of every
 triangle's clipped bounding box; the edge functions and the depth are
-evaluated for all of them at once, and a stable sort by pixel picks, per
-pixel, the nearest candidate and the earliest triangle among equal
-depths.  That winner must still be strictly nearer than the depth
-buffer, which holds the earlier meshes and chunks, and only winners get
-their attributes interpolated.  Every per-pixel value is computed with
+evaluated for all of them at once.  An unbuffered scatter-minimum
+(``np.minimum.at``) of the depths into the depth buffer then picks, per
+pixel, the nearest candidate, and one of the candidate indices the
+earliest triangle among equal depths.  That winner must be strictly
+nearer than the depth buffer held before, from the earlier meshes and
+chunks, and only winners get their attributes interpolated.  Every per-pixel value is computed with
 the same floating-point operations in the same order as a scalar
 evaluation of one triangle, so results do not depend on the batching.
 
@@ -24,13 +25,25 @@ temporaries to about a megabyte whatever the scene: a triangle near the
 camera whose box covers the frame is split into bands of rows instead of
 allocating frame-sized arrays.
 
+One pass over a sampling grid yields everything a scene needs there.
+Besides the owner of each pixel, the pass records every pixel each mesh
+covers, whichever mesh owns it: that is the mesh's amodal mask, the
+render of the mesh alone.  Attributes come from the attribute mesh's own
+nearest surface, so a hidden pixel keeps the values of the surface
+behind the occluder.  When an earlier mesh has drawn on the grid, the
+attribute mesh tests its candidates against a depth buffer of its own as
+well as the shared one; otherwise the two buffers agree and one test
+serves both.  A mesh in front of the near plane whose projected vertex
+box holds no pixel center of the grid is skipped before its faces are
+looked at.
+
 A ``MaskImage`` keeps only a window of its image, every pixel outside
-it being 0.  ``render_amodal`` rasterizes the window of pixel centers in
-the projected vertex box, on a 1:1 grid shifted by an integer.  Below
-2**52 px that shift is exact in float64, so every difference, edge
-function, box and depth is the full frame's; faces keep their boxes,
-rows and chunks, pixels their row-major order, and the tie rule its
-winners: the window holds the full-frame render's exact bits.
+it being 0.  A full-frame render rasterizes the window of pixel centers
+in the box of its meshes' projected vertices, on a 1:1 grid shifted by
+an integer.  Below 2**52 px that shift is exact in float64, so every
+difference, edge function, box and depth is the full frame's; faces keep
+their boxes, rows and chunks, pixels their row-major order, and the tie
+rule its winners: the window holds the full-frame render's exact bits.
 """
 
 from __future__ import annotations
@@ -53,6 +66,8 @@ MIN_SCREEN_AREA = 1e-12
 # Candidate pixels evaluated together; a chunk holds fewer than this plus
 # one grid row.
 CHUNK_PIXELS = 1 << 13
+# Marks a pixel no candidate has claimed in ``_front_most``'s scratch.
+_NO_CANDIDATE = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -188,14 +203,18 @@ def _raster_core(
 ):
     """Depth-buffered rasterization over an arbitrary sampling grid.
 
-    Returns (depth, owner, attr) where ``owner`` holds the index of the
-    front-most mesh per pixel (-1 for none) and ``attr`` the interpolated
-    per-vertex attributes of mesh ``attr_mesh`` (None when ``attributes``
-    is None).
+    Returns (depth, owner, covered, attr).  ``owner`` holds the index of
+    the front-most mesh per pixel (-1 for none) and ``covered[i]`` marks
+    the pixels mesh i covers, whichever mesh owns them.  ``attr`` holds
+    the per-vertex attributes of mesh ``attr_mesh`` interpolated on that
+    mesh's own nearest surface, 0 where it covers nothing (None when
+    ``attributes`` is None).
     """
     h, w = grid.height, grid.width
     depth = np.full(h * w, np.inf)
     owner = np.full(h * w, -1, dtype=np.int32)
+    covered = np.zeros((len(meshes), h * w), dtype=bool)
+    first = np.full(h * w, _NO_CANDIDATE)
     attr = None
     if attributes is not None:
         attr = np.zeros((h * w, attributes.shape[1]))
@@ -206,30 +225,54 @@ def _raster_core(
         # grid-space vertex coordinates
         gx = (camera.f * cam_pts[:, 0] / z + camera.px - grid.x0) / grid.sx
         gy = (camera.f * cam_pts[:, 1] / z + camera.py - grid.y0) / grid.sy
+        if _off_grid(gx, gy, z, w, h):
+            continue
         faces, box, area2 = _triangle_boxes(mesh.faces, gx, gy, z, w, h)
         if faces.shape[0] == 0:
             continue
         tri_attr = None
+        own_depth = depth
         if attributes is not None and mesh_idx == attr_mesh:
             tri_attr = attributes[faces] / z[faces][:, :, None]
+            if (owner >= 0).any():
+                own_depth = np.full(h * w, np.inf)
+        cover = covered[mesh_idx]
         for t, pix, w0, w1, w2, z_pix in _covered_pixels(faces, box, area2, gx, gy, z, w):
-            win = _front_most(pix, z_pix, depth)
-            depth[pix[win]] = z_pix[win]
+            cover[pix] = True
+            win = _front_most(pix, z_pix, depth, first)
             owner[pix[win]] = mesh_idx
-            if tri_attr is not None:
-                t = t[win]
-                num = (
-                    w0[win, None] * tri_attr[t, 0]
-                    + w1[win, None] * tri_attr[t, 1]
-                    + w2[win, None] * tri_attr[t, 2]
-                )
-                attr[pix[win]] = num * z_pix[win, None]
-            elif attr is not None:
-                attr[pix[win]] = 0.0
+            if tri_attr is None:
+                continue
+            if own_depth is not depth:
+                win = _front_most(pix, z_pix, own_depth, first)
+            t = t[win]
+            num = (
+                w0[win, None] * tri_attr[t, 0]
+                + w1[win, None] * tri_attr[t, 1]
+                + w2[win, None] * tri_attr[t, 2]
+            )
+            attr[pix[win]] = num * z_pix[win, None]
 
     if attr is not None:
         attr = attr.reshape(h, w, -1)
-    return depth.reshape(h, w), owner.reshape(h, w), attr
+    return depth.reshape(h, w), owner.reshape(h, w), covered.reshape(-1, h, w), attr
+
+
+def _off_grid(gx, gy, z, width, height) -> bool:
+    """Whether no face can reach a pixel center of the grid.
+
+    Only decided when every vertex lies beyond ``NEAR_PLANE``: then each
+    face's box lies inside the vertex box, so a vertex box that holds no
+    pixel center leaves every face box empty after clipping.
+    """
+    if not (z > NEAR_PLANE).all():
+        return False
+    return (
+        math.ceil(gx.min() - 0.5) > width - 1
+        or math.floor(gx.max() - 0.5) < 0
+        or math.ceil(gy.min() - 0.5) > height - 1
+        or math.floor(gy.max() - 0.5) < 0
+    )
 
 
 def _triangle_boxes(faces, gx, gy, z, width, height):
@@ -241,22 +284,24 @@ def _triangle_boxes(faces, gx, gy, z, width, height):
     x_lo, x_hi, y_lo, y_hi of the pixel centers each face's box spans;
     ``area2`` is each face's signed doubled screen area.
     """
-    faces = faces[~(z[faces] <= NEAR_PLANE).any(axis=1)]
-    tx, ty = gx[faces], gy[faces]
+    if not (z > NEAR_PLANE).all():
+        faces = faces[(z[faces] > NEAR_PLANE).all(axis=1)]
+    ax, bx, cx = gx[faces].T
+    ay, by, cy = gy[faces].T
     box = np.stack(
         [
-            np.maximum(np.ceil(tx.min(axis=1) - 0.5), 0.0),
-            np.minimum(np.floor(tx.max(axis=1) - 0.5), width - 1.0),
-            np.maximum(np.ceil(ty.min(axis=1) - 0.5), 0.0),
-            np.minimum(np.floor(ty.max(axis=1) - 0.5), height - 1.0),
+            np.minimum(np.minimum(ax, bx), cx),
+            np.maximum(np.maximum(ax, bx), cx),
+            np.minimum(np.minimum(ay, by), cy),
+            np.maximum(np.maximum(ay, by), cy),
         ]
     )
-    keep = (box[0] <= box[1]) & (box[2] <= box[3])
-    faces, tx, ty, box = faces[keep], tx[keep], ty[keep], box[:, keep]
-    ax, bx, cx = tx.T
-    ay, by, cy = ty.T
+    box -= 0.5
+    lo, hi = box[0::2], box[1::2]
+    np.maximum(np.ceil(lo, out=lo), 0.0, out=lo)
+    np.minimum(np.floor(hi, out=hi), [[width - 1.0], [height - 1.0]], out=hi)
     area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    keep = ~(np.abs(area2) < MIN_SCREEN_AREA)
+    keep = (lo[0] <= hi[0]) & (lo[1] <= hi[1]) & ~(np.abs(area2) < MIN_SCREEN_AREA)
     return faces[keep], box[:, keep].astype(np.int64), area2[keep]
 
 
@@ -311,43 +356,87 @@ def _covered_pixels(faces, box, area2, gx, gy, z, width):
         yield tri, pix, w0, w1, w2, z_pix
 
 
-def _front_most(pix, z, depth):
-    """Indices of the candidates that take their pixel.
+def _front_most(pix, z, depth, first):
+    """Indices of the candidates that take their pixel, whose depths
+    ``depth`` then holds.
 
     A candidate takes its pixel when it is the nearest candidate there,
     the first one among equal depths, and strictly nearer than ``depth``
-    holds from earlier chunks.  The stable sort keeps the candidates of a
-    pixel in triangle order, so earlier triangles win ties.
+    held before.  ``first`` is scratch the size of ``depth``, all
+    ``_NO_CANDIDATE``, and is left so.
     """
-    order = np.argsort(pix, kind="stable")
-    pix_s, z_s = pix[order], z[order]
-    new_pix = np.ones(order.size, dtype=bool)
-    new_pix[1:] = pix_s[1:] != pix_s[:-1]
-    group = np.cumsum(new_pix) - 1
-    z_min = np.minimum.reduceat(z_s, np.flatnonzero(new_pix))
-    nearest = np.flatnonzero(z_s == z_min[group])
-    first = np.ones(nearest.size, dtype=bool)
-    first[1:] = group[nearest[1:]] != group[nearest[:-1]]
-    win = order[nearest[first]]
-    return win[z[win] < depth[pix[win]]]
+    before = depth[pix]
+    np.minimum.at(depth, pix, z)
+    near = np.flatnonzero((z == depth[pix]) & (z < before))
+    near_pix = pix[near]
+    np.minimum.at(first, near_pix, near)
+    win = near[first[near_pix] == near]
+    first[near_pix] = _NO_CANDIDATE
+    return win
 
 
-def rasterize_scene(
-    meshes: Sequence[tuple[TriMesh, Pose]], camera: CameraIntrinsics
-) -> list[MaskImage]:
-    """Render all meshes into a shared depth buffer.
+def _vertex_window(meshes, camera: CameraIntrinsics) -> tuple[int, int, int, int]:
+    """(x0, y0, x1, y1), exclusive ends: the image's pixel centers in the
+    box of the meshes' projected vertices in front of ``NEAR_PLANE``.
 
-    Returns one full-frame visibility mask per input mesh, marking the
-    pixels that mesh owns.
+    The whole image when a coordinate reaches 2**52 px, where shifting
+    the grid by an integer might round; empty when the box holds no
+    pixel center of the image.
+    """
+    gx, gy = [], []
+    for mesh, pose in meshes:
+        cam_pts = mesh.vertices @ pose.R.T + pose.t
+        z = cam_pts[:, 2]
+        front = z > NEAR_PLANE
+        gx.append(camera.f * cam_pts[front, 0] / z[front] + camera.px)
+        gy.append(camera.f * cam_pts[front, 1] / z[front] + camera.py)
+    gx, gy = np.concatenate(gx), np.concatenate(gy)
+    x0, y0, x1, y1 = 0, 0, camera.width, camera.height
+    if gx.size and max(np.abs(gx).max(), np.abs(gy).max()) < 2.0**52:
+        x0 = max(math.ceil(gx.min() - 0.5), 0)
+        y0 = max(math.ceil(gy.min() - 0.5), 0)
+        x1 = min(math.floor(gx.max() - 0.5) + 1, x1)
+        y1 = min(math.floor(gy.max() - 0.5) + 1, y1)
+    return x0, y0, x1, y1
+
+
+def _render_window(meshes, camera: CameraIntrinsics):
+    """Rasterize the meshes over their vertex window of the image.
+
+    Returns (x0, y0, owner, covered) as ``_raster_core`` gives them over
+    the window whose top-left pixel is column ``x0``, row ``y0``.
 
     Raises:
         EmptyRender: no mesh covered any pixel.
     """
+    x0, y0, x1, y1 = _vertex_window(meshes, camera)
+    if x1 > x0 and y1 > y0:
+        grid = _Grid(float(x0), float(y0), 1.0, 1.0, x1 - x0, y1 - y0)
+        _, owner, covered, _ = _raster_core(meshes, camera, grid)
+        if owner.max(initial=-1) >= 0:
+            return x0, y0, owner, covered
+    raise EmptyRender("no mesh covered any pixel")
+
+
+def rasterize_scene(
+    meshes: Sequence[tuple[TriMesh, Pose]], camera: CameraIntrinsics
+) -> tuple[list[MaskImage], list[MaskImage]]:
+    """Render all meshes into a shared depth buffer.
+
+    Returns the visible masks (the pixels each mesh owns) and the amodal
+    masks (the pixels each mesh covers, whichever mesh owns them: what
+    :func:`render_amodal` gives), one per input mesh.  Every mask keeps
+    the one window of pixel centers in the box of all projected
+    vertices, with the full-frame render's exact bits there.
+
+    Raises:
+        EmptyRender: no mesh covered any pixel.
+    """
+    x0, y0, owner, covered = _render_window(meshes, camera)
     w, h = camera.width, camera.height
-    _, owner, _ = _raster_core(meshes, camera, _Grid.full_image(w, h))
-    if owner.max(initial=-1) < 0:
-        raise EmptyRender("no mesh covered any pixel")
-    return [MaskImage(w, h, owner == i) for i in range(len(meshes))]
+    visible = [MaskImage(w, h, owner == i, x0, y0) for i in range(len(meshes))]
+    amodal = [MaskImage(w, h, c, x0, y0) for c in covered]
+    return visible, amodal
 
 
 def render_amodal(mesh: TriMesh, pose: Pose, camera: CameraIntrinsics) -> MaskImage:
@@ -359,24 +448,8 @@ def render_amodal(mesh: TriMesh, pose: Pose, camera: CameraIntrinsics) -> MaskIm
     Raises:
         EmptyRender: the mesh covers no pixel.
     """
-    cam_pts = mesh.vertices @ pose.R.T + pose.t
-    z = cam_pts[:, 2]
-    front = z > NEAR_PLANE
-    gx = camera.f * cam_pts[front, 0] / z[front] + camera.px
-    gy = camera.f * cam_pts[front, 1] / z[front] + camera.py
-    x0, y0, x1, y1 = 0, 0, camera.width, camera.height
-    if gx.size and max(np.abs(gx).max(), np.abs(gy).max()) < 2.0**52:
-        x0 = max(math.ceil(gx.min() - 0.5), 0)
-        y0 = max(math.ceil(gy.min() - 0.5), 0)
-        x1 = min(math.floor(gx.max() - 0.5) + 1, x1)
-        y1 = min(math.floor(gy.max() - 0.5) + 1, y1)
-    if x1 <= x0 or y1 <= y0:
-        raise EmptyRender("mesh covers no pixel")
-    grid = _Grid(float(x0), float(y0), 1.0, 1.0, x1 - x0, y1 - y0)
-    _, owner, _ = _raster_core([(mesh, pose)], camera, grid)
-    if owner.max(initial=-1) < 0:
-        raise EmptyRender("mesh covers no pixel")
-    return MaskImage(camera.width, camera.height, owner == 0, x0, y0)
+    x0, y0, _, covered = _render_window([(mesh, pose)], camera)
+    return MaskImage(camera.width, camera.height, covered[0], x0, y0)
 
 
 def rasterize_crop(
@@ -385,8 +458,8 @@ def rasterize_crop(
     crop: BBox,
     out_size: int,
 ) -> list[MaskImage]:
-    """Like :func:`rasterize_scene`, sampled over a resampled crop window."""
-    _, owner, _ = _raster_core(meshes, camera, _Grid.from_crop(crop, out_size))
+    """Visible masks of all meshes, sampled over a resampled crop window."""
+    _, owner, _, _ = _raster_core(meshes, camera, _Grid.from_crop(crop, out_size))
     return [MaskImage(out_size, out_size, owner == i) for i in range(len(meshes))]
 
 
@@ -397,12 +470,18 @@ def render_correspondence(
     camera: CameraIntrinsics,
     crop: BBox,
     out_size: int = 64,
+    others: Sequence[tuple[TriMesh, Pose]] = (),
+    index: int = 0,
 ) -> CorrespondenceMap:
     """Rasterize per-vertex normalized coordinates over a crop window.
 
     ``normalized_coords`` must come from normalizing this mesh's vertices;
-    each covered pixel receives the perspective-correct interpolation of
-    the front-most triangle, clipped to [0, 1].
+    each pixel the mesh covers receives the perspective-correct
+    interpolation of its own front-most triangle, clipped to [0, 1], even
+    where another mesh hides it.  ``others`` are the rest of the scene,
+    in draw order, with the mesh drawn at place ``index`` among them so
+    that exact depth ties go as in the scene; ``valid`` marks the pixels
+    the mesh owns there.
 
     Raises:
         EmptyRender: the crop misses the image or the mesh covers no pixel.
@@ -412,17 +491,15 @@ def render_correspondence(
     coords = np.asarray(normalized_coords, dtype=float)
     if coords.shape != mesh.vertices.shape:
         raise ValueError("one normalized coordinate triple per vertex required")
+    scene = [*others[:index], (mesh, pose), *others[index:]]
     grid = _Grid.from_crop(crop, out_size)
-    _, owner, attr = _raster_core([(mesh, pose)], camera, grid, attributes=coords)
-    valid = owner == 0
-    if not valid.any():
+    _, owner, covered, attr = _raster_core(scene, camera, grid, coords, index)
+    if not covered[index].any():
         raise EmptyRender("mesh covers no pixel of the crop")
-    data = np.clip(attr, 0.0, 1.0)
-    data[~valid] = 0.0
     return CorrespondenceMap(
         width=out_size,
         height=out_size,
-        data=data.astype(np.float32),
-        valid=MaskImage(out_size, out_size, valid.astype(np.uint8)),
+        data=np.clip(attr, 0.0, 1.0).astype(np.float32),
+        valid=MaskImage(out_size, out_size, owner == index),
         crop=crop,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import BBox, CameraIntrinsics, Pose, project_points, random_rotation, rotation_about_axis
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, EmptyRender, ParseError
 from .formats import canonical_json, decode_pose, encode_pose, read_fmap, write_fmap, write_mask_pgm
 from .meshes import (
     ArticulatedModel,
@@ -27,15 +27,9 @@ from .meshes import (
     ellipsoid_mesh,
     moving_vertices,
     normalize_vertices,
+    unit_sphere,
 )
-from .raster import (
-    CorrespondenceMap,
-    MaskImage,
-    rasterize_crop,
-    rasterize_scene,
-    render_amodal,
-    render_correspondence,
-)
+from .raster import CorrespondenceMap, MaskImage, rasterize_scene, render_correspondence
 
 DEFAULT_CAMERA = CameraIntrinsics(f=800.0, px=320.0, py=240.0, width=640, height=480)
 MAX_ROT_STEP = math.radians(2.0)
@@ -285,6 +279,7 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
     poses = [sample_pose(rng_pose, config, region) for region in regions]
     states = [float(rng_pose.uniform(0.0, 1.0)) for _ in config.models]
 
+    sphere = unit_sphere(SPHERE_SUBDIVISIONS)
     occluders = []
     for lo, hi in corr_boxes:
         group = []
@@ -296,7 +291,7 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
                 offset = _unit_vector(rng_occ) * rng_occ.uniform(0.1, OCC_ANCHOR_FRAC) * diag
                 group.append(
                     _Occluder(
-                        mesh=ellipsoid_mesh((0.0, 0.0, 0.0), radii, SPHERE_SUBDIVISIONS),
+                        mesh=ellipsoid_mesh((0.0, 0.0, 0.0), radii, sphere),
                         rotation=random_rotation(rng_occ),
                         offset=offset,
                     )
@@ -330,28 +325,26 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
         for k, group in enumerate(occluders):
             for occ in group:
                 scene.append((occ.mesh, occ.world_pose(poses[k])))
-        scene_masks = rasterize_scene(scene, cam)
+        # one pass over the frame and one over each tool's crop
+        visible_masks, amodal_masks = rasterize_scene(scene, cam)
         n_obj = len(config.models)
-        hand_data = np.zeros((cam.height, cam.width), dtype=np.uint8)
-        for m in scene_masks[n_obj:]:
+        hand = visible_masks[0]
+        hand_data = np.zeros_like(hand.data)
+        for m in visible_masks[n_obj:]:
             hand_data |= m.data
-        hand_mask = MaskImage(cam.width, cam.height, hand_data).tight()
+        hand_mask = MaskImage(cam.width, cam.height, hand_data, hand.x0, hand.y0).tight()
 
         objects = []
         for k, model in enumerate(config.models):
-            visible = scene_masks[k].tight()
-            amodal = render_amodal(meshes[k], poses[k], cam)
-            crop = square_crop(amodal.bbox())
+            visible = visible_masks[k].tight()
+            amodal = amodal_masks[k].tight()
+            box = amodal.bbox()
+            if box is None:
+                raise EmptyRender(f"tool {k} covers no pixel")
             coords = normalize_vertices(meshes[k], corr_boxes[k])
-            corr = render_correspondence(meshes[k], coords, poses[k], cam, crop, CROP_OUT_SIZE)
-            crop_masks = rasterize_crop(scene, cam, crop, CROP_OUT_SIZE)
-            valid = MaskImage(
-                CROP_OUT_SIZE,
-                CROP_OUT_SIZE,
-                corr.valid.data & crop_masks[k].data,
-            )
-            corr = CorrespondenceMap(
-                width=corr.width, height=corr.height, data=corr.data, valid=valid, crop=crop
+            others = scene[:k] + scene[k + 1 :]
+            corr = render_correspondence(
+                meshes[k], coords, poses[k], cam, square_crop(box), CROP_OUT_SIZE, others, k
             )
             objects.append(
                 RenderedObject(

@@ -24,6 +24,7 @@ from artipose.meshes import (
     save_mesh_obj,
     save_model_manifest,
     tight_bbox,
+    unit_sphere,
 )
 
 UNIT_CUBE_OBJ = """\
@@ -126,6 +127,22 @@ class TestTriMeshValidation:
         v = np.eye(4, 3)
         with pytest.raises(DegenerateMesh, match="out of range"):
             TriMesh(v, np.array([[0, 1, 9]]))
+
+    def test_face_areas_bit_equal_to_np_cross(self):
+        # the componentwise cross product gives np.cross's exact bits
+        rng = np.random.default_rng(5)
+        meshes = [
+            articulate(_toy_model(), ArticulationState(0.37)),
+            ellipsoid_mesh((0.1, -0.2, 0.3), (0.02, 0.03, 0.05), unit_sphere(2)),
+        ]
+        for scale in (1e-4, 1.0, 1e3):
+            v = rng.standard_normal((40, 3)) * scale
+            meshes.append(TriMesh(v, rng.permuted(np.tile(np.arange(40), (60, 1)), axis=1)[:, :3]))
+        for mesh in meshes:
+            tri = mesh.vertices[mesh.faces]
+            cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            want = 0.5 * np.sqrt((cross * cross).sum(axis=1))
+            assert np.array_equal(mesh.face_areas(), want)
 
 
 class TestArticulation:
@@ -332,7 +349,7 @@ class TestPrimitives:
         assert abs(mesh.face_areas().sum() - 24.0) < 1e-9
 
     def test_ellipsoid_radii(self):
-        mesh = ellipsoid_mesh(center=(1.0, 2.0, 3.0), radii=(0.1, 0.2, 0.3))
+        mesh = ellipsoid_mesh(center=(1.0, 2.0, 3.0), radii=(0.1, 0.2, 0.3), sphere=unit_sphere(1))
         lo, hi = tight_bbox(mesh)
         np.testing.assert_allclose(0.5 * (lo + hi), [1.0, 2.0, 3.0], atol=1e-9)
         half = 0.5 * (hi - lo)
@@ -340,7 +357,7 @@ class TestPrimitives:
         assert np.all(half >= np.array([0.1, 0.2, 0.3]) * 0.9)
 
     def test_ellipsoid_outward_normals(self):
-        mesh = ellipsoid_mesh(center=(0, 0, 0), radii=(1.0, 1.0, 1.0))
+        mesh = ellipsoid_mesh(center=(0, 0, 0), radii=(1.0, 1.0, 1.0), sphere=unit_sphere(1))
         tri = mesh.vertices[mesh.faces]
         normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         centroids = tri.mean(axis=1)

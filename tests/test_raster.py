@@ -17,6 +17,7 @@ from artipose.meshes import (
     merge_meshes,
     normalize_vertices,
     tight_bbox,
+    unit_sphere,
 )
 from artipose.raster import (
     CHUNK_PIXELS,
@@ -61,7 +62,7 @@ class TestSingleSquare:
         np.testing.assert_allclose([box.cx, box.cy], [320.0, 240.0])
 
     def test_depth_is_constant(self, camera):
-        depth, owner, _ = _raster_core(
+        depth, owner, _, _ = _raster_core(
             [(square_mesh(0.1), identity_pose(1.0))], camera, _Grid.full_image(640, 480)
         )
         inside = owner == 0
@@ -81,18 +82,18 @@ class TestOcclusion:
         pose_far = identity_pose(1.0)
         pose_near = Pose(R=np.eye(3), t=np.array([0.025, 0.0, 0.8]))
         scene = [(far, pose_far), (near, pose_near)]
-        vis_far, vis_near = rasterize_scene(scene, camera)
+        (vis_far, vis_near), _ = rasterize_scene(scene, camera)
         amodal_far = render_amodal(far, pose_far, camera)
         # visible = silhouette minus whatever the nearer square claims
-        expected = amodal_far.full() & ~vis_near.data
-        np.testing.assert_array_equal(vis_far.data, expected)
-        depth, _, _ = _raster_core(scene, camera, _Grid.full_image(640, 480))
-        np.testing.assert_allclose(depth[vis_near.data == 1], 0.8, rtol=1e-6)
+        expected = amodal_far.full() & ~vis_near.full()
+        np.testing.assert_array_equal(vis_far.full(), expected)
+        depth, _, _, _ = _raster_core(scene, camera, _Grid.full_image(640, 480))
+        np.testing.assert_allclose(depth[vis_near.full() == 1], 0.8, rtol=1e-6)
 
     def test_tie_goes_to_first_mesh(self, camera):
         a = square_mesh(0.1)
         b = square_mesh(0.1)
-        masks = rasterize_scene(
+        masks, _ = rasterize_scene(
             [(a, identity_pose(1.0)), (b, identity_pose(1.0))], camera
         )
         assert masks[0].pixel_count() == 6400
@@ -102,7 +103,7 @@ class TestOcclusion:
 class TestSphereArea:
     def test_matches_analytic_silhouette(self, camera):
         r, z = 0.05, 0.8
-        sphere = ellipsoid_mesh(center=(0, 0, 0), radii=(r, r, r), subdivisions=3)
+        sphere = ellipsoid_mesh(center=(0, 0, 0), radii=(r, r, r), sphere=unit_sphere(3))
         mask = render_amodal(sphere, identity_pose(z), camera)
         # silhouette of a sphere: circle of radius f*r/sqrt(z^2 - r^2)
         expected = math.pi * (camera.f * r) ** 2 / (z * z - r * r)
@@ -118,7 +119,7 @@ class TestDepthConsistency:
         )
         tri = TriMesh(vertices, np.array([[0, 1, 2]]))
         pose = Pose(R=np.eye(3), t=np.array([0.01, -0.02, 0.9]))
-        depth, owner, _ = _raster_core([(tri, pose)], camera, _Grid.full_image(640, 480))
+        depth, owner, _, _ = _raster_core([(tri, pose)], camera, _Grid.full_image(640, 480))
         pts = pose.apply(vertices[:3])
         normal = np.cross(pts[1] - pts[0], pts[2] - pts[0])
         d = float(normal @ pts[0])
@@ -198,14 +199,14 @@ class TestCropGrid:
 
 class TestDeterminism:
     def test_repeat_render_identical(self, camera):
-        mesh = ellipsoid_mesh(center=(0, 0, 0), radii=(0.04, 0.05, 0.06))
+        mesh = ellipsoid_mesh(center=(0, 0, 0), radii=(0.04, 0.05, 0.06), sphere=unit_sphere(1))
         pose = Pose(R=np.eye(3), t=np.array([0.02, -0.01, 0.7]))
-        m1 = rasterize_scene([(mesh, pose)], camera)
-        m2 = rasterize_scene([(mesh, pose)], camera)
-        np.testing.assert_array_equal(m1[0].data, m2[0].data)
+        (m1,), _ = rasterize_scene([(mesh, pose)], camera)
+        (m2,), _ = rasterize_scene([(mesh, pose)], camera)
+        np.testing.assert_array_equal(m1.data, m2.data)
         grid = _Grid.full_image(640, 480)
-        d1, _, _ = _raster_core([(mesh, pose)], camera, grid)
-        d2, _, _ = _raster_core([(mesh, pose)], camera, grid)
+        d1, _, _, _ = _raster_core([(mesh, pose)], camera, grid)
+        d2, _, _, _ = _raster_core([(mesh, pose)], camera, grid)
         np.testing.assert_array_equal(d1, d2)
 
 
@@ -228,11 +229,15 @@ class TestMaskImage:
 def _reference_core(meshes, camera, grid, attributes=None, attr_mesh=0):
     """One triangle at a time: the loop the batched rasterizer replaced.
 
-    Same contract as ``_raster_core``; kept here only as its oracle.
+    Same contract as ``_raster_core``; kept here only as its oracle.  The
+    attribute mesh always tests its triangles against a depth buffer of
+    its own, besides the shared one.
     """
     h, w = grid.height, grid.width
     depth = np.full((h, w), np.inf)
     owner = np.full((h, w), -1, dtype=np.int32)
+    covered = np.zeros((len(meshes), h, w), dtype=bool)
+    own_depth = np.full((h, w), np.inf)
     attr = None
     if attributes is not None:
         attr = np.zeros((h, w, attributes.shape[1]))
@@ -248,17 +253,17 @@ def _reference_core(meshes, camera, grid, attributes=None, attr_mesh=0):
             _reference_triangle(
                 depth,
                 owner,
-                attr,
+                covered[mesh_idx],
                 mesh_idx,
                 gx[face],
                 gy[face],
                 z[face],
-                vert_attr[face] if vert_attr is not None else None,
+                (attr, own_depth, vert_attr[face]) if vert_attr is not None else None,
             )
-    return depth, owner, attr
+    return depth, owner, covered, attr
 
 
-def _reference_triangle(depth, owner, attr, mesh_idx, tx, ty, tz, tri_attr):
+def _reference_triangle(depth, owner, covered, mesh_idx, tx, ty, tz, own):
     h, w = depth.shape
     x_lo = max(int(math.ceil(tx.min() - 0.5)), 0)
     x_hi = min(int(math.floor(tx.max() - 0.5)), w - 1)
@@ -283,26 +288,27 @@ def _reference_triangle(depth, owner, attr, mesh_idx, tx, ty, tz, tri_attr):
     inv_z = w0 / tz[0] + w1 / tz[1] + w2 / tz[2]
     z_pix = 1.0 / inv_z
     window = np.s_[y_lo : y_hi + 1, x_lo : x_hi + 1]
+    covered[window] |= inside
     closer = inside & (z_pix < depth[window])
-    if not closer.any():
-        return
     depth[window][closer] = z_pix[closer]
     owner[window][closer] = mesh_idx
-    if tri_attr is not None:
-        num = (
-            w0[..., None] * (tri_attr[0] / tz[0])
-            + w1[..., None] * (tri_attr[1] / tz[1])
-            + w2[..., None] * (tri_attr[2] / tz[2])
-        )
-        attr[window][closer] = num[closer] * z_pix[closer][:, None]
-    elif attr is not None:
-        attr[window][closer] = 0.0
+    if own is None:
+        return
+    attr, own_depth, tri_attr = own
+    mine = inside & (z_pix < own_depth[window])
+    own_depth[window][mine] = z_pix[mine]
+    num = (
+        w0[..., None] * (tri_attr[0] / tz[0])
+        + w1[..., None] * (tri_attr[1] / tz[1])
+        + w2[..., None] * (tri_attr[2] / tz[2])
+    )
+    attr[window][mine] = num[mine] * z_pix[mine][:, None]
 
 
 def _assert_matches_reference(meshes, camera, grid, attributes=None, attr_mesh=0):
     got = _raster_core(meshes, camera, grid, attributes, attr_mesh)
     want = _reference_core(meshes, camera, grid, attributes, attr_mesh)
-    for name, g, r in zip(("depth", "owner", "attr"), got, want):
+    for name, g, r in zip(("depth", "owner", "covered", "attr"), got, want):
         if r is None:
             assert g is None
             continue
@@ -333,7 +339,7 @@ def _tool_scene(seed):
         scene.append((mesh, Pose(R=random_rotation(rng), t=t)))
     for _, pose in list(scene):
         for _ in range(2):
-            occ = ellipsoid_mesh((0.0, 0.0, 0.0), rng.uniform(0.008, 0.02, size=3), 2)
+            occ = ellipsoid_mesh((0.0, 0.0, 0.0), rng.uniform(0.008, 0.02, size=3), unit_sphere(2))
             offset = np.append(rng.uniform(-0.03, 0.03, size=2), -rng.uniform(0.0, 0.05))
             scene.append((occ, Pose(R=random_rotation(rng), t=pose.t + offset)))
     return scene
@@ -384,7 +390,7 @@ class TestBatchedMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_full_frame(self, camera, seed):
         scene = _tool_scene(seed)
-        _, owner, _ = _assert_matches_reference(scene, camera, _Grid.full_image(640, 480))
+        _, owner, _, _ = _assert_matches_reference(scene, camera, _Grid.full_image(640, 480))
         # the tools are partly hidden, by occluders or by each other
         amodal = [_reference_core([s], camera, _Grid.full_image(640, 480))[1] >= 0 for s in scene[:2]]
         assert any((a & (owner != k)).any() for k, a in enumerate(amodal))
@@ -414,7 +420,7 @@ class TestBatchedMatchesReference:
         # the copy's faces tie the originals exactly but carry other values
         coords = np.random.default_rng(3).random((doubled.n_vertices, 3))
         tied = [(doubled, pose), (mesh, pose)] + scene[1:] + [scene[0]]
-        _, owner, _ = _assert_matches_reference(tied, camera, _Grid.full_image(640, 480))
+        _, owner, _, _ = _assert_matches_reference(tied, camera, _Grid.full_image(640, 480))
         assert not (owner == 1).any() and not (owner == len(tied) - 1).any()
         grid = _Grid.from_crop(_tool_crop(scene, camera), 64)
         _assert_matches_reference(tied, camera, grid, coords, 0)
@@ -449,7 +455,7 @@ class TestBatchedMatchesReference:
         )
         pose = Pose(R=np.eye(3), t=np.zeros(3))
         scene = _tool_scene(5) + [(near, pose)]
-        _, owner, _ = _assert_matches_reference(scene, camera, _Grid.full_image(640, 480))
+        _, owner, _, _ = _assert_matches_reference(scene, camera, _Grid.full_image(640, 480))
         assert (owner == len(scene) - 1).sum() > CHUNK_PIXELS
 
 
@@ -458,7 +464,7 @@ class TestAmodalWindow:
 
     def _check(self, mesh, pose, camera):
         mask = render_amodal(mesh, pose, camera)
-        _, owner, _ = _reference_core([(mesh, pose)], camera, _Grid.full_image(640, 480))
+        _, owner, _, _ = _reference_core([(mesh, pose)], camera, _Grid.full_image(640, 480))
         full = (owner == 0).astype(np.uint8)
         np.testing.assert_array_equal(mask.full(), full)
         assert mask.pixel_count() == full.sum()
@@ -508,7 +514,7 @@ class TestAmodalWindow:
         # behind the camera, wholly off-screen, and between pixel centers
         mesh = box_mesh(center=(0, 0, 0), size=(side, side, side))
         pose = Pose(R=np.eye(3), t=np.array(t))
-        _, owner, _ = _reference_core([(mesh, pose)], camera, _Grid.full_image(640, 480))
+        _, owner, _, _ = _reference_core([(mesh, pose)], camera, _Grid.full_image(640, 480))
         assert (owner < 0).all()
         with pytest.raises(EmptyRender):
             render_amodal(mesh, pose, camera)
@@ -535,3 +541,54 @@ class TestMaskWindow:
         mask = MaskImage(5, 4, np.zeros((4, 5), dtype=np.uint8)).tight()
         assert mask.data.shape == (0, 0) and mask.bbox() is None
         assert mask.full().shape == (4, 5) and mask.pixel_count() == 0
+
+
+class TestSharedPasses:
+    """One pass per grid gives what one pass per mesh and grid gave."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scene_masks_are_the_full_frame_masks(self, camera, seed):
+        scene = _tool_scene(seed)
+        visible, amodal = rasterize_scene(scene, camera)
+        _, owner, covered, _ = _reference_core(scene, camera, _Grid.full_image(640, 480))
+        assert len({m.window for m in visible + amodal}) == 1
+        assert visible[0].data.size < 640 * 480
+        for i, (mesh, pose) in enumerate(scene):
+            np.testing.assert_array_equal(visible[i].full(), owner == i)
+            np.testing.assert_array_equal(amodal[i].full(), covered[i])
+            np.testing.assert_array_equal(amodal[i].full(), render_amodal(mesh, pose, camera).full())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_correspondence_among_others(self, camera, seed, index):
+        # the lone render's map, valid where the scene's crop pass gives
+        # the mesh the pixel
+        scene = _tool_scene(seed)
+        mesh, pose = scene[index]
+        others = scene[:index] + scene[index + 1 :]
+        coords = normalize_vertices(mesh, tight_bbox(mesh))
+        crop = _tool_crop(scene, camera)
+        shared = render_correspondence(mesh, coords, pose, camera, crop, 64, others, index)
+        alone = render_correspondence(mesh, coords, pose, camera, crop, 64)
+        visible = rasterize_crop(scene, camera, crop, 64)[index]
+        assert shared.data.tobytes() == alone.data.tobytes()
+        np.testing.assert_array_equal(shared.valid.data, alone.valid.data & visible.data)
+        assert (alone.valid.data & ~visible.data.astype(bool)).any()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_skip_rule_at_the_cull_boundary(self, axis):
+        # vertex boxes reaching exactly to the first or last pixel-center
+        # line, or one ulp short of it: a mesh is skipped exactly when no
+        # face keeps a box
+        faces = np.array([[0, 1, 2], [0, 2, 3]])
+        z = np.ones(4)
+        other = np.array([3.0, 4.0, 3.5, 3.2])
+        for edge, away in ((0.5, -1.0), (7.5, 1.0)):
+            for tip in (edge, np.nextafter(edge, edge + away)):
+                coord = tip + away * np.array([0.0, 2.0, 1.0, 3.0])
+                gx, gy = (coord, other) if axis == 0 else (other, coord)
+                kept = raster._triangle_boxes(faces, gx, gy, z, 8, 8)[0]
+                assert raster._off_grid(gx, gy, z, 8, 8) == (kept.shape[0] == 0)
+                assert raster._off_grid(gx, gy, z, 8, 8) == (tip != edge)
+        # a vertex at or before the near plane leaves the decision to the faces
+        assert not raster._off_grid(np.full(4, -9.0), other, np.array([1.0, 1.0, NEAR_PLANE, 1.0]), 8, 8)

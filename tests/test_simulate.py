@@ -8,14 +8,29 @@ import math
 import numpy as np
 import pytest
 
-from artipose.camera import bbox_iou, check_rotation, geodesic_angle
+from artipose import raster, simulate
+from artipose.camera import BBox, Pose, bbox_iou, check_rotation, geodesic_angle
 from artipose.errors import ConfigError, DegenerateMesh, ParseError
 from artipose.formats import canonical_json, encode_pose, read_mask_pgm
-from artipose.meshes import ArticulatedModel, ArticulationState, TriMesh, articulate, tight_bbox
+from artipose.meshes import (
+    ArticulatedModel,
+    ArticulationState,
+    TriMesh,
+    articulate,
+    normalize_vertices,
+    tight_bbox,
+)
 from artipose.metrics import iter_annotations, mask_iou, occlusion_subtract
 from artipose.pnp import pairs_from_map, pnp_ransac
-from artipose.raster import render_amodal
+from artipose.raster import (
+    _Grid,
+    _raster_core,
+    rasterize_crop,
+    render_amodal,
+    render_correspondence,
+)
 from artipose.simulate import (
+    CROP_OUT_SIZE,
     DEFAULT_CAMERA,
     MAX_ART_STEP,
     MAX_ROT_STEP,
@@ -241,6 +256,181 @@ class TestCorrespondenceRecovery:
         # exceed the visible share of the crop by much
         obj = walk[0].objects[0]
         assert 0 < obj.corr.valid.pixel_count() <= obj.corr.width * obj.corr.height
+
+
+def _composed_frame(scene, n_obj, corr_boxes, cam=DEFAULT_CAMERA):
+    """One frame composed as it was before passes were shared: a
+    full-frame scene pass, then per tool an amodal render, a lone
+    correspondence render and a scene pass over its crop, whose valid
+    masks are ANDed.  The oracle for ``generate_sequence``."""
+    _, owner, _, _ = _raster_core(scene, cam, _Grid.full_image(cam.width, cam.height))
+    hand = (owner >= n_obj).astype(np.uint8)
+    objects = []
+    for k in range(n_obj):
+        mesh, pose = scene[k]
+        amodal = render_amodal(mesh, pose, cam)
+        crop = simulate.square_crop(amodal.bbox())
+        coords = normalize_vertices(mesh, corr_boxes[k])
+        corr = render_correspondence(mesh, coords, pose, cam, crop, simulate.CROP_OUT_SIZE)
+        crop_masks = rasterize_crop(scene, cam, crop, simulate.CROP_OUT_SIZE)
+        valid = corr.valid.data & crop_masks[k].data
+        objects.append(((owner == k).astype(np.uint8), amodal.full(), crop, corr.data, valid))
+    return hand, objects
+
+
+def _assert_matches_composition(monkeypatch, config, n_frames, edit_scene=None):
+    """Render a sequence and check every frame against the oracle, bit
+    for bit.  ``edit_scene(scene)`` may add meshes to a frame's scene
+    before it is rendered."""
+    scenes = []
+    render = simulate.rasterize_scene
+
+    def recording(scene, camera):
+        if edit_scene is not None:
+            edit_scene(scene)
+        scenes.append(list(scene))
+        return render(scene, camera)
+
+    monkeypatch.setattr(simulate, "rasterize_scene", recording)
+    frames = generate_sequence(config, n_frames)
+    corr_boxes = [model_corr_bbox(m) for m in config.models]
+    n_obj = len(config.models)
+    for frame, scene in zip(frames, scenes):
+        hand, objects = _composed_frame(scene, n_obj, corr_boxes)
+        assert np.array_equal(frame.hand_mask.full(), hand)
+        for obj, (visible, amodal, crop, data, valid) in zip(frame.objects, objects):
+            assert np.array_equal(obj.visible_mask.full(), visible)
+            assert np.array_equal(obj.amodal_mask.full(), amodal)
+            assert obj.corr.crop == crop
+            assert obj.corr.data.tobytes() == data.tobytes()
+            assert np.array_equal(obj.corr.valid.data, valid)
+            assert obj.visibility == visible.sum() / amodal.sum()
+    return frames, scenes
+
+
+# probe depth 25/64 m: f / z = 2048 exactly, so the projection of a
+# probe vertex whose x and y are multiples of 1/2048 is exact
+PROBE_Z = 25.0 / 64.0
+
+
+def _probe(x, y, pointing):
+    """A small tetrahedron in front of the tools whose tip projects
+    exactly to image point (x, y), every other vertex lying to its left
+    (``pointing`` +1) or to its right (-1)."""
+    cam = DEFAULT_CAMERA
+    tip = np.array([(x - cam.px) / 2048.0, (y - cam.py) / 2048.0, PROBE_Z])
+    back = tip - [pointing / 256.0, 0.0, 0.0]
+    vertices = np.array([tip, back - [0.0, 1 / 512.0, 0.0], back + [0.0, 1 / 512.0, 0.0], back + [0.0, 0.0, 1 / 1024.0]])
+    faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+    return TriMesh(vertices, faces), Pose(R=np.eye(3), t=np.zeros(3))
+
+
+def _inner_crop(amodal):
+    """A square crop whose first and last pixel-center columns cross the
+    tool at the crop's row 32: it spans the inside of the tool's longest
+    pixel run, at whole pixels and with a power-of-two grid step, so
+    every grid coordinate below is exact."""
+    full = amodal.full()
+    runs = [
+        (b - a, a, b, r)
+        for r, row in enumerate(full)
+        for a, b in np.flatnonzero(np.diff(np.r_[0, row, 0])).reshape(-1, 2)
+    ]
+    _, a, b, row = max(runs)
+    step = 2.0 ** math.floor(math.log2((b - a - 2) / CROP_OUT_SIZE))
+    side = CROP_OUT_SIZE * step
+    y0 = row + 0.5 - 32.5 * step
+    return BBox(cx=a + 1 + side / 2.0, cy=y0 + side / 2.0, w=side, h=side)
+
+
+class TestOnePassPerGrid:
+    """generate_sequence shares one pass per grid, with the bits of the
+    frame composed one mesh-by-grid pass at a time."""
+
+    def test_two_occluders_per_tool(self, monkeypatch):
+        config = SceneConfig(
+            models=(needle_holder_model(), tweezers_model()),
+            occluder=OccluderConfig(count_range=(2, 2)),
+            seed=21,
+        )
+        frames, scenes = _assert_matches_composition(monkeypatch, config, 6)
+        assert all(len(scene) == 6 for scene in scenes)
+        assert any(obj.visibility < 1.0 for frame in frames for obj in frame.objects)
+
+    def test_no_occluders(self, monkeypatch):
+        _assert_matches_composition(monkeypatch, two_tool_config(seed=22, occluders=False), 4)
+
+    def test_tool_cut_by_the_frame_edge(self, monkeypatch):
+        # lanes hugging the left and the bottom edge: each tool's center
+        # stays within 4 px of the border, so the tool and its crop
+        # reach past it
+        cam = DEFAULT_CAMERA
+        lanes = [(0.0, 4.0, 150.0, 330.0), (420.0, 560.0, cam.height - 4.0, float(cam.height))]
+        monkeypatch.setattr(simulate, "_lane_regions", lambda config, boxes: lanes)
+        frames, _ = _assert_matches_composition(monkeypatch, two_tool_config(seed=23), 4)
+        for frame in frames:
+            left, bottom = frame.objects
+            assert left.amodal_mask.window[0] == 0 and left.corr.crop.x0 < 0
+            assert bottom.amodal_mask.window[3] == cam.height and bottom.corr.crop.y1 > cam.height
+
+    def test_mesh_on_the_crop_cull_boundary(self, monkeypatch):
+        # each tool's crop lies inside the tool; per crop, one probe's
+        # rightmost vertex sits on the pixel center (0.5, 32.5) of the
+        # crop grid and another's leftmost on (63.5, 32.5).  Neither may
+        # be skipped: each takes its pixel from the tool behind it.
+        cam = DEFAULT_CAMERA
+        crops = {}
+
+        def crop_for(bbox):
+            return crops[bbox]
+
+        def add_probes(scene):
+            for mesh, pose in scene[:2]:
+                amodal = render_amodal(mesh, pose, cam)
+                crop = crops[amodal.bbox()] = _inner_crop(amodal)
+                grid = _Grid.from_crop(crop, CROP_OUT_SIZE)
+                for gx, pointing in ((0.5, 1), (CROP_OUT_SIZE - 0.5, -1)):
+                    probe = _probe(crop.x0 + gx * grid.sx, crop.y0 + 32.5 * grid.sy, pointing)
+                    v = probe[0].vertices
+                    x = (cam.f * v[:, 0] / v[:, 2] + cam.px - grid.x0) / grid.sx
+                    y = (cam.f * v[:, 1] / v[:, 2] + cam.py - grid.y0) / grid.sy
+                    assert (x[0], y[0]) == (gx, 32.5)
+                    assert x[0] == (x.max() if pointing > 0 else x.min())
+                    scene.append(probe)
+
+        monkeypatch.setattr(simulate, "square_crop", crop_for)
+        frames, _ = _assert_matches_composition(monkeypatch, two_tool_config(seed=24), 3, add_probes)
+        for frame in frames:
+            for obj in frame.objects:
+                # the tool covers both tip pixels, and the probes own them
+                assert (obj.corr.data[32, [0, -1]] > 0).all()
+                assert not obj.corr.valid.data[32, [0, -1]].any()
+
+    def test_one_scene_pass_and_one_crop_pass_per_tool(self, monkeypatch):
+        passes = []
+        core = raster._raster_core
+
+        def counting(meshes, camera, grid, attributes=None, attr_mesh=0):
+            passes.append((len(meshes), grid.sx, grid.width, attr_mesh if attributes is not None else None))
+            return core(meshes, camera, grid, attributes, attr_mesh)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("generate_sequence renders a mesh on its own")
+
+        monkeypatch.setattr(raster, "_raster_core", counting)
+        monkeypatch.setattr(raster, "render_amodal", forbidden)
+        monkeypatch.setattr(raster, "rasterize_crop", forbidden)
+        config = SceneConfig(
+            models=(needle_holder_model(), tweezers_model()),
+            occluder=OccluderConfig(count_range=(2, 2)),
+            seed=25,
+        )
+        generate_sequence(config, 2)
+        for frame in (passes[:3], passes[3:]):
+            (n, sx, width, attr), *crops = frame
+            assert (n, sx, attr) == (6, 1.0, None) and width < DEFAULT_CAMERA.width
+            assert [(n, width, attr) for n, _, width, attr in crops] == [(6, CROP_OUT_SIZE, 0), (6, CROP_OUT_SIZE, 1)]
+        assert len(passes) == 6
 
 
 def tree_digest(root):
