@@ -66,8 +66,8 @@ MIN_SCREEN_AREA = 1e-12
 # Candidate pixels evaluated together; a chunk holds fewer than this plus
 # one grid row.
 CHUNK_PIXELS = 1 << 13
-# Marks a pixel no candidate has claimed in ``_front_most``'s scratch.
-_NO_CANDIDATE = np.iinfo(np.intp).max
+# Above every candidate index: the tie rule's start in ``_front_most``.
+_NO_CANDIDATE = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -204,17 +204,17 @@ def _raster_core(
     """Depth-buffered rasterization over an arbitrary sampling grid.
 
     Returns (depth, owner, covered, attr).  ``owner`` holds the index of
-    the front-most mesh per pixel (-1 for none) and ``covered[i]`` marks
-    the pixels mesh i covers, whichever mesh owns them.  ``attr`` holds
-    the per-vertex attributes of mesh ``attr_mesh`` interpolated on that
+    the front-most mesh per pixel (-1 for none).  ``covered[i]`` is a
+    mask over the grid of the pixels mesh i covers, whichever mesh owns
+    them, kept over the window of its faces' boxes.  ``attr`` holds the
+    per-vertex attributes of mesh ``attr_mesh`` interpolated on that
     mesh's own nearest surface, 0 where it covers nothing (None when
     ``attributes`` is None).
     """
     h, w = grid.height, grid.width
     depth = np.full(h * w, np.inf)
     owner = np.full(h * w, -1, dtype=np.int32)
-    covered = np.zeros((len(meshes), h * w), dtype=bool)
-    first = np.full(h * w, _NO_CANDIDATE)
+    covered = [MaskImage(w, h, np.zeros((0, 0), dtype=np.uint8))] * len(meshes)
     attr = None
     if attributes is not None:
         attr = np.zeros((h * w, attributes.shape[1]))
@@ -231,20 +231,22 @@ def _raster_core(
         if faces.shape[0] == 0:
             continue
         tri_attr = None
-        own_depth = depth
+        own_depth, own_owner = depth, owner
         if attributes is not None and mesh_idx == attr_mesh:
             tri_attr = attributes[faces] / z[faces][:, :, None]
             if (owner >= 0).any():
                 own_depth = np.full(h * w, np.inf)
-        cover = covered[mesh_idx]
+                own_owner = np.full(h * w, -1, dtype=np.int32)
+        # the grid rows the faces' boxes reach
+        x_lo, x_hi, y_lo, y_hi = box[0].min(), box[1].max(), box[2].min(), box[3].max()
+        band = np.zeros((y_hi - y_lo + 1) * w, dtype=bool)
         for t, pix, w0, w1, w2, z_pix in _covered_pixels(faces, box, area2, gx, gy, z, w):
-            cover[pix] = True
-            win = _front_most(pix, z_pix, depth, first)
-            owner[pix[win]] = mesh_idx
+            band[pix - y_lo * w] = True
+            win = _front_most(pix, z_pix, depth, owner, mesh_idx)
             if tri_attr is None:
                 continue
             if own_depth is not depth:
-                win = _front_most(pix, z_pix, own_depth, first)
+                win = _front_most(pix, z_pix, own_depth, own_owner, mesh_idx)
             t = t[win]
             num = (
                 w0[win, None] * tri_attr[t, 0]
@@ -252,10 +254,11 @@ def _raster_core(
                 + w2[win, None] * tri_attr[t, 2]
             )
             attr[pix[win]] = num * z_pix[win, None]
+        covered[mesh_idx] = MaskImage(w, h, band.reshape(-1, w)[:, x_lo : x_hi + 1], x_lo, y_lo)
 
     if attr is not None:
         attr = attr.reshape(h, w, -1)
-    return depth.reshape(h, w), owner.reshape(h, w), covered.reshape(-1, h, w), attr
+    return depth.reshape(h, w), owner.reshape(h, w), covered, attr
 
 
 def _off_grid(gx, gy, z, width, height) -> bool:
@@ -356,22 +359,22 @@ def _covered_pixels(faces, box, area2, gx, gy, z, width):
         yield tri, pix, w0, w1, w2, z_pix
 
 
-def _front_most(pix, z, depth, first):
-    """Indices of the candidates that take their pixel, whose depths
-    ``depth`` then holds.
+def _front_most(pix, z, depth, owner, mesh_idx):
+    """Indices of the candidates that take their pixel.
 
     A candidate takes its pixel when it is the nearest candidate there,
     the first one among equal depths, and strictly nearer than ``depth``
-    held before.  ``first`` is scratch the size of ``depth``, all
-    ``_NO_CANDIDATE``, and is left so.
+    held before.  ``depth`` and ``owner`` then hold the winners' depths
+    and ``mesh_idx``; ``owner`` serves as scratch for the tie rule.
     """
     before = depth[pix]
     np.minimum.at(depth, pix, z)
     near = np.flatnonzero((z == depth[pix]) & (z < before))
     near_pix = pix[near]
-    np.minimum.at(first, near_pix, near)
-    win = near[first[near_pix] == near]
-    first[near_pix] = _NO_CANDIDATE
+    owner[near_pix] = _NO_CANDIDATE
+    np.minimum.at(owner, near_pix, near)
+    win = near[owner[near_pix] == near]
+    owner[near_pix] = mesh_idx
     return win
 
 
@@ -425,17 +428,23 @@ def rasterize_scene(
 
     Returns the visible masks (the pixels each mesh owns) and the amodal
     masks (the pixels each mesh covers, whichever mesh owns them: what
-    :func:`render_amodal` gives), one per input mesh.  Every mask keeps
-    the one window of pixel centers in the box of all projected
-    vertices, with the full-frame render's exact bits there.
+    :func:`render_amodal` gives), one per input mesh, each kept over the
+    window of its mesh's face boxes.  Only the window of pixel centers in
+    the box of all projected vertices is rasterized, with the full-frame
+    render's exact bits there.
 
     Raises:
         EmptyRender: no mesh covered any pixel.
     """
     x0, y0, owner, covered = _render_window(meshes, camera)
     w, h = camera.width, camera.height
-    visible = [MaskImage(w, h, owner == i, x0, y0) for i in range(len(meshes))]
-    amodal = [MaskImage(w, h, c, x0, y0) for c in covered]
+    visible, amodal = [], []
+    for i, cover in enumerate(covered):
+        # a mesh owns only pixels it covers
+        cx0, cy0, cx1, cy1 = cover.window
+        own = owner[cy0:cy1, cx0:cx1] == i
+        visible.append(MaskImage(w, h, own, x0 + cx0, y0 + cy0))
+        amodal.append(MaskImage(w, h, cover.data, x0 + cx0, y0 + cy0))
     return visible, amodal
 
 
@@ -448,8 +457,8 @@ def render_amodal(mesh: TriMesh, pose: Pose, camera: CameraIntrinsics) -> MaskIm
     Raises:
         EmptyRender: the mesh covers no pixel.
     """
-    x0, y0, _, covered = _render_window([(mesh, pose)], camera)
-    return MaskImage(camera.width, camera.height, covered[0], x0, y0)
+    x0, y0, _, (cover,) = _render_window([(mesh, pose)], camera)
+    return MaskImage(camera.width, camera.height, cover.data, x0 + cover.x0, y0 + cover.y0)
 
 
 def rasterize_crop(
@@ -494,7 +503,7 @@ def render_correspondence(
     scene = [*others[:index], (mesh, pose), *others[index:]]
     grid = _Grid.from_crop(crop, out_size)
     _, owner, covered, attr = _raster_core(scene, camera, grid, coords, index)
-    if not covered[index].any():
+    if not covered[index].data.any():
         raise EmptyRender("mesh covers no pixel of the crop")
     return CorrespondenceMap(
         width=out_size,

@@ -328,11 +328,11 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
         # one pass over the frame and one over each tool's crop
         visible_masks, amodal_masks = rasterize_scene(scene, cam)
         n_obj = len(config.models)
-        hand = visible_masks[0]
-        hand_data = np.zeros_like(hand.data)
+        hand_data = np.zeros((cam.height, cam.width), dtype=np.uint8)
         for m in visible_masks[n_obj:]:
-            hand_data |= m.data
-        hand_mask = MaskImage(cam.width, cam.height, hand_data, hand.x0, hand.y0).tight()
+            x0, y0, x1, y1 = m.window
+            hand_data[y0:y1, x0:x1] |= m.data
+        hand_mask = MaskImage(cam.width, cam.height, hand_data).tight()
 
         objects = []
         for k, model in enumerate(config.models):
