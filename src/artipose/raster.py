@@ -238,7 +238,8 @@ def _raster_core(
                 own_depth = np.full(h * w, np.inf)
                 own_owner = np.full(h * w, -1, dtype=np.int32)
         # the grid rows the faces' boxes reach
-        x_lo, x_hi, y_lo, y_hi = box[0].min(), box[1].max(), box[2].min(), box[3].max()
+        x_lo, x_hi = int(box[0].min()), int(box[1].max())
+        y_lo, y_hi = int(box[2].min()), int(box[3].max())
         band = np.zeros((y_hi - y_lo + 1) * w, dtype=bool)
         for t, pix, w0, w1, w2, z_pix in _covered_pixels(faces, box, area2, gx, gy, z, w):
             band[pix - y_lo * w] = True
@@ -378,13 +379,18 @@ def _front_most(pix, z, depth, owner, mesh_idx):
     return win
 
 
-def _vertex_window(meshes, camera: CameraIntrinsics) -> tuple[int, int, int, int]:
-    """(x0, y0, x1, y1), exclusive ends: the image's pixel centers in the
-    box of the meshes' projected vertices in front of ``NEAR_PLANE``.
+def _render_window(meshes, camera: CameraIntrinsics):
+    """Rasterize the meshes over their window of the image.
 
-    The whole image when a coordinate reaches 2**52 px, where shifting
-    the grid by an integer might round; empty when the box holds no
-    pixel center of the image.
+    The window holds the image's pixel centers in the box of the meshes'
+    projected vertices in front of ``NEAR_PLANE``; it is the whole image
+    when a coordinate reaches 2**52 px, where shifting the grid by an
+    integer might round.  Returns (x0, y0, owner, covered) as
+    ``_raster_core`` gives them over the window whose top-left pixel is
+    column ``x0``, row ``y0``.
+
+    Raises:
+        EmptyRender: no mesh covered any pixel.
     """
     gx, gy = [], []
     for mesh, pose in meshes:
@@ -400,19 +406,6 @@ def _vertex_window(meshes, camera: CameraIntrinsics) -> tuple[int, int, int, int
         y0 = max(math.ceil(gy.min() - 0.5), 0)
         x1 = min(math.floor(gx.max() - 0.5) + 1, x1)
         y1 = min(math.floor(gy.max() - 0.5) + 1, y1)
-    return x0, y0, x1, y1
-
-
-def _render_window(meshes, camera: CameraIntrinsics):
-    """Rasterize the meshes over their vertex window of the image.
-
-    Returns (x0, y0, owner, covered) as ``_raster_core`` gives them over
-    the window whose top-left pixel is column ``x0``, row ``y0``.
-
-    Raises:
-        EmptyRender: no mesh covered any pixel.
-    """
-    x0, y0, x1, y1 = _vertex_window(meshes, camera)
     if x1 > x0 and y1 > y0:
         grid = _Grid(float(x0), float(y0), 1.0, 1.0, x1 - x0, y1 - y0)
         _, owner, covered, _ = _raster_core(meshes, camera, grid)
