@@ -26,6 +26,13 @@ its noise band and the adaptive exit) then walks the block sample by
 sample.  The samples come from the same stream as one-at-a-time draws,
 so the loop stops at the same sample and returns what a
 one-sample-at-a-time loop returns.
+
+Refinement is a single-pose kernel.  A ``CorrSet`` keeps its model points
+as contiguous (3, N) rows, so a pose maps them as ``R @ P + t`` (scoring
+maps a chunk of hypotheses as (B, 3, 3) @ (3, N)), and its residuals are
+one (2, N) array against the pixels' offsets from the principal point.
+LM builds its 6 x 6 normal equations from that array, and turns each
+rotation increment into a matrix in closed form.
 """
 
 from __future__ import annotations
@@ -36,11 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import MIN_DEPTH, CameraIntrinsics, Pose
-from .errors import (
-    NoConsensus,
-    NonFiniteResidual,
-    TooFewCorrespondences,
-)
+from .errors import NoConsensus, NonFiniteResidual, TooFewCorrespondences
 from .meshes import denormalize_coords
 from .raster import CHUNK_PIXELS, CorrespondenceMap
 
@@ -78,43 +81,51 @@ MAX_BLOCK = 256
 # Hypothesis-point pairs scored together (the rasterizer's chunk bound).
 SCORE_CHUNK = CHUNK_PIXELS
 
-_EYE3 = np.eye(3)
-# Row i is [e_i]x flattened: (B, 3) @ _CROSS gives [v]x as (B, 9) rows.
-_CROSS = np.array(
-    [
-        [0, 0, 0, 0, 0, -1, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, -1, 0, 0],
-        [0, -1, 0, 1, 0, 0, 0, 0, 0],
-    ],
-    dtype=float,
-)
+# The translation parameters' Jacobian rows, before the f / Z scale.
+_UNIT_UV = np.eye(2)[:, :, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CorrSet:
-    """Paired model points (meters) and pixel observations."""
+    """Paired model points (meters) and pixel observations, finite.
 
-    pts3d: np.ndarray
-    pts2d: np.ndarray
+    Both are kept as contiguous rows: ``P`` (3, N) and ``uv`` (2, N).
+    ``pts3d`` and ``pts2d`` are their (N, 3) and (N, 2) views.
+    """
 
-    def __post_init__(self):
-        p3 = np.asarray(self.pts3d, dtype=float)
-        p2 = np.asarray(self.pts2d, dtype=float)
+    P: np.ndarray
+    uv: np.ndarray
+
+    def __init__(self, pts3d, pts2d):
+        p3 = np.asarray(pts3d, dtype=float)
+        p2 = np.asarray(pts2d, dtype=float)
         if p3.ndim != 2 or p3.shape[1] != 3:
             raise ValueError("pts3d must be (N, 3)")
         if p2.shape != (p3.shape[0], 2):
             raise ValueError("pts2d must be (N, 2) matching pts3d")
         if not (np.isfinite(p3).all() and np.isfinite(p2).all()):
             raise ValueError("correspondences must be finite")
-        object.__setattr__(self, "pts3d", p3)
-        object.__setattr__(self, "pts2d", p2)
+        object.__setattr__(self, "P", np.ascontiguousarray(p3.T))
+        object.__setattr__(self, "uv", np.ascontiguousarray(p2.T))
+
+    @property
+    def pts3d(self) -> np.ndarray:
+        return self.P.T
+
+    @property
+    def pts2d(self) -> np.ndarray:
+        return self.uv.T
 
     @property
     def n(self) -> int:
-        return self.pts3d.shape[0]
+        return self.P.shape[1]
 
     def subset(self, index: np.ndarray) -> "CorrSet":
-        return CorrSet(self.pts3d[index], self.pts2d[index])
+        """The pairs at the indices ``index``, not validated again."""
+        sub = object.__new__(CorrSet)
+        object.__setattr__(sub, "P", self.P.take(index, axis=1))
+        object.__setattr__(sub, "uv", self.uv.take(index, axis=1))
+        return sub
 
 
 @dataclass(frozen=True)
@@ -162,34 +173,44 @@ def pairs_from_map(
 
 
 def _project(pts3d, pts2d, camera, R, t):
-    """Camera points and pixel residuals of poses ``(R, t)``.
-
-    ``pts3d`` and ``pts2d`` are (N, 3) and (N, 2), shared by every pose,
-    or (B, N, 3) and (B, N, 2), one set per pose; ``R`` is (B, 3, 3) and
-    ``t`` (B, 3).  Returns the (B, N, 3) camera points, the (B, N) mask
-    of points at or behind ``MIN_DEPTH``, and the (B, N) residuals in u
-    and in v, which are finite placeholders on masked points.
-    """
+    """Points at or behind ``MIN_DEPTH`` and residuals in u and in v, all
+    (B, M), of poses (B, 3, 3) and (B, 3) on point sets of their own,
+    (B, M, 3) and (B, M, 2); the residuals of masked points are finite."""
     pc = pts3d @ R.transpose(0, 2, 1) + t[:, None, :]
     z = pc[..., 2]
     behind = z <= MIN_DEPTH
     z = np.where(behind, 1.0, z)
     du = camera.f * pc[..., 0] / z + camera.px - pts2d[..., 0]
     dv = camera.f * pc[..., 1] / z + camera.py - pts2d[..., 1]
-    return pc, behind, du, dv
+    return behind, du, dv
 
 
-def _errors(pts3d, pts2d, camera, R, t):
-    """(B, N) pixel errors of poses ``(R, t)``; inf behind the camera."""
-    _, behind, du, dv = _project(pts3d, pts2d, camera, R, t)
-    err = np.sqrt(du * du + dv * dv)
+def _offsets(corr, camera):
+    """The (2, N) pixel observations as offsets from the principal point."""
+    return corr.uv - np.array([[camera.px], [camera.py]])
+
+
+def _residuals(P, obs, f, R, t):
+    """Camera points (3, N) of one pose and its stacked (2, N) residuals
+    against the offsets ``obs``; None in place of the residuals when a
+    point is at or behind ``MIN_DEPTH``."""
+    pc = R @ P + t[:, None]
+    z = pc[2]
+    if z.min() <= MIN_DEPTH:
+        return pc, None
+    return pc, pc[:2] * (f / z) - obs
+
+
+def _reproj_errors(corr: CorrSet, camera: CameraIntrinsics, R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-point pixel errors of a pose, (3, 3) and (3,) to (N,), or of a
+    stack of them, (B, 3, 3) and (B, 3) to (B, N); inf behind the camera."""
+    pc = R @ corr.P + t[..., None]
+    z = pc[..., 2, :]
+    behind = z <= MIN_DEPTH
+    d = pc[..., :2, :] * (camera.f / np.where(behind, 1.0, z))[..., None, :] - _offsets(corr, camera)
+    err = np.sqrt((d * d).sum(axis=-2))
     err[behind] = np.inf
     return err
-
-
-def _reproj_errors(corr: CorrSet, camera: CameraIntrinsics, pose: Pose) -> np.ndarray:
-    """Per-point pixel errors under ``pose``; inf behind the camera."""
-    return _errors(corr.pts3d, corr.pts2d, camera, pose.R[None], pose.t[None])[0]
 
 
 def _quartic_roots(A):
@@ -302,7 +323,7 @@ def _p3p(pts3d, pts2d, camera):
     U, _, Vt = np.linalg.svd((X - mx[:, None]).transpose(0, 2, 1) @ (P - mp[:, None]))
     R = _proper(U, Vt)
     t = mx - (R @ mp[..., None])[..., 0]
-    _, behind, du, dv = _project(
+    behind, du, dv = _project(
         np.repeat(pts3d, 4, axis=0), np.repeat(pts2d, 4, axis=0), camera, R, t
     )
     cost = (du[:, 3:] ** 2).sum(axis=1) + (dv[:, 3:] ** 2).sum(axis=1)
@@ -313,69 +334,65 @@ def _p3p(pts3d, pts2d, camera):
 
 
 def _proper(U, Vt):
-    """Nearest rotations ``U diag(1, 1, d) Vt``, ``d`` fixing the sign."""
+    """Nearest rotations ``U diag(1, 1, d) Vt``, ``d`` fixing the sign, of
+    one SVD or of a stack of them."""
     d = np.where(np.linalg.det(U @ Vt) > 0, 1.0, -1.0)
     U = U.copy()
-    U[:, :, 2] *= d[:, None]
+    U[..., 2] *= d[..., None]
     return U @ Vt
 
 
 def _rodrigues(w):
-    """Rotation matrices exp([w]x) of (B, 3) tangent vectors, closed form:
+    """Rotation matrix exp([w]x) of one tangent vector, closed form:
     I + sin(a) K + (1 - cos(a)) K^2 with K = [w / a]x and a = |w|."""
-    angle = np.sqrt((w * w).sum(axis=1))
-    small = angle < 1e-12
-    # below the cutoff exp([w]x) ~ I + [w]x: "axis" w, sin 1, 1 - cos 0
-    K = ((w / np.where(small, 1.0, angle)[:, None]) @ _CROSS).reshape(-1, 3, 3)
-    s = np.where(small, 1.0, np.sin(angle))[:, None, None]
-    c = np.where(small, 0.0, 1.0 - np.cos(angle))[:, None, None]
-    return _EYE3 + s * K + c * (K @ K)
+    x, y, z = w.tolist()
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle < 1e-12:
+        s, c = 1.0, 0.0  # exp([w]x) ~ I + [w]x: "axis" w, sin 1, 1 - cos 0
+    else:
+        s, c = math.sin(angle), 1.0 - math.cos(angle)
+        x, y, z = x / angle, y / angle, z / angle
+    # K^2 has diagonal -(y^2 + z^2), ... and off-diagonal entries x y, ...
+    return np.array([
+        [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
+        [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
+        [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)],
+    ])
 
 
-def _normal_equations(pc, t, du, dv, f):
-    """Gauss-Newton system (H, g) of each pose from per-point terms.
+def _normal_equations(pc, t, r, f):
+    """Gauss-Newton system (H, g) = (J^T J, J^T r) of one pose.
 
-    With camera point (X, Y, Z), rotated model point q = (X, Y, Z) - t,
-    x = X / Z and y = Y / Z, a left rotation increment w and a
-    translation increment dt move the residuals by
+    ``pc`` are its (3, N) camera points, ``t`` its translation and ``r``
+    its stacked (2, N) residuals in u and in v.  With camera point
+    (X, Y, Z), rotated model point q = (X, Y, Z) - t, x = X / Z and
+    y = Y / Z, a left rotation increment w and a translation increment dt
+    move the residuals by
     f/Z [-qy x, qz + qx x, -qy, 1, 0, -x] . (w, dt) in u and
     f/Z [-qy y - qz, qx y, qx, 0, 1, -y] . (w, dt) in v.
     """
-    B, n = pc.shape[:2]
-    X, Y, Z = pc[..., 0], pc[..., 1], pc[..., 2]
-    fz = f / Z
-    x = X / Z
-    y = Y / Z
-    qx = X - t[:, 0, None]
-    qy = Y - t[:, 1, None]
-    qz = Z - t[:, 2, None]
+    n = pc.shape[1]
+    xy = pc[:2] / pc[2]
+    qx, qy, qz = pc - t[:, None]
+    nqy = -qy
     # one contiguous row per parameter: u terms, then v terms
-    J = np.empty((B, 6, 2, n))
-    J[:, 0, 0] = -qy * x
-    J[:, 1, 0] = qz + qx * x
-    J[:, 2, 0] = -qy
-    J[:, 3, 0] = 1.0
-    J[:, 4, 0] = 0.0
-    J[:, 5, 0] = -x
-    J[:, 0, 1] = -qy * y - qz
-    J[:, 1, 1] = qx * y
-    J[:, 2, 1] = qx
-    J[:, 3, 1] = 0.0
-    J[:, 4, 1] = 1.0
-    J[:, 5, 1] = -y
-    J *= fz[:, None, None, :]
-    J = J.reshape(B, 6, 2 * n)
-    r = np.concatenate([du, dv], axis=1)
-    return J @ J.transpose(0, 2, 1), (J @ r[:, :, None])[..., 0]
+    J = np.empty((6, 2, n))
+    np.multiply(xy, nqy, out=J[0])
+    J[0, 1] -= qz
+    np.multiply(xy, qx, out=J[1])
+    J[1, 0] += qz
+    J[2, 0] = nqy
+    J[2, 1] = qx
+    J[3:5] = _UNIT_UV
+    np.negative(xy, out=J[5])
+    J *= f / pc[2]
+    J = J.reshape(6, 2 * n)
+    # with a copy matmul takes gemm, several times faster here than the
+    # syrk it takes for J @ J.T
+    return J @ J.copy().T, J @ r.ravel()
 
 
-def _lm(
-    corr: CorrSet,
-    camera: CameraIntrinsics,
-    init: Pose,
-    max_iters: int,
-    tol: float,
-) -> tuple[Pose, bool]:
+def _lm(corr: CorrSet, camera: CameraIntrinsics, init: Pose, max_iters: int, tol: float) -> tuple[Pose, bool]:
     """Levenberg-Marquardt over (rotation tangent, translation).
 
     Damping starts at 1e-3, falls by 3 after an accepted step and rises by
@@ -391,54 +408,53 @@ def _lm(
         NonFiniteResidual: the start pose has a point behind the camera or
             a non-finite residual.
     """
-    pts3d, pts2d = corr.pts3d, corr.pts2d
-    R, t = init.R[None], init.t[None]
-    pc, behind, du, dv = _project(pts3d, pts2d, camera, R, t)
-    if behind.any() or not (np.isfinite(du).all() and np.isfinite(dv).all()):
+    P, obs, f = corr.P, _offsets(corr, camera), camera.f
+    R, t = init.R, init.t
+    pc, r = _residuals(P, obs, f, R, t)
+    if r is None or not np.isfinite(r).all():
         raise NonFiniteResidual("refinement cannot start from this pose")
-    cost = (du * du).sum() + (dv * dv).sum()
+    cost = np.vdot(r, r)
     lam = 1e-3
     converged = False
     for _ in range(max_iters):
-        H, g = _normal_equations(pc, t, du, dv, camera.f)
-        H, g = H[0], -g[0]
-        dH = np.maximum(H.diagonal(), 1e-12)
+        H, g = _normal_equations(pc, t, r, f)
+        g = -g
+        D = np.diag(np.maximum(H.diagonal(), 1e-12))
         stepped = False
         for _ in range(LM_DAMPING_TRIES):
-            damped = H.copy()
-            damped.flat[::7] += lam * dH
             try:
-                delta = np.linalg.solve(damped, g)
+                delta = np.linalg.solve(H + lam * D, g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            R_new = _rodrigues(delta[None, :3]) @ R
+            R_new = _rodrigues(delta[:3]) @ R
             t_new = t + delta[3:]
-            pc_new, behind, du_new, dv_new = _project(pts3d, pts2d, camera, R_new, t_new)
-            cost_new = (du_new * du_new).sum() + (dv_new * dv_new).sum()
-            converged = not behind.any() and bool(abs(cost_new - cost) <= LM_RTOL * cost)
-            if behind.any() or not cost_new <= cost:
+            pc_new, r_new = _residuals(P, obs, f, R_new, t_new)
+            if r_new is None:
+                lam *= 10.0
+                continue
+            cost_new = np.vdot(r_new, r_new)
+            converged = bool(abs(cost_new - cost) <= LM_RTOL * cost)
+            if not cost_new <= cost:
                 if converged:
                     break
                 lam *= 10.0
                 continue
-            R, t, pc, du, dv, cost = R_new, t_new, pc_new, du_new, dv_new, cost_new
+            R, t, pc, r, cost = R_new, t_new, pc_new, r_new, cost_new
             lam = max(lam / 3.0, 1e-12)
             stepped = True
-            converged = converged or bool((delta * delta).sum() < tol * tol)
+            converged = converged or bool(delta @ delta < tol * tol)
             break
         if converged or not stepped:
             break
     # re-orthonormalize against drift
     U, _, Vt = np.linalg.svd(R)
-    return Pose(R=_proper(U, Vt)[0], t=t[0]), converged
+    return Pose(R=_proper(U, Vt), t=t), converged
 
 
 def _draw(rng, n, count):
     """The next ``count`` minimal samples of the stream, as rows."""
-    return np.array(
-        [rng.choice(n, size=MIN_CORRESPONDENCES, replace=False) for _ in range(count)]
-    )
+    return np.array([rng.choice(n, size=MIN_CORRESPONDENCES, replace=False) for _ in range(count)])
 
 
 def _score(corr, camera, R, t):
@@ -449,7 +465,7 @@ def _score(corr, camera, R, t):
     score = np.empty(B)
     step = max(1, SCORE_CHUNK // corr.n)
     for s in range(0, B, step):
-        errs = _errors(corr.pts3d, corr.pts2d, camera, R[s : s + step], t[s : s + step])
+        errs = _reproj_errors(corr, camera, R[s : s + step], t[s : s + step])
         score[s : s + step] = np.minimum(errs * errs, thr_sq).sum(axis=1)
     return score
 
@@ -513,13 +529,13 @@ def _flipped(corr, camera, pose, errs, tau):
     if s == 0.0:
         return None
     # turn n onto its reflection n', about n x n': cos(n, n') = 2 cos^2 - 1
-    Q = _rodrigues((axis * (math.atan2(s, 2.0 * cos * cos - 1.0) / s))[None])[0]
+    Q = _rodrigues(axis * (math.atan2(s, 2.0 * cos * cos - 1.0) / s))
     start = Pose(R=Q @ pose.R, t=Q @ (pose.t - c) + c)
     try:
         flip, converged = _lm(corr.subset(inliers), camera, start, LM_MAX_ITERS, LM_TOL)
     except NonFiniteResidual:
         return None
-    ferrs = _reproj_errors(corr, camera, flip)
+    ferrs = _reproj_errors(corr, camera, flip.R, flip.t)
     tau_sq = tau * tau
     if np.minimum(ferrs * ferrs, tau_sq).sum() < FLIP_GAIN * np.minimum(errs * errs, tau_sq).sum():
         return flip, converged, ferrs
@@ -527,10 +543,7 @@ def _flipped(corr, camera, pose, errs, tau):
 
 
 def pnp_ransac(
-    corr: CorrSet,
-    camera: CameraIntrinsics,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    seed: int = 0,
+    corr: CorrSet, camera: CameraIntrinsics, max_iters: int = DEFAULT_MAX_ITERS, seed: int = 0
 ) -> PnPResult:
     """Robust pose from contaminated correspondences.
 
@@ -569,10 +582,8 @@ def pnp_ransac(
         raise TooFewCorrespondences(f"need {MIN_CORRESPONDENCES} pairs, got {n}")
     rng = np.random.default_rng(seed)
     thr_sq = INLIER_PX * INLIER_PX
-    best_score = math.inf
-    best_raw = math.inf
-    best_pose = None
-    best_errs = None
+    best_score = best_raw = math.inf
+    best_pose = best_errs = None
     best_fit = no_fit = np.zeros(n, bool)  # the set best_pose is the converged fit of
     tau = INLIER_PX
     needed = max_iters
@@ -590,7 +601,7 @@ def pnp_ransac(
             if ok[k] and raw[k] < best_raw:
                 score = best_raw = float(raw[k])
                 hyp = Pose(R=R[k], t=t[k])
-                errs = _reproj_errors(corr, camera, hyp)
+                errs = _reproj_errors(corr, camera, hyp.R, hyp.t)
                 # the band mask hyp was last fit on, and whether that converged
                 fit, fit_converged = no_fit, False
                 # polish on the hypothesis's own support through shrinking
@@ -602,15 +613,11 @@ def pnp_ransac(
                         continue
                     try:
                         local, local_converged = _lm(
-                            corr.subset(np.flatnonzero(mask)),
-                            camera,
-                            hyp,
-                            LM_MAX_ITERS,
-                            LM_TOL,
+                            corr.subset(np.flatnonzero(mask)), camera, hyp, LM_MAX_ITERS, LM_TOL
                         )
                     except NonFiniteResidual:
                         break
-                    lerrs = _reproj_errors(corr, camera, local)
+                    lerrs = _reproj_errors(corr, camera, local.R, local.t)
                     lscore = float(np.minimum(lerrs * lerrs, thr_sq).sum())
                     if lscore < score:
                         hyp, errs, score = local, lerrs, lscore
@@ -623,31 +630,21 @@ def pnp_ransac(
                     if q >= 1.0:
                         needed = i
                     elif q > 1e-12:  # below that the bound exceeds max_iters anyway
-                        needed = min(
-                            max_iters,
-                            int(
-                                math.ceil(
-                                    math.log(1.0 - RANSAC_CONFIDENCE)
-                                    / math.log(1.0 - q)
-                                )
-                            ),
-                        )
+                        bound = math.log(1.0 - RANSAC_CONFIDENCE) / math.log(1.0 - q)
+                        needed = min(max_iters, int(math.ceil(bound)))
                     if i >= needed:
                         break
     if best_pose is None:
         raise NoConsensus("every sample was degenerate")
     inliers = best_errs < tau
     if float(inliers.mean()) < MIN_INLIER_RATIO:
-        raise NoConsensus(
-            f"best hypothesis supports only {inliers.mean():.1%} of the data"
-        )
+        raise NoConsensus(f"best hypothesis supports only {inliers.mean():.1%} of the data")
     if np.array_equal(inliers, best_fit):
         refined, converged = best_pose, True  # already this set's converged fit
     else:
-        refined, converged = _lm(
-            corr.subset(np.flatnonzero(inliers)), camera, best_pose, LM_MAX_ITERS, LM_TOL
-        )
-    final_errs = _reproj_errors(corr, camera, refined)
+        support = corr.subset(np.flatnonzero(inliers))
+        refined, converged = _lm(support, camera, best_pose, LM_MAX_ITERS, LM_TOL)
+    final_errs = _reproj_errors(corr, camera, refined.R, refined.t)
     final_inliers = final_errs < tau
     if int(final_inliers.sum()) >= MIN_CORRESPONDENCES:
         flip = _flipped(corr, camera, refined, final_errs, tau)

@@ -25,7 +25,6 @@ from .meshes import (
     box_mesh,
     checked_bbox,
     ellipsoid_mesh,
-    moving_vertices,
     normalize_vertices,
     unit_sphere,
 )
@@ -127,18 +126,21 @@ def model_corr_bbox(model: ArticulatedModel):
             an axis.
     """
     fixed = model.part_fixed.vertices
-    fixed_lo, fixed_hi = fixed.min(axis=0), fixed.max(axis=0)
-    lo, hi = fixed_lo, fixed_hi
-    for a in np.linspace(0.0, 1.0, BOX_SAMPLES):
-        moved = moving_vertices(model, ArticulationState(float(a)))
-        # each sampled articulation must have a box of its own, as
-        # tight_bbox of the articulated mesh would check
-        a_lo, a_hi = checked_bbox(
-            np.minimum(fixed_lo, moved.min(axis=0)), np.maximum(fixed_hi, moved.max(axis=0))
-        )
-        lo, hi = np.minimum(lo, a_lo), np.maximum(hi, a_hi)
+    Rh = np.stack(
+        [
+            rotation_about_axis(model.hinge_axis, model.hinge_angle(ArticulationState(float(a))))
+            for a in np.linspace(0.0, 1.0, BOX_SAMPLES)
+        ]
+    )
+    # the moving part at every sampled opening, as moving_vertices places it
+    moved = (model.part_moving.vertices - model.hinge_origin) @ Rh.transpose(0, 2, 1) + model.hinge_origin
+    # each sampled articulation must have a box of its own, as tight_bbox
+    # of the articulated mesh would check
+    lo, hi = checked_bbox(
+        np.minimum(fixed.min(axis=0), moved.min(axis=1)), np.maximum(fixed.max(axis=0), moved.max(axis=1))
+    )
     pad = 1e-4
-    return lo - pad, hi + pad
+    return lo.min(axis=0) - pad, hi.max(axis=0) + pad
 
 
 def _mesh_radius(corr_box) -> float:

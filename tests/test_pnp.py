@@ -210,6 +210,82 @@ class TestRefineLm:
             np.testing.assert_allclose(again.t, optimum.t, rtol=0, atol=1e-9)
 
 
+class TestKernel:
+    """The single-pose pieces of refinement against plain per-point code."""
+
+    def _posed(self, camera, n=400, seed=141):
+        rng = np.random.default_rng(seed)
+        pose, corr = _noisy_set(rng, camera, n, 2.0)
+        # away from the optimum, so the gradient holds no cancellation
+        start = Pose(R=rotation_about_axis([0.3, 1.0, 0.2], 0.05) @ pose.R, t=pose.t + 0.01)
+        return corr, start
+
+    def test_normal_equations_match_explicit_jacobian(self, camera):
+        corr, pose = self._posed(camera)
+        pc, r = pnp_module._residuals(
+            corr.P, pnp_module._offsets(corr, camera), camera.f, pose.R, pose.t
+        )
+        H, g = pnp_module._normal_equations(pc, pose.t, r, camera.f)
+        J = _reference_jacobian(pc.T, pose.t, camera.f)
+        # the residuals interleaved as the reference orders its rows
+        np.testing.assert_allclose(r.T.ravel(), _reference_residuals(corr, camera, pose), rtol=1e-12)
+        np.testing.assert_allclose(H, J.T @ J, rtol=1e-12)
+        np.testing.assert_allclose(g, J.T @ r.T.ravel(), rtol=1e-12)
+
+    def test_residuals_behind_camera_are_none(self, camera):
+        corr, pose = self._posed(camera)
+        pc, r = pnp_module._residuals(
+            corr.P, pnp_module._offsets(corr, camera), camera.f, pose.R, pose.t - [0.0, 0.0, 10.0]
+        )
+        assert r is None and (pc[2] < 0).all()
+
+    def test_reproj_errors_match_reference(self, camera):
+        corr, pose = self._posed(camera)
+        np.testing.assert_array_equal(
+            pnp_module._reproj_errors(corr, camera, pose.R, pose.t), _reference_errors(corr, camera, pose)
+        )
+        # one point moved behind the camera gets an infinite error
+        pts = corr.pts3d.copy()
+        pts[7] = pose.R.T @ (np.array([0.01, 0.0, -0.2]) - pose.t)
+        behind = CorrSet(pts, corr.pts2d)
+        errs = pnp_module._reproj_errors(behind, camera, pose.R, pose.t)
+        assert errs[7] == np.inf and np.isfinite(np.delete(errs, 7)).all()
+        np.testing.assert_array_equal(errs, _reference_errors(behind, camera, pose, clamp=True))
+
+    def test_rodrigues_matches_reference(self):
+        rng = np.random.default_rng(142)
+        for scale in (1e-14, 1e-9, 1e-3, 1.0, 3.0):
+            w = scale * rng.standard_normal(3)
+            np.testing.assert_allclose(
+                pnp_module._rodrigues(w), _reference_exp_so3(w), rtol=0, atol=1e-15
+            )
+
+    def test_corrset_rejects_bad_input(self):
+        pts = cube_corners()
+        uv = np.zeros((8, 2))
+        for bad3, bad2 in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)):
+            p3, p2 = pts.copy(), uv.copy()
+            p3[3, 1] += bad3
+            p2[5, 0] += bad2
+            with pytest.raises(ValueError):
+                CorrSet(p3, p2)
+        with pytest.raises(ValueError):
+            CorrSet(pts[:, :2], uv)
+        with pytest.raises(ValueError):
+            CorrSet(pts, uv[:7])
+
+    def test_subset_keeps_rows(self, camera):
+        corr, _ = self._posed(camera)
+        index = np.array([5, 0, 399, 17, 17, 250])
+        sub = corr.subset(index)
+        np.testing.assert_array_equal(sub.pts3d, corr.pts3d[index])
+        np.testing.assert_array_equal(sub.pts2d, corr.pts2d[index])
+        assert sub.n == len(index) and sub.P.flags.c_contiguous and sub.uv.flags.c_contiguous
+        again = sub.subset(np.array([1, 3]))
+        np.testing.assert_array_equal(again.pts3d, corr.pts3d[[0, 17]])
+        np.testing.assert_array_equal(again.pts2d, corr.pts2d[[0, 17]])
+
+
 class TestPlanarFlip:
     """A planar target seen obliquely has a second, mirrored pose that
     projects it almost alike."""
@@ -240,18 +316,18 @@ class TestPlanarFlip:
         mirror = refine(corr, camera, Pose(R=turn @ fit.R, t=turn @ (fit.t - center) + center))
         assert geodesic_angle(mirror.R, fit.R) > math.radians(45.0)
         out = pnp_module._flipped(
-            corr, camera, mirror, pnp_module._reproj_errors(corr, camera, mirror), 2.0
+            corr, camera, mirror, pnp_module._reproj_errors(corr, camera, mirror.R, mirror.t), 2.0
         )
         assert out is not None
         pose, converged, errs = out
         assert converged
         assert geodesic_angle(pose.R, fit.R) < 1e-6
         assert np.linalg.norm(pose.t - fit.t) < 1e-6
-        np.testing.assert_array_equal(errs, pnp_module._reproj_errors(corr, camera, pose))
+        np.testing.assert_array_equal(errs, pnp_module._reproj_errors(corr, camera, pose.R, pose.t))
 
     def test_best_pose_is_kept(self, camera):
         corr, fit = self._scene(camera)
-        errs = pnp_module._reproj_errors(corr, camera, fit)
+        errs = pnp_module._reproj_errors(corr, camera, fit.R, fit.t)
         assert pnp_module._flipped(corr, camera, fit, errs, 2.0) is None
 
     def test_non_planar_support_is_not_flipped(self, camera, monkeypatch):
@@ -263,7 +339,7 @@ class TestPlanarFlip:
             raise AssertionError("a non-planar support was polished")
 
         monkeypatch.setattr(pnp_module, "_lm", no_lm)
-        errs = pnp_module._reproj_errors(corr, camera, fit)
+        errs = pnp_module._reproj_errors(corr, camera, fit.R, fit.t)
         assert pnp_module._flipped(corr, camera, fit, errs, 2.0) is None
 
 
@@ -589,8 +665,10 @@ class TestBatchedLoop:
         # deterministic work counts of one solve, about 10 % above the
         # normal-equation builds and projections that P3P samples take (16
         # and 37 at 0.5 px, 28 and 54 at 2 px); linear six-point samples
-        # with their LM polish took 143 and 188, 171 and 216
-        counts = {"_normal_equations": 0, "_project": 0}
+        # with their LM polish took 143 and 188, 171 and 216.  A projection
+        # is a P3P block's (_project), an LM start's or try's (_residuals),
+        # or a scoring chunk's or one pose's errors (_reproj_errors)
+        counts = {"_normal_equations": 0, "_project": 0, "_residuals": 0, "_reproj_errors": 0}
         for name in counts:
             original = getattr(pnp_module, name)
 
@@ -602,8 +680,9 @@ class TestBatchedLoop:
         rng = np.random.default_rng(401)
         _, corr = _noisy_set(rng, camera, 500, sigma, frac=0.2)
         pnp_ransac(corr, camera, seed=401)
+        assert all(counts.values()), counts
         assert counts["_normal_equations"] <= normal_equations, counts
-        assert counts["_project"] <= projections, counts
+        assert sum(counts.values()) - counts["_normal_equations"] <= projections, counts
 
     def test_peak_memory_near_sequential_loop(self, camera):
         # a full 64 x 64 map at sigma 2 px
@@ -626,6 +705,16 @@ class TestBatchedLoop:
 # code must reproduce this loop's samples, exit and results.
 
 
+def _reference_residuals(corr, camera, pose):
+    """Residuals of every point in front of the camera, u and v
+    interleaved."""
+    pc = corr.pts3d @ pose.R.T + pose.t
+    r = np.empty(2 * corr.n)
+    r[0::2] = camera.f * pc[:, 0] / pc[:, 2] + camera.px - corr.pts2d[:, 0]
+    r[1::2] = camera.f * pc[:, 1] / pc[:, 2] + camera.py - corr.pts2d[:, 1]
+    return r
+
+
 def _reference_errors(corr, camera, pose, clamp=False):
     pc = corr.pts3d @ pose.R.T + pose.t
     z = pc[:, 2]
@@ -634,8 +723,9 @@ def _reference_errors(corr, camera, pose, clamp=False):
         if not clamp:
             raise PointBehindCamera("pose places correspondences behind the camera")
         z = np.where(bad, 1.0, z)
-    du = camera.f * pc[:, 0] / z + camera.px - corr.pts2d[:, 0]
-    dv = camera.f * pc[:, 1] / z + camera.py - corr.pts2d[:, 1]
+    # projections minus the pixels' offsets from the principal point
+    du = pc[:, 0] * (camera.f / z) - (corr.pts2d[:, 0] - camera.px)
+    dv = pc[:, 1] * (camera.f / z) - (corr.pts2d[:, 1] - camera.py)
     err = np.sqrt(du * du + dv * dv)
     if bad.any():
         err[bad] = np.inf
@@ -728,6 +818,37 @@ def _reference_exp_so3(w):
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
+def _reference_jacobian(pc, t, f):
+    """The 2N x 6 Jacobian of the residuals (u and v rows interleaved) at
+    (N, 3) camera points ``pc`` of a pose with translation ``t``."""
+    n = len(pc)
+    z = pc[:, 2]
+    fz = f / z
+    J = np.zeros((2 * n, 6))
+    rot_pts = pc - t
+    # d(pixel)/d(camera point)
+    du_dp = np.zeros((n, 3))
+    dv_dp = np.zeros((n, 3))
+    du_dp[:, 0] = fz
+    du_dp[:, 2] = -f * pc[:, 0] / (z * z)
+    dv_dp[:, 1] = fz
+    dv_dp[:, 2] = -f * pc[:, 1] / (z * z)
+    # left rotation increment: d(pc)/dw = -[R p]_x
+    rx, ry, rz = rot_pts[:, 0], rot_pts[:, 1], rot_pts[:, 2]
+    dp_dw = np.zeros((n, 3, 3))
+    dp_dw[:, 0, 1] = rz
+    dp_dw[:, 0, 2] = -ry
+    dp_dw[:, 1, 0] = -rz
+    dp_dw[:, 1, 2] = rx
+    dp_dw[:, 2, 0] = ry
+    dp_dw[:, 2, 1] = -rx
+    J[0::2, :3] = np.einsum("nk,nkj->nj", du_dp, dp_dw)
+    J[1::2, :3] = np.einsum("nk,nkj->nj", dv_dp, dp_dw)
+    J[0::2, 3:] = du_dp
+    J[1::2, 3:] = dv_dp
+    return J
+
+
 def _reference_lm(corr, camera, init, max_iters, tol):
     R = init.R.copy()
     t = init.t.copy()
@@ -749,30 +870,7 @@ def _reference_lm(corr, camera, init, max_iters, tol):
     lam = 1e-3
     converged = False
     for _ in range(max_iters):
-        z = pc[:, 2]
-        fz = camera.f / z
-        J = np.zeros((2 * corr.n, 6))
-        rot_pts = pc - t
-        # d(pixel)/d(camera point)
-        du_dp = np.zeros((corr.n, 3))
-        dv_dp = np.zeros((corr.n, 3))
-        du_dp[:, 0] = fz
-        du_dp[:, 2] = -camera.f * pc[:, 0] / (z * z)
-        dv_dp[:, 1] = fz
-        dv_dp[:, 2] = -camera.f * pc[:, 1] / (z * z)
-        # left rotation increment: d(pc)/dw = -[R p]_x
-        rx, ry, rz = rot_pts[:, 0], rot_pts[:, 1], rot_pts[:, 2]
-        dp_dw = np.zeros((corr.n, 3, 3))
-        dp_dw[:, 0, 1] = rz
-        dp_dw[:, 0, 2] = -ry
-        dp_dw[:, 1, 0] = -rz
-        dp_dw[:, 1, 2] = rx
-        dp_dw[:, 2, 0] = ry
-        dp_dw[:, 2, 1] = -rx
-        J[0::2, :3] = np.einsum("nk,nkj->nj", du_dp, dp_dw)
-        J[1::2, :3] = np.einsum("nk,nkj->nj", dv_dp, dp_dw)
-        J[0::2, 3:] = du_dp
-        J[1::2, 3:] = dv_dp
+        J = _reference_jacobian(pc, t, camera.f)
         g = J.T @ r
         H = J.T @ J
         step_taken = False
