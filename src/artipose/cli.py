@@ -11,6 +11,7 @@ input or configuration, 3 runtime failure.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -595,20 +596,17 @@ def build_parser():
     p.add_argument("--frames", type=int, help="number of frames")
     p.add_argument("--seed", type=_non_negative(int), help="generator seed")
     p.add_argument("--no-occluders", action="store_true", help="disable occluders")
-    p.set_defaults(func=cmd_simgen)
 
     p = sub.add_parser("estimate", help="solve poses from stored correspondence maps")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output JSONL file")
     p.add_argument("--noise-sigma", type=_non_negative(float), default=0.0, help="correspondence pixel noise")
     p.add_argument("--seed", type=_non_negative(int), default=0)
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("--dataset", required=True)
     p.add_argument("--predictions", required=True, help="estimate JSONL file")
     p.add_argument("--out", required=True, help="report JSON path (a .txt sibling is written too)")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("adapt", help="run pseudo-label adaptation rounds")
     p.add_argument("--dataset", required=True)
@@ -619,21 +617,27 @@ def build_parser():
     p.add_argument("--seed", type=_non_negative(int), default=0)
     p.add_argument("--noise-sigma", type=_non_negative(float), default=0.0)
     p.add_argument("--box-jitter", type=_non_negative(float), default=0.1, help="relative box jitter for synthesized detections")
-    p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("losses", help="loss breakdown of predictions vs ground truth")
     p.add_argument("--dataset", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--weights", help="JSON file with w_pose/w_geom/w_cat/w_art")
-    p.set_defaults(func=cmd_losses)
     return parser
 
 
+@functools.cache
+def _parser():
+    """``build_parser()``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so that a rebound ``cmd_*`` is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -100,9 +100,18 @@ def read_mask_pgm(path: str | Path) -> MaskImage:
             f"{path}: PGM payload holds {data.size} bytes, "
             f"expected {width * height}"
         )
-    if not ((data == 0) | (data == 255)).all():
+    # subtracting 1 wraps 0 to 255 and takes 255 to 254: every other byte
+    # lands below 254
+    if (data - 1 < 254).any():
         raise ParseError(f"{path}: mask pixels must be 0 or 255")
-    return MaskImage(width, height, (data == 255).reshape(height, width)).tight()
+    image = data.reshape(height, width)
+    rows = np.flatnonzero(image.max(axis=1, initial=0))
+    if rows.size == 0:
+        return MaskImage(width, height, np.zeros((0, 0), dtype=np.uint8))
+    band = image[rows[0] : rows[-1] + 1]
+    cols = np.flatnonzero(band.max(axis=0))
+    window = band[:, cols[0] : cols[-1] + 1] == 255
+    return MaskImage(width, height, window, int(cols[0]), int(rows[0]))
 
 
 def write_fmap(data: np.ndarray, path: str | Path) -> None:

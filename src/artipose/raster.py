@@ -13,11 +13,23 @@ triangle's clipped bounding box; the edge functions and the depth are
 evaluated for all of them at once.  An unbuffered scatter-minimum
 (``np.minimum.at``) of the depths into the depth buffer then picks, per
 pixel, the nearest candidate, and one of the candidate indices the
-earliest triangle among equal depths.  That winner must be strictly
-nearer than the depth buffer held before, from the earlier meshes and
-chunks, and only winners get their attributes interpolated.  Every per-pixel value is computed with
-the same floating-point operations in the same order as a scalar
-evaluation of one triangle, so results do not depend on the batching.
+earliest triangle among equal depths.  Both scatters get values of their
+buffer's own dtype, float64 depths and int32 candidate indices (a chunk
+holds fewer than ``CHUNK_PIXELS`` plus one row of candidates), because
+numpy's ``ufunc.at`` takes its fast path only when the dtypes match and
+otherwise casts element by element, some twenty times slower.  The
+winner must be strictly nearer than the depth buffer held before, from
+the earlier meshes and chunks, and only winners get their attributes
+interpolated.  Every per-pixel value is computed with the same
+floating-point operations in the same order as a scalar evaluation of
+one triangle, so results do not depend on the batching.
+
+A render of one mesh without attributes (``render_amodal``, and
+``rasterize_crop`` of one mesh) takes the coverage pass instead: the
+same candidates and the same inside test, but no depth, no depth buffer
+and no tie rule.  Alone on a grid, a mesh owns every pixel it covers at
+a finite depth, and the depths are finite while every vertex lies nearer
+than ``_FINITE_DEPTH``; beyond it the depth pass runs.
 
 Candidates are processed in chunks of whole rows, in mesh and triangle
 order, of at most ``CHUNK_PIXELS`` plus one row.  That bounds the
@@ -68,6 +80,9 @@ MIN_SCREEN_AREA = 1e-12
 CHUNK_PIXELS = 1 << 13
 # Above every candidate index: the tie rule's start in ``_front_most``.
 _NO_CANDIDATE = np.iinfo(np.int32).max
+# Below this vertex depth every covered pixel's depth is finite: one of
+# its barycentrics is at least 0.3, so 1 / depth stays above 3e-301.
+_FINITE_DEPTH = 1e300
 
 
 @dataclass(frozen=True)
@@ -214,35 +229,28 @@ def _raster_core(
     h, w = grid.height, grid.width
     depth = np.full(h * w, np.inf)
     owner = np.full(h * w, -1, dtype=np.int32)
-    covered = [MaskImage(w, h, np.zeros((0, 0), dtype=np.uint8))] * len(meshes)
+    covered = [_empty_mask(w, h)] * len(meshes)
     attr = None
     if attributes is not None:
         attr = np.zeros((h * w, attributes.shape[1]))
 
     for mesh_idx, (mesh, pose) in enumerate(meshes):
-        cam_pts = mesh.vertices @ pose.R.T + pose.t
-        z = cam_pts[:, 2]
-        # grid-space vertex coordinates
-        gx = (camera.f * cam_pts[:, 0] / z + camera.px - grid.x0) / grid.sx
-        gy = (camera.f * cam_pts[:, 1] / z + camera.py - grid.y0) / grid.sy
-        if _off_grid(gx, gy, z, w, h):
+        drawn = _faces_on_grid(mesh, pose, camera, grid)
+        if drawn is None:
             continue
-        faces, box, area2 = _triangle_boxes(mesh.faces, gx, gy, z, w, h)
-        if faces.shape[0] == 0:
-            continue
+        faces, box, area2, gx, gy, z = drawn
+        tz = z[faces]
         tri_attr = None
         own_depth, own_owner = depth, owner
         if attributes is not None and mesh_idx == attr_mesh:
-            tri_attr = attributes[faces] / z[faces][:, :, None]
+            tri_attr = attributes[faces] / tz[:, :, None]
             if (owner >= 0).any():
                 own_depth = np.full(h * w, np.inf)
                 own_owner = np.full(h * w, -1, dtype=np.int32)
-        # the grid rows the faces' boxes reach
-        x_lo, x_hi = int(box[0].min()), int(box[1].max())
-        y_lo, y_hi = int(box[2].min()), int(box[3].max())
-        band = np.zeros((y_hi - y_lo + 1) * w, dtype=bool)
-        for t, pix, w0, w1, w2, z_pix in _covered_pixels(faces, box, area2, gx, gy, z, w):
+        band, y_lo = _band(box, w)
+        for t, pix, w0, w1, w2 in _covered_pixels(faces, box, area2, gx, gy, w):
             band[pix - y_lo * w] = True
+            z_pix = 1.0 / (w0 / tz[t, 0] + w1 / tz[t, 1] + w2 / tz[t, 2])
             win = _front_most(pix, z_pix, depth, owner, mesh_idx)
             if tri_attr is None:
                 continue
@@ -255,11 +263,69 @@ def _raster_core(
                 + w2[win, None] * tri_attr[t, 2]
             )
             attr[pix[win]] = num * z_pix[win, None]
-        covered[mesh_idx] = MaskImage(w, h, band.reshape(-1, w)[:, x_lo : x_hi + 1], x_lo, y_lo)
+        covered[mesh_idx] = _band_mask(band, box, w, h)
 
     if attr is not None:
         attr = attr.reshape(h, w, -1)
     return depth.reshape(h, w), owner.reshape(h, w), covered, attr
+
+
+def _coverage(mesh: TriMesh, pose: Pose, camera: CameraIntrinsics, grid: _Grid) -> MaskImage | None:
+    """The pixels of the grid one mesh covers, found without depth.
+
+    This is what ``_raster_core`` gives the mesh alone, as ``covered[0]``
+    and as ``owner == 0``: alone, a mesh owns every pixel it covers at a
+    finite depth.  None when a face has a vertex at or beyond
+    ``_FINITE_DEPTH``, where a depth might round to infinity; the caller
+    then takes the depth pass.
+    """
+    w, h = grid.width, grid.height
+    drawn = _faces_on_grid(mesh, pose, camera, grid)
+    if drawn is None:
+        return _empty_mask(w, h)
+    faces, box, area2, gx, gy, z = drawn
+    if z[faces].max() >= _FINITE_DEPTH:
+        return None
+    band, y_lo = _band(box, w)
+    for _, pix, _, _, _ in _covered_pixels(faces, box, area2, gx, gy, w):
+        band[pix - y_lo * w] = True
+    return _band_mask(band, box, w, h)
+
+
+def _faces_on_grid(mesh: TriMesh, pose: Pose, camera: CameraIntrinsics, grid: _Grid):
+    """Project a mesh onto the grid: (faces, box, area2, gx, gy, z).
+
+    ``gx``, ``gy`` and ``z`` are per vertex, in grid coordinates and
+    camera depth; the rest is ``_triangle_boxes``' output.  None when no
+    face can reach a pixel center of the grid.
+    """
+    cam_pts = mesh.vertices @ pose.R.T + pose.t
+    z = cam_pts[:, 2]
+    gx = (camera.f * cam_pts[:, 0] / z + camera.px - grid.x0) / grid.sx
+    gy = (camera.f * cam_pts[:, 1] / z + camera.py - grid.y0) / grid.sy
+    if _off_grid(gx, gy, z, grid.width, grid.height):
+        return None
+    faces, box, area2 = _triangle_boxes(mesh.faces, gx, gy, z, grid.width, grid.height)
+    if faces.shape[0] == 0:
+        return None
+    return faces, box, area2, gx, gy, z
+
+
+def _empty_mask(width: int, height: int) -> MaskImage:
+    return MaskImage(width, height, np.zeros((0, 0), dtype=np.uint8))
+
+
+def _band(box, width):
+    """A cleared flat mask over the grid rows the faces' boxes reach, and
+    the first of those rows."""
+    y_lo, y_hi = int(box[2].min()), int(box[3].max())
+    return np.zeros((y_hi - y_lo + 1) * width, dtype=bool), y_lo
+
+
+def _band_mask(band, box, width, height) -> MaskImage:
+    """``_band``'s rows as a mask kept over the window of the faces' boxes."""
+    x_lo, x_hi, y_lo = int(box[0].min()), int(box[1].max()), int(box[2].min())
+    return MaskImage(width, height, band.reshape(-1, width)[:, x_lo : x_hi + 1], x_lo, y_lo)
 
 
 def _off_grid(gx, gy, z, width, height) -> bool:
@@ -309,12 +375,11 @@ def _triangle_boxes(faces, gx, gy, z, width, height):
     return faces[keep], box[:, keep].astype(np.int64), area2[keep]
 
 
-def _covered_pixels(faces, box, area2, gx, gy, z, width):
+def _covered_pixels(faces, box, area2, gx, gy, width):
     """Yield the pixels inside each face, chunk by chunk in face order.
 
-    Each yield is (tri, pix, w0, w1, w2, z): per covered pixel, the index
-    of its face in ``faces``, its flat index, its barycentrics and its
-    perspective-correct depth.  Candidates are the pixel rows of the face
+    Each yield is (tri, pix, w0, w1, w2): per covered pixel, the index of
+    its face in ``faces``, its flat index and its barycentrics.  Candidates are the pixel rows of the face
     boxes, in face order and then row order; a chunk takes whole rows
     until it reaches ``CHUNK_PIXELS``, so it holds fewer than
     ``CHUNK_PIXELS + width`` candidates and a face larger than a chunk is
@@ -322,7 +387,6 @@ def _covered_pixels(faces, box, area2, gx, gy, z, width):
     """
     ax, bx, cx = gx[faces].T
     ay, by, cy = gy[faces].T
-    tz = z[faces]
     x_lo, x_hi, y_lo, y_hi = box
     rows_per_face = y_hi - y_lo + 1
     row_tri = np.repeat(np.arange(faces.shape[0]), rows_per_face)
@@ -355,9 +419,7 @@ def _covered_pixels(faces, box, area2, gx, gy, z, width):
             continue
         tri = np.repeat(t, n)[inside]
         pix = (np.repeat(y * width, n) + ix)[inside]
-        w0, w1, w2 = w0[inside], w1[inside], w2[inside]
-        z_pix = 1.0 / (w0 / tz[tri, 0] + w1 / tz[tri, 1] + w2 / tz[tri, 2])
-        yield tri, pix, w0, w1, w2, z_pix
+        yield tri, pix, w0[inside], w1[inside], w2[inside]
 
 
 def _front_most(pix, z, depth, owner, mesh_idx):
@@ -370,7 +432,8 @@ def _front_most(pix, z, depth, owner, mesh_idx):
     """
     before = depth[pix]
     np.minimum.at(depth, pix, z)
-    near = np.flatnonzero((z == depth[pix]) & (z < before))
+    # int32 like ``owner``, so that the scatter below takes the fast path
+    near = np.flatnonzero((z == depth[pix]) & (z < before)).astype(np.int32)
     near_pix = pix[near]
     owner[near_pix] = _NO_CANDIDATE
     np.minimum.at(owner, near_pix, near)
@@ -379,15 +442,34 @@ def _front_most(pix, z, depth, owner, mesh_idx):
     return win
 
 
+def _masks(meshes, camera: CameraIntrinsics, grid: _Grid):
+    """Per mesh, the pixels it owns and the pixels it covers on the grid.
+
+    Returns (visible, covered), two lists of masks over the grid, each
+    kept over the window of its mesh's face boxes.  One mesh takes the
+    coverage pass when it can, and then both lists hold its coverage.
+    """
+    if len(meshes) == 1:
+        cover = _coverage(*meshes[0], camera, grid)
+        if cover is not None:
+            return [cover], [cover]
+    _, owner, covered, _ = _raster_core(meshes, camera, grid)
+    visible = []
+    for i, cover in enumerate(covered):
+        # a mesh owns only pixels it covers
+        x0, y0, x1, y1 = cover.window
+        visible.append(MaskImage(grid.width, grid.height, owner[y0:y1, x0:x1] == i, x0, y0))
+    return visible, covered
+
+
 def _render_window(meshes, camera: CameraIntrinsics):
     """Rasterize the meshes over their window of the image.
 
     The window holds the image's pixel centers in the box of the meshes'
     projected vertices in front of ``NEAR_PLANE``; it is the whole image
     when a coordinate reaches 2**52 px, where shifting the grid by an
-    integer might round.  Returns (x0, y0, owner, covered) as
-    ``_raster_core`` gives them over the window whose top-left pixel is
-    column ``x0``, row ``y0``.
+    integer might round.  Returns ``_masks``' (visible, covered), placed
+    in the image.
 
     Raises:
         EmptyRender: no mesh covered any pixel.
@@ -408,9 +490,13 @@ def _render_window(meshes, camera: CameraIntrinsics):
         y1 = min(math.floor(gy.max() - 0.5) + 1, y1)
     if x1 > x0 and y1 > y0:
         grid = _Grid(float(x0), float(y0), 1.0, 1.0, x1 - x0, y1 - y0)
-        _, owner, covered, _ = _raster_core(meshes, camera, grid)
-        if owner.max(initial=-1) >= 0:
-            return x0, y0, owner, covered
+        visible, covered = _masks(meshes, camera, grid)
+        if any(m.data.any() for m in visible):
+
+            def placed(m):
+                return MaskImage(camera.width, camera.height, m.data, x0 + m.x0, y0 + m.y0)
+
+            return [placed(m) for m in visible], [placed(m) for m in covered]
     raise EmptyRender("no mesh covered any pixel")
 
 
@@ -429,29 +515,21 @@ def rasterize_scene(
     Raises:
         EmptyRender: no mesh covered any pixel.
     """
-    x0, y0, owner, covered = _render_window(meshes, camera)
-    w, h = camera.width, camera.height
-    visible, amodal = [], []
-    for i, cover in enumerate(covered):
-        # a mesh owns only pixels it covers
-        cx0, cy0, cx1, cy1 = cover.window
-        own = owner[cy0:cy1, cx0:cx1] == i
-        visible.append(MaskImage(w, h, own, x0 + cx0, y0 + cy0))
-        amodal.append(MaskImage(w, h, cover.data, x0 + cx0, y0 + cy0))
-    return visible, amodal
+    return _render_window(meshes, camera)
 
 
 def render_amodal(mesh: TriMesh, pose: Pose, camera: CameraIntrinsics) -> MaskImage:
     """Full silhouette of a single mesh, ignoring any other scene content.
 
     Only the window of pixel centers in the projected vertex box is
-    rasterized, with the full-frame render's exact bits there.
+    rasterized, with the full-frame render's exact bits there, and no
+    depth is computed unless a vertex lies beyond ``_FINITE_DEPTH``.
 
     Raises:
         EmptyRender: the mesh covers no pixel.
     """
-    x0, y0, _, (cover,) = _render_window([(mesh, pose)], camera)
-    return MaskImage(camera.width, camera.height, cover.data, x0 + cover.x0, y0 + cover.y0)
+    _, (mask,) = _render_window([(mesh, pose)], camera)
+    return mask
 
 
 def rasterize_crop(
@@ -460,9 +538,12 @@ def rasterize_crop(
     crop: BBox,
     out_size: int,
 ) -> list[MaskImage]:
-    """Visible masks of all meshes, sampled over a resampled crop window."""
-    _, owner, _, _ = _raster_core(meshes, camera, _Grid.from_crop(crop, out_size))
-    return [MaskImage(out_size, out_size, owner == i) for i in range(len(meshes))]
+    """Visible masks of all meshes, sampled over a resampled crop window.
+
+    A single mesh is rendered without depth, as in :func:`render_amodal`.
+    """
+    visible, _ = _masks(meshes, camera, _Grid.from_crop(crop, out_size))
+    return [MaskImage(out_size, out_size, m.full()) for m in visible]
 
 
 def render_correspondence(

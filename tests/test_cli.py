@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from artipose import cli
 from artipose.adaptation import encode_estimate, load_estimates
 from artipose.cli import main
 from artipose.formats import read_fmap, write_fmap
@@ -231,6 +232,18 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+
+def test_a_rebound_command_runs_after_the_parser_is_built(dataset, tmp_path, monkeypatch):
+    # the parser is built once per process; the command is looked up by
+    # name on each call, so a wrapper bound after a first call still runs
+    out = tmp_path / "p.jsonl"
+    assert main(["estimate", "--dataset", str(dataset), "--out", str(out)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_estimate", lambda args: seen.append(args.out) or 7)
+    assert main(["estimate", "--dataset", str(dataset), "--out", str(out)]) == 7
+    assert seen == [str(out)]
+    assert cli._parser() is cli._parser()
 
 
 class TestSimgen:

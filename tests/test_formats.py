@@ -100,12 +100,40 @@ class TestPgm:
         with pytest.raises(ParseError, match="binary PGM"):
             read_mask_pgm(path)
 
-    @pytest.mark.parametrize("value", [1, 128, 254])
+    @pytest.mark.parametrize("value", range(1, 255))
     def test_rejects_gray_values(self, tmp_path, value):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n2 1\n255\n" + bytes([0, value]))
         with pytest.raises(ParseError, match="0 or 255"):
             read_mask_pgm(path)
+
+    @pytest.mark.parametrize("value", [1, 128, 254])
+    def test_rejects_gray_last_byte_of_a_frame(self, tmp_path, value):
+        payload = np.full(640 * 480, 255, dtype=np.uint8)
+        payload[:-1:2] = 0
+        payload[-1] = value
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n640 480\n255\n" + payload.tobytes())
+        with pytest.raises(ParseError, match="0 or 255"):
+            read_mask_pgm(path)
+
+    def test_all_zero_frame(self, tmp_path):
+        path = tmp_path / "zero.pgm"
+        path.write_bytes(b"P5\n640 480\n255\n" + bytes(640 * 480))
+        mask = read_mask_pgm(path)
+        assert (mask.width, mask.height) == (640, 480)
+        assert mask.data.shape == (0, 0) and mask.window == (0, 0, 0, 0)
+        assert mask.bbox() is None and mask.pixel_count() == 0
+
+    def test_window_at_the_frame_corners(self, tmp_path):
+        # set pixels in the first and last row and column give the frame
+        data = np.zeros((480, 640), dtype=np.uint8)
+        data[0, 5] = data[479, 7] = data[9, 0] = data[11, 639] = 1
+        path = tmp_path / "m.pgm"
+        write_mask_pgm(MaskImage.from_array(data), path)
+        mask = read_mask_pgm(path)
+        assert mask.window == (0, 0, 640, 480)
+        np.testing.assert_array_equal(mask.data, data)
 
     def test_rejects_truncated_payload(self, tmp_path):
         path = tmp_path / "bad.pgm"

@@ -316,7 +316,22 @@ def _assert_matches_reference(meshes, camera, grid, attributes=None, attr_mesh=0
         assert g.dtype == r.dtype and g.shape == r.shape, name
         assert np.array_equal(g, r), f"{name} differs at {np.argwhere(g != r)[:5].tolist()}"
     assert (want[1] >= 0).any(), "the scene must cover some pixel"
+    _assert_coverage_matches(meshes, camera, grid, covered)
     return want
+
+
+def _assert_coverage_matches(meshes, camera, grid, covered):
+    """The coverage pass gives each mesh the depth pass's covered pixels,
+    over the same window, and they are the pixels the mesh owns alone."""
+    for (mesh, pose), cover in zip(meshes, covered):
+        alone = raster._coverage(mesh, pose, camera, grid)
+        assert alone.window == cover.window
+        assert np.array_equal(alone.data, cover.data)
+        _, owner, _, _ = _reference_core([(mesh, pose)], camera, grid)
+        assert np.array_equal(alone.full(), owner == 0)
+        (visible,), (amodal,) = raster._masks([(mesh, pose)], camera, grid)
+        assert visible is amodal and visible.window == alone.window
+        assert np.array_equal(visible.data, alone.data)
 
 
 def _projected(mesh, pose, camera):
@@ -519,6 +534,91 @@ class TestAmodalWindow:
         assert (owner < 0).all()
         with pytest.raises(EmptyRender):
             render_amodal(mesh, pose, camera)
+
+
+def _far_apex(side):
+    """A triangle whose apex overflows to infinite depth on a pixel center.
+
+    The apex sits on the principal point, the center of pixel (240, 320),
+    where its barycentric is 1 and the depth is infinite; the other two
+    vertices lie ``side`` px off it at depth 1.  So that pixel is covered
+    but not owned.
+    """
+    camera = CameraIntrinsics(f=800.0, px=320.5, py=240.5, width=640, height=480)
+    R = np.array([[1.0, 0.0, 1.0], [0.0, math.sqrt(2.0), 0.0], [-1.0, 0.0, 1.0]]) / math.sqrt(2.0)
+    # the model point whose rotated depth overflows, and three at depth 1
+    near = np.array([[side, 0.0, 800.0], [0.0, side, 800.0], [side, side, 800.0]]) / 800.0
+    vertices = np.vstack([[-1.3e308, 0.0, 1.3e308], near @ R])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mesh = TriMesh(vertices, np.array([[0, 1, 2]]))
+    return mesh, Pose(R=R, t=np.zeros(3)), camera
+
+
+class TestCoveragePass:
+    """One mesh without attributes is rendered without depth."""
+
+    @pytest.mark.parametrize("side", [0.3, 40.0])
+    def test_infinite_depth_takes_the_depth_pass(self, side):
+        mesh, pose, camera = _far_apex(side)
+        grid = _Grid.full_image(640, 480)
+        with np.errstate(over="ignore", divide="ignore"):
+            _, owner, covered, _ = _reference_core([(mesh, pose)], camera, grid)
+            assert covered[0][240, 320] and owner[240, 320] == -1
+            assert raster._coverage(mesh, pose, camera, grid) is None
+            (visible,), (amodal,) = raster._masks([(mesh, pose)], camera, grid)
+            np.testing.assert_array_equal(visible.full(), owner == 0)
+            np.testing.assert_array_equal(amodal.full(), covered[0])
+            # a unit-scale crop over the image's rows
+            crop = BBox(cx=320.0, cy=320.0, w=640.0, h=640.0)
+            (cropped,) = rasterize_crop([(mesh, pose)], camera, crop, 640)
+            assert cropped.data[240, 320] == 0 and cropped.pixel_count() == (owner == 0).sum()
+            if side < 0.5:
+                # the one covered pixel is not owned: nothing is drawn
+                assert covered[0].sum() == 1
+                with pytest.raises(EmptyRender):
+                    render_amodal(mesh, pose, camera)
+            else:
+                np.testing.assert_array_equal(render_amodal(mesh, pose, camera).full(), covered[0])
+
+    @pytest.mark.parametrize(
+        "side, t",
+        [
+            (0.1, (0.0, 0.0, -1.0)),
+            (0.1, (2.0, 0.0, 1.0)),
+            (0.1, (0.0, -2.0, 1.0)),
+            (0.0005, (0.0, 0.0, 1.0)),
+            (0.0005, (0.5 / 800.0, 0.5 / 800.0, 1.0)),
+            (0.1, (0.0, 0.0, 0.02)),
+            (0.1, (0.0, 0.0, 1.0)),
+        ],
+    )
+    def test_empty_exactly_where_nothing_is_owned(self, camera, side, t):
+        # behind the camera, off-screen, between pixel centers, on one
+        # pixel center, around the camera, and in view
+        mesh = box_mesh(center=(0, 0, 0), size=(side, side, side))
+        pose = Pose(R=np.eye(3), t=np.array(t))
+        _, owner, covered, _ = _reference_core([(mesh, pose)], camera, _Grid.full_image(640, 480))
+        if (owner < 0).all():
+            assert not covered.any()
+            with pytest.raises(EmptyRender):
+                render_amodal(mesh, pose, camera)
+        else:
+            np.testing.assert_array_equal(covered[0], owner == 0)
+            np.testing.assert_array_equal(render_amodal(mesh, pose, camera).full(), owner == 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_mesh_crop_is_the_reference_visibility(self, camera, seed):
+        # crops that cut the tool, hold it whole, or reach past the image
+        mesh, pose = _tool_scene(seed)[0]
+        for crop in (
+            _tool_crop([(mesh, pose)], camera, side=30.0),
+            _tool_crop([(mesh, pose)], camera, side=300.0),
+            BBox(cx=0.0, cy=0.0, w=64.0, h=64.0),
+        ):
+            (mask,) = rasterize_crop([(mesh, pose)], camera, crop, 64)
+            _, owner, _, _ = _reference_core([(mesh, pose)], camera, _Grid.from_crop(crop, 64))
+            assert mask.window == (0, 0, 64, 64)
+            np.testing.assert_array_equal(mask.data, owner == 0)
 
 
 class TestMaskWindow:
