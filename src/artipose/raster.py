@@ -379,11 +379,11 @@ def _covered_pixels(faces, box, area2, gx, gy, width):
     """Yield the pixels inside each face, chunk by chunk in face order.
 
     Each yield is (tri, pix, w0, w1, w2): per covered pixel, the index of
-    its face in ``faces``, its flat index and its barycentrics.  Candidates are the pixel rows of the face
-    boxes, in face order and then row order; a chunk takes whole rows
-    until it reaches ``CHUNK_PIXELS``, so it holds fewer than
-    ``CHUNK_PIXELS + width`` candidates and a face larger than a chunk is
-    split into bands of rows.
+    its face in ``faces``, its flat index and its barycentrics.
+    Candidates are the pixel rows of the face boxes, in face order and
+    then row order; a chunk takes whole rows until it reaches
+    ``CHUNK_PIXELS``, so it holds fewer than ``CHUNK_PIXELS + width``
+    candidates and a face larger than a chunk is split into bands of rows.
     """
     ax, bx, cx = gx[faces].T
     ay, by, cy = gy[faces].T
