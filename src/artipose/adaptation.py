@@ -26,10 +26,10 @@ from .errors import (
     ParseError,
 )
 from .formats import canonical_json, decode_pose, encode_pose
-from .meshes import ArticulatedModel, ArticulationState, articulate, normalize_vertices
+from .meshes import ArticulatedModel, articulate, normalize_vertices
 from .pnp import CorrSet, PnPResult, pairs_from_map, pnp_ransac
 from .raster import render_amodal, render_correspondence
-from .simulate import CROP_OUT_SIZE, model_corr_bbox, square_crop
+from .simulate import CROP_OUT_SIZE, square_crop
 from .tracking import STREAK_MIN, Detection, run_tracker
 
 DEFAULT_CONF_MIN = 0.85
@@ -136,7 +136,9 @@ class RenderEstimator:
         self.camera = camera
         self.sigma = sigma
         self.seed = seed
-        self._boxes = {cls: model_corr_bbox(m) for cls, m in self.models.items()}
+        # a model without a box fails here, not as every estimate's failure
+        for model in self.models.values():
+            model.corr_box
         self._answers = {}
 
     def __call__(self, frame_id: int, crop: BBox, class_id: int) -> PoseEstimate:
@@ -153,8 +155,8 @@ class RenderEstimator:
             raise InputError(f"no model registered for class {class_id}")
         pose, articulation = self.gt[key]
         model = self.models[class_id]
-        box = self._boxes[class_id]
-        mesh = articulate(model, ArticulationState(articulation))
+        box = model.corr_box
+        mesh = articulate(model, articulation)
         coords = normalize_vertices(mesh, box)
         cmap = render_correspondence(mesh, coords, pose, self.camera, crop, CROP_OUT_SIZE)
         result, confidence = solve_object(
@@ -249,7 +251,7 @@ def refine_bbox(det: Detection, estimator, model: ArticulatedModel, camera: Came
     """
     try:
         est = estimator(det.frame_id, det.bbox, det.class_id)
-        mesh = articulate(model, ArticulationState(est.articulation))
+        mesh = articulate(model, est.articulation)
         mask = render_amodal(mesh, est.pose, camera)
     except InputError:
         raise

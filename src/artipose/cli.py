@@ -48,7 +48,6 @@ from .losses import (
     loss_total,
 )
 from .meshes import (
-    ArticulationState,
     articulate,
     load_model_manifest,
     normalize_vertices,
@@ -67,7 +66,6 @@ from .simulate import (
     generate_sequence,
     load_correspondence,
     load_dataset,
-    model_corr_bbox,
     needle_holder_model,
     tweezers_model,
 )
@@ -230,15 +228,17 @@ def cmd_simgen(args):
 # estimate
 
 
-def _estimate_frame(frame, ds, boxes, sigma, seed):
+def _estimate_frame(frame, ds, models, sigma, seed):
     """(estimate records, failure class names) of a frame's objects."""
     records = []
     skipped = []
     for obj in frame.objects:
         cmap = load_correspondence(obj.corr_path, obj.crop)
+        # read outside the try: a model without a box fails the command
+        box = models[obj.model_index].corr_box
         try:
             res, confidence = solve_object(
-                pairs_from_map(cmap, boxes[obj.model_index]),
+                pairs_from_map(cmap, box),
                 ds.camera,
                 sigma,
                 seed,
@@ -259,10 +259,9 @@ def _estimate_frame(frame, ds, boxes, sigma, seed):
 def cmd_estimate(args):
     ds = _open_dataset(args.dataset)
     models, _ = _dataset_models(ds)
-    boxes = [model_corr_bbox(m) for m in models]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    results = [_estimate_frame(frame, ds, boxes, args.noise_sigma, args.seed) for frame in ds.frames]
+    results = [_estimate_frame(frame, ds, models, args.noise_sigma, args.seed) for frame in ds.frames]
     failures = Counter(name for _, names in results for name in names)
     lines = [json.dumps(rec, sort_keys=True) for recs, _ in results for rec in recs]
     out.write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -292,7 +291,7 @@ def _frame_predictions(frame_id, keys, estimates, models_by_class, camera):
     preds = []
     for order, class_id in keys:
         est = estimates.pop((frame_id, class_id))
-        mesh = articulate(models_by_class[class_id], ArticulationState(est.articulation))
+        mesh = articulate(models_by_class[class_id], est.articulation)
         try:
             mask = render_amodal(mesh, est.pose, camera)
         except InputError:
@@ -482,7 +481,7 @@ def _losses_for_object(obj, est, model, box, camera, weights, pts, n_classes):
     crop = obj.crop
     center = (crop.cx, crop.cy)
     gt_corr = load_correspondence(obj.corr_path, crop)
-    gt_mesh = articulate(model, ArticulationState(obj.articulation))
+    gt_mesh = articulate(model, obj.articulation)
     gt_crop_masks = rasterize_crop([(gt_mesh, obj.pose)], camera, crop, CROP_OUT_SIZE)
     gt = GroundTruth(
         R=ego_to_allo(obj.pose.R, center, camera),
@@ -493,7 +492,7 @@ def _losses_for_object(obj, est, model, box, camera, weights, pts, n_classes):
         mask_vis=gt_corr.valid.data.astype(np.float64),
         mask_full=gt_crop_masks[0].data.astype(np.float64),
     )
-    pred_mesh = articulate(model, ArticulationState(est.articulation))
+    pred_mesh = articulate(model, est.articulation)
     coords = normalize_vertices(pred_mesh, box)
     pred_corr = render_correspondence(
         pred_mesh, coords, est.pose, camera, crop, CROP_OUT_SIZE
@@ -517,11 +516,8 @@ def cmd_losses(args):
     models, models_by_class = _dataset_models(ds)
     estimates = load_estimates(_require_file(args.predictions, "predictions file"))
     weights = _from_config(LossWeights, _read_config(args.weights))
-    boxes = {m.class_id: model_corr_bbox(m) for m in models}
     pts = {
-        m.class_id: sample_surface_points(
-            articulate(m, ArticulationState(0.5)), DEFAULT_NUM_POINTS, seed=0
-        )
+        m.class_id: sample_surface_points(articulate(m, 0.5), DEFAULT_NUM_POINTS, seed=0)
         for m in models
     }
     objects = {
@@ -537,12 +533,15 @@ def cmd_losses(args):
             raise InputError(f"prediction without ground truth: frame {key[0]} class {key[1]}")
         obj = objects[key]
         est = estimates[key]
+        model = models_by_class[key[1]]
+        # read outside the try: a model without a box fails the command
+        box = model.corr_box
         try:
             breakdown = _losses_for_object(
                 obj,
                 est,
-                models_by_class[key[1]],
-                boxes[key[1]],
+                model,
+                box,
                 ds.camera,
                 weights,
                 pts[key[1]],

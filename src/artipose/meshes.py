@@ -1,7 +1,9 @@
 """Triangle meshes, two-part hinged tool models and mesh file parsing.
 
-Vertex coordinates are meters.  The one supported file form is a small
-OBJ subset (``v x y z`` and ``f i j k`` lines, 1-based indices).
+Vertex coordinates are meters.  ``ArticulatedModel`` owns the hinge
+formula (``moving_vertices``), the posed mesh (``articulate``) and the
+FMAP normalization box (``corr_box``).  The one supported file form is
+a small OBJ subset (``v x y z`` and ``f i j k`` lines, 1-based indices).
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,9 @@ MIN_FACE_AREA = 1e-12  # m^2
 MIN_EXTENT = 1e-9  # m, per axis, for a usable bounding box
 DEFAULT_ANGLE_MIN = 0.0
 DEFAULT_ANGLE_MAX = 0.6  # rad
+# hinge openings the articulation-free correspondence box is sampled at;
+# the box normalizes every FMAP, so this fixes the FMAP format
+BOX_SAMPLES = 21
 
 
 @dataclass(frozen=True)
@@ -73,17 +79,6 @@ def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ArticulationState:
-    """Normalized hinge opening, 0 closed .. 1 fully open."""
-
-    a: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"articulation must be in [0, 1], got {self.a}")
-
-
-@dataclass(frozen=True)
 class ArticulatedModel:
     """Two-part tool: a fixed part plus a part rotating about a hinge."""
 
@@ -106,30 +101,59 @@ class ArticulatedModel:
         object.__setattr__(self, "hinge_origin", origin)
         object.__setattr__(self, "hinge_axis", axis)
 
-    def hinge_angle(self, state: ArticulationState) -> float:
-        return self.angle_min + state.a * (self.angle_max - self.angle_min)
+    def hinge_angle(self, a: float) -> float:
+        """Hinge angle at the normalized opening ``a``, 0 closed .. 1 fully
+        open; ValueError outside [0, 1]."""
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"articulation must be in [0, 1], got {a}")
+        return self.angle_min + a * (self.angle_max - self.angle_min)
+
+    @cached_property
+    def corr_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Axis-aligned box containing the model at every articulation.
+
+        Correspondence maps are normalized against this articulation-free
+        box so decoding never needs to know the articulation; it fixes
+        the FMAP format.  The articulation is sampled at ``BOX_SAMPLES``
+        evenly spaced openings, and a small pad covers arc positions
+        between them.  Computed on first use, once per model.
+
+        Raises:
+            DegenerateMesh: the box of a sampled articulation vanishes
+                along an axis.
+        """
+        fixed = self.part_fixed.vertices
+        moved = moving_vertices(self, np.linspace(0.0, 1.0, BOX_SAMPLES))
+        # each sampled articulation must have a box of its own, as
+        # tight_bbox of the articulated mesh would check
+        lo, hi = checked_bbox(
+            np.minimum(fixed.min(axis=0), moved.min(axis=1)), np.maximum(fixed.max(axis=0), moved.max(axis=1))
+        )
+        pad = 1e-4
+        return lo.min(axis=0) - pad, hi.max(axis=0) + pad
 
 
-def articulate(model: ArticulatedModel, state: ArticulationState) -> TriMesh:
-    """Pose the moving part at the given opening and merge both parts.
+def articulate(model: ArticulatedModel, a: float) -> TriMesh:
+    """Both parts as one mesh, the moving part posed at opening ``a``.
 
     The fixed part's vertices are passed through bit-exactly; the moving
     part rotates rigidly about the hinge.
     """
-    moved = moving_vertices(model, state)
-    return merge_meshes(model.part_fixed, TriMesh(moved, model.part_moving.faces))
+    fixed = model.part_fixed
+    return TriMesh(
+        np.concatenate([fixed.vertices, moving_vertices(model, a)]),
+        np.concatenate([fixed.faces, model.part_moving.faces + fixed.n_vertices]),
+    )
 
 
-def moving_vertices(model: ArticulatedModel, state: ArticulationState) -> np.ndarray:
-    """The moving part's vertices at the given opening."""
-    Rh = rotation_about_axis(model.hinge_axis, model.hinge_angle(state))
-    return (model.part_moving.vertices - model.hinge_origin) @ Rh.T + model.hinge_origin
-
-
-def merge_meshes(a: TriMesh, b: TriMesh) -> TriMesh:
-    vertices = np.concatenate([a.vertices, b.vertices], axis=0)
-    faces = np.concatenate([a.faces, b.faces + a.n_vertices], axis=0)
-    return TriMesh(vertices, faces)
+def moving_vertices(model: ArticulatedModel, a) -> np.ndarray:
+    """The moving part's vertices at opening ``a``: (N, 3) for one
+    opening, (K, N, 3) for a 1-D array of K openings."""
+    Rh = np.reshape(
+        [rotation_about_axis(model.hinge_axis, model.hinge_angle(float(x))) for x in np.ravel(a)],
+        np.shape(a) + (3, 3),
+    )
+    return (model.part_moving.vertices - model.hinge_origin) @ np.swapaxes(Rh, -1, -2) + model.hinge_origin
 
 
 def tight_bbox(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -268,25 +292,36 @@ def load_model_manifest(path: str | Path) -> ArticulatedModel:
 
     Mesh paths are resolved relative to the manifest location; missing
     angle limits fall back to the 0..0.6 rad default range.
+
+    Raises:
+        ParseError: a missing or malformed field, naming the manifest.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: manifest must be a JSON object")
     for key in ("fixed_mesh", "moving_mesh", "hinge_origin", "hinge_axis", "class_id"):
         if key not in doc:
             raise ParseError(f"{path}: manifest misses field {key!r}")
+    class_id = doc["class_id"]
+    if isinstance(class_id, bool) or not isinstance(class_id, int):
+        raise ParseError(f"{path}: class_id must be an integer, got {class_id!r}")
     base = path.parent
-    return ArticulatedModel(
-        part_fixed=load_mesh(base / doc["fixed_mesh"]),
-        part_moving=load_mesh(base / doc["moving_mesh"]),
-        hinge_origin=np.asarray(doc["hinge_origin"], dtype=float),
-        hinge_axis=np.asarray(doc["hinge_axis"], dtype=float),
-        angle_min=float(doc.get("angle_min", DEFAULT_ANGLE_MIN)),
-        angle_max=float(doc.get("angle_max", DEFAULT_ANGLE_MAX)),
-        class_id=int(doc["class_id"]),
-    )
+    try:
+        return ArticulatedModel(
+            part_fixed=load_mesh(base / doc["fixed_mesh"]),
+            part_moving=load_mesh(base / doc["moving_mesh"]),
+            hinge_origin=np.asarray(doc["hinge_origin"], dtype=float),
+            hinge_axis=np.asarray(doc["hinge_axis"], dtype=float),
+            angle_min=float(doc.get("angle_min", DEFAULT_ANGLE_MIN)),
+            angle_max=float(doc.get("angle_max", DEFAULT_ANGLE_MAX)),
+            class_id=class_id,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad manifest: {exc}") from None
 
 
 def save_model_manifest(model: ArticulatedModel, directory: str | Path, name: str) -> Path:

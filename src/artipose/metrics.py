@@ -267,9 +267,9 @@ def iter_annotations(index_path):
         payload = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"annotation index is not valid JSON: {exc}") from None
-    frames = payload.get("frames")
+    frames = payload.get("frames") if isinstance(payload, dict) else None
     if not isinstance(frames, list):
-        raise ParseError("annotation index must contain a 'frames' list")
+        raise ParseError(f"{index_path}: annotation index must be an object with a 'frames' list")
     for pos, entry in enumerate(frames):
         where = f"entry {pos}"
         try:
@@ -287,6 +287,6 @@ def iter_annotations(index_path):
                     for cls, p in entry.get("amodal", {}).items()
                 },
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed annotation, {where}: {exc}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{index_path}: malformed annotation, {where}: {exc}") from None
         yield ann

@@ -3,8 +3,8 @@
 Two hinged tools walk smoothly through disjoint image lanes while
 ellipsoid occluders ride near their hinges as hand stand-ins.  Every
 frame is rendered to visibility masks, amodal masks, a hand mask, and
-per-object correspondence crops, all reproducible bit for bit from the
-seed.
+per-object correspondence crops normalized to each model's
+``corr_box``, all reproducible bit for bit from the seed.
 """
 
 import json
@@ -19,11 +19,9 @@ from .errors import ConfigError, EmptyRender, ParseError
 from .formats import canonical_json, decode_pose, encode_pose, read_fmap, write_fmap, write_mask_pgm
 from .meshes import (
     ArticulatedModel,
-    ArticulationState,
     TriMesh,
     articulate,
     box_mesh,
-    checked_bbox,
     ellipsoid_mesh,
     normalize_vertices,
     unit_sphere,
@@ -36,9 +34,6 @@ MAX_TRANS_STEP = 0.005
 MAX_ART_STEP = 0.02
 CROP_SCALE = 1.1
 CROP_OUT_SIZE = 64
-# hinge openings the articulation-free correspondence box is sampled at;
-# the box normalizes every FMAP, so this fixes the FMAP format
-BOX_SAMPLES = 21
 # occluder anchors stay within this fraction of the model box diagonal of
 # the hinge so each occluder keeps riding its own tool
 OCC_ANCHOR_FRAC = 0.35
@@ -112,47 +107,11 @@ def tweezers_model() -> ArticulatedModel:
     )
 
 
-def model_corr_bbox(model: ArticulatedModel):
-    """Axis-aligned box containing the model at every articulation.
-
-    Correspondence maps are normalized against this articulation-free box
-    so decoding never needs to know the articulation.  The articulation is
-    sampled at ``BOX_SAMPLES`` evenly spaced openings, and a small pad
-    covers arc positions between them.  The box comes from the
-    parts' vertex arrays; no mesh is built per sampled angle.
-
-    Raises:
-        DegenerateMesh: the box of a sampled articulation vanishes along
-            an axis.
-    """
-    fixed = model.part_fixed.vertices
-    Rh = np.stack(
-        [
-            rotation_about_axis(model.hinge_axis, model.hinge_angle(ArticulationState(float(a))))
-            for a in np.linspace(0.0, 1.0, BOX_SAMPLES)
-        ]
-    )
-    # the moving part at every sampled opening, as moving_vertices places it
-    moved = (model.part_moving.vertices - model.hinge_origin) @ Rh.transpose(0, 2, 1) + model.hinge_origin
-    # each sampled articulation must have a box of its own, as tight_bbox
-    # of the articulated mesh would check
-    lo, hi = checked_bbox(
-        np.minimum(fixed.min(axis=0), moved.min(axis=1)), np.maximum(fixed.max(axis=0), moved.max(axis=1))
-    )
-    pad = 1e-4
-    return lo.min(axis=0) - pad, hi.max(axis=0) + pad
-
-
-def _mesh_radius(corr_box) -> float:
+def _footprint_radius(corr_box, config: SceneConfig) -> float:
     lo, hi = corr_box
     corners = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
-    return float(np.linalg.norm(corners, axis=1).max())
-
-
-def _footprint_radius(corr_box, config: SceneConfig) -> float:
-    r = _mesh_radius(corr_box)
+    r = float(np.linalg.norm(corners, axis=1).max())
     if config.occluder.enabled:
-        lo, hi = corr_box
         diag = float(np.linalg.norm(hi - lo))
         r = max(r, OCC_ANCHOR_FRAC * diag + config.occluder.size_range[1])
     return r
@@ -213,13 +172,13 @@ class RenderedFrame:
     hand_mask: MaskImage
 
 
-def _lane_regions(config: SceneConfig, corr_boxes):
+def _lane_regions(config: SceneConfig):
     cam = config.camera
     n = len(config.models)
     lane_w = cam.width / n
     regions = []
-    for i, box in enumerate(corr_boxes):
-        r_m = _footprint_radius(box, config)
+    for i, model in enumerate(config.models):
+        r_m = _footprint_radius(model.corr_box, config)
         if r_m >= config.depth_range[0]:
             raise ConfigError(
                 f"model {i} footprint radius {r_m:.3f} m reaches past the near depth bound"
@@ -271,10 +230,9 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
     if n_frames < 1:
         raise ConfigError(f"n_frames must be >= 1, got {n_frames}")
     cam = config.camera
-    # each model's articulation-free box: lane sizes, occluder offsets and
-    # correspondence normalization all derive from it
-    corr_boxes = [model_corr_bbox(m) for m in config.models]
-    regions = _lane_regions(config, corr_boxes)
+    # lane sizes, occluder offsets and correspondence normalization all
+    # derive from each model's articulation-free corr_box
+    regions = _lane_regions(config)
     ss = np.random.SeedSequence(config.seed)
     rng_pose, rng_walk, rng_occ = (np.random.default_rng(s) for s in ss.spawn(3))
 
@@ -283,9 +241,10 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
 
     sphere = unit_sphere(SPHERE_SUBDIVISIONS)
     occluders = []
-    for lo, hi in corr_boxes:
+    for model in config.models:
         group = []
         if config.occluder.enabled:
+            lo, hi = model.corr_box
             diag = float(np.linalg.norm(hi - lo))
             count = int(rng_occ.integers(config.occluder.count_range[0], config.occluder.count_range[1] + 1))
             for _ in range(count):
@@ -319,10 +278,7 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
                     poses[k] = Pose(R=new_pose.R, t=poses[k].t)
                 states[k] = float(np.clip(states[k] + art_step, 0.0, 1.0))
 
-        meshes = [
-            articulate(model, ArticulationState(states[k]))
-            for k, model in enumerate(config.models)
-        ]
+        meshes = [articulate(model, states[k]) for k, model in enumerate(config.models)]
         scene = [(meshes[k], poses[k]) for k in range(len(meshes))]
         for k, group in enumerate(occluders):
             for occ in group:
@@ -343,7 +299,7 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
             box = amodal.bbox()
             if box is None:
                 raise EmptyRender(f"tool {k} covers no pixel")
-            coords = normalize_vertices(meshes[k], corr_boxes[k])
+            coords = normalize_vertices(meshes[k], model.corr_box)
             others = scene[:k] + scene[k + 1 :]
             corr = render_correspondence(
                 meshes[k], coords, poses[k], cam, square_crop(box), CROP_OUT_SIZE, others, k
@@ -529,12 +485,16 @@ def load_dataset(scene_gt_path) -> SceneDataset:
                     objects=tuple(objects),
                 )
             )
+        where = " (models)"
+        models = payload.get("models", [])
+        if not isinstance(models, list) or not all(isinstance(p, str) for p in models):
+            raise ValueError(f"expected a list of manifest paths, got {models!r}")
     except (KeyError, TypeError, ValueError, ParseError) as exc:
-        raise ParseError(f"malformed scene_gt{where}: {exc}") from None
+        raise ParseError(f"{scene_gt_path}: malformed scene_gt{where}: {exc}") from None
     return SceneDataset(
         root=root,
         camera=camera,
-        model_paths=tuple(root / p for p in payload.get("models", [])),
+        model_paths=tuple(root / p for p in models),
         frames=tuple(frames),
     )
 

@@ -42,7 +42,7 @@ from artipose.losses import (
     loss_mask,
     loss_rotation,
 )
-from artipose.meshes import ArticulationState, articulate, normalize_vertices
+from artipose.meshes import articulate, normalize_vertices
 from artipose.metrics import IOU_THRESHOLDS, FrameAnnotation, Matches, mean_ap
 from artipose.pnp import CorrSet, pairs_from_map, pnp_ransac
 from artipose.raster import MaskImage, render_amodal, render_correspondence
@@ -50,7 +50,6 @@ from artipose.simulate import (
     DEFAULT_CAMERA,
     SceneConfig,
     generate_sequence,
-    model_corr_bbox,
     needle_holder_model,
     sample_pose,
     tweezers_model,
@@ -133,7 +132,7 @@ def test_criterion_2_rot6d_validity(criteria_report):
 
 def test_criterion_3_exact_map_recovery(criteria_report):
     models = (needle_holder_model(), tweezers_model())
-    boxes = [model_corr_bbox(m) for m in models]
+    boxes = [m.corr_box for m in models]
     cam = DEFAULT_CAMERA
     cfg = SceneConfig(models=models, depth_range=(0.6, 1.2), seed=0)
     rng = np.random.default_rng(33)
@@ -142,7 +141,7 @@ def test_criterion_3_exact_map_recovery(criteria_report):
     start = time.perf_counter()
     for k in range(n_trials):
         i = k % 2
-        mesh = articulate(models[i], ArticulationState(float(rng.uniform(0.0, 1.0))))
+        mesh = articulate(models[i], float(rng.uniform(0.0, 1.0)))
         try:
             pose = sample_pose(rng, cfg, region=(80, 560, 80, 400))
             amodal = render_amodal(mesh, pose, cam)

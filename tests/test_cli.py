@@ -89,7 +89,9 @@ class TestExitCodes:
             assert rc == 2
             assert "not a rotation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["negative_frame_id", "mask_size"])
+    @pytest.mark.parametrize(
+        "fault", ["negative_frame_id", "mask_size", "index_not_object", "masks_not_object", "amodal_not_object"]
+    )
     def test_malformed_annotation_is_exit_2(self, fault, dataset, predictions, tmp_path, capsys):
         broken = tmp_path / "ds"
         shutil.copytree(dataset, broken)
@@ -97,16 +99,68 @@ class TestExitCodes:
         entry = index["frames"][1]
         if fault == "negative_frame_id":
             entry["frame_id"] = -1
-        else:
+        elif fault == "mask_size":
             (broken / "small.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
             entry["masks"]["0"] = "small.pgm"
+        elif fault == "index_not_object":
+            index = index["frames"]
+        elif fault == "masks_not_object":
+            entry["masks"] = list(entry["masks"].values())
+        else:
+            entry["amodal"] = list(entry["amodal"].values())
         (broken / "annotations.json").write_text(json.dumps(index))
-        rc = main(
-            ["evaluate", "--dataset", str(broken), "--predictions", str(predictions), "--out", str(tmp_path / "r.json")]
-        )
+        out = tmp_path / "out" / "r.json"
+        rc = main(["evaluate", "--dataset", str(broken), "--predictions", str(predictions), "--out", str(out)])
         assert rc == 2
-        frame_id = -1 if fault == "negative_frame_id" else 1
-        assert f"malformed annotation, frame {frame_id}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{broken / 'annotations.json'}: " in err
+        if fault != "index_not_object":
+            frame_id = -1 if fault == "negative_frame_id" else 1
+            assert f"malformed annotation, frame {frame_id}:" in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hinge_axis", [0.0, 0.0, 2.0]),
+            ("angle_min", 0.6),
+            ("class_id", "zero"),
+            ("hinge_origin", [0.0, 0.0]),
+            ("fixed_mesh", 5),
+            (None, 5),
+        ],
+        ids=["non_unit_axis", "empty_angle_range", "non_integer_class", "short_origin", "numeric_mesh_path", "not_object"],
+    )
+    def test_malformed_model_manifest_is_exit_2(self, field, value, dataset, tmp_path, capsys):
+        # angle_min 0.6 meets the manifest's angle_max 0.6; a None field
+        # stands for the whole manifest
+        broken = tmp_path / "ds"
+        shutil.copytree(dataset, broken)
+        manifest = broken / "models" / "needle_holder.json"
+        doc = json.loads(manifest.read_text())
+        if field is None:
+            doc = value
+        else:
+            doc[field] = value
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out" / "p.jsonl"
+        rc = main(["estimate", "--dataset", str(broken), "--out", str(out)])
+        assert rc == 2
+        assert f"{manifest}: " in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("models", [[1], "abc"], ids=["number", "string"])
+    def test_malformed_model_list_is_exit_2(self, models, dataset, tmp_path, capsys):
+        broken = tmp_path / "ds"
+        shutil.copytree(dataset, broken)
+        payload = json.loads((broken / "scene_gt.json").read_text())
+        payload["models"] = models
+        (broken / "scene_gt.json").write_text(json.dumps(payload))
+        out = tmp_path / "out" / "p.jsonl"
+        rc = main(["estimate", "--dataset", str(broken), "--out", str(out)])
+        assert rc == 2
+        assert f"{broken / 'scene_gt.json'}: malformed scene_gt (models):" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_repeated_estimate_is_exit_2(self, dataset, predictions, tmp_path, capsys):
         lines = predictions.read_text().splitlines()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy import stats
 from artipose.errors import BBoxMismatch, DegenerateMesh, ParseError
 from artipose.meshes import (
     ArticulatedModel,
-    ArticulationState,
     TriMesh,
     articulate,
     box_mesh,
@@ -18,7 +18,7 @@ from artipose.meshes import (
     ellipsoid_mesh,
     load_mesh,
     load_model_manifest,
-    merge_meshes,
+    moving_vertices,
     normalize_vertices,
     sample_surface_points,
     save_mesh_obj,
@@ -26,6 +26,7 @@ from artipose.meshes import (
     tight_bbox,
     unit_sphere,
 )
+from artipose.simulate import needle_holder_model, tweezers_model
 
 UNIT_CUBE_OBJ = """\
 v 0 0 0
@@ -132,7 +133,7 @@ class TestTriMeshValidation:
         # the componentwise cross product gives np.cross's exact bits
         rng = np.random.default_rng(5)
         meshes = [
-            articulate(_toy_model(), ArticulationState(0.37)),
+            articulate(_toy_model(), 0.37),
             ellipsoid_mesh((0.1, -0.2, 0.3), (0.02, 0.03, 0.05), unit_sphere(2)),
         ]
         for scale in (1e-4, 1.0, 1e3):
@@ -148,14 +149,14 @@ class TestTriMeshValidation:
 class TestArticulation:
     def test_closed_state_is_identity(self):
         model = _toy_model()
-        merged = articulate(model, ArticulationState(0.0))
-        direct = merge_meshes(model.part_fixed, model.part_moving)
-        np.testing.assert_array_equal(merged.vertices, direct.vertices)
-        np.testing.assert_array_equal(merged.faces, direct.faces)
+        merged = articulate(model, 0.0)
+        fixed, moving = model.part_fixed, model.part_moving
+        np.testing.assert_array_equal(merged.vertices, np.concatenate([fixed.vertices, moving.vertices]))
+        np.testing.assert_array_equal(merged.faces, np.concatenate([fixed.faces, moving.faces + fixed.n_vertices]))
 
     def test_fixed_part_bit_exact(self):
         model = _toy_model()
-        merged = articulate(model, ArticulationState(0.73))
+        merged = articulate(model, 0.73)
         n = model.part_fixed.n_vertices
         assert np.array_equal(merged.vertices[:n], model.part_fixed.vertices)
 
@@ -171,7 +172,7 @@ class TestArticulation:
             angle_min=0.0,
             angle_max=math.pi / 2.0,
         )
-        merged = articulate(model, ArticulationState(1.0))
+        merged = articulate(model, 1.0)
         moved = merged.vertices[model.part_fixed.n_vertices :]
         probe = np.array([1.0, 0.1, 0.1])
         src = np.argmin(np.linalg.norm(moving.vertices - probe, axis=1))
@@ -180,7 +181,7 @@ class TestArticulation:
     def test_rigid_distances_preserved(self):
         model = _toy_model()
         rng = np.random.default_rng(5)
-        merged = articulate(model, ArticulationState(1.0))
+        merged = articulate(model, 1.0)
         moved = merged.vertices[model.part_fixed.n_vertices :]
         orig = model.part_moving.vertices
         for _ in range(50):
@@ -193,16 +194,33 @@ class TestArticulation:
         from artipose.camera import rotation_about_axis
 
         model = _toy_model()
-        state = ArticulationState(0.4)
-        merged = articulate(model, state)
+        merged = articulate(model, 0.4)
         moved = merged.vertices[model.part_fixed.n_vertices :]
-        Rh = rotation_about_axis(model.hinge_axis, model.hinge_angle(state))
+        Rh = rotation_about_axis(model.hinge_axis, model.hinge_angle(0.4))
         restored = (moved - model.hinge_origin) @ Rh + model.hinge_origin
         np.testing.assert_allclose(restored, model.part_moving.vertices, atol=1e-12)
 
     def test_state_bounds(self):
-        with pytest.raises(ValueError, match="articulation"):
-            ArticulationState(1.5)
+        with pytest.raises(ValueError, match=re.escape("articulation must be in [0, 1], got 1.5")):
+            articulate(_toy_model(), 1.5)
+
+    def test_one_mesh_check_per_articulate(self, monkeypatch):
+        from artipose.meshes import _face_areas
+
+        model = _toy_model()
+        calls = []
+        monkeypatch.setattr("artipose.meshes._face_areas", lambda v, f: calls.append(1) or _face_areas(v, f))
+        articulate(model, 0.5)
+        assert len(calls) == 1
+
+    def test_stacked_openings_match_one_at_a_time(self):
+        # one expression serves the box's stacked openings and one opening
+        rng = np.random.default_rng(11)
+        for model in (needle_holder_model(), tweezers_model()):
+            openings = rng.uniform(0.0, 1.0, 2000)
+            stacked = moving_vertices(model, openings)
+            for a, moved in zip(openings, stacked):
+                assert np.array_equal(moved, moving_vertices(model, float(a)))
 
     def test_hinge_axis_must_be_unit(self):
         with pytest.raises(ValueError, match="unit"):

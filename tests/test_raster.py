@@ -9,12 +9,10 @@ from artipose import raster
 from artipose.camera import BBox, CameraIntrinsics, Pose, random_rotation
 from artipose.errors import EmptyRender
 from artipose.meshes import (
-    ArticulationState,
     TriMesh,
     articulate,
     box_mesh,
     ellipsoid_mesh,
-    merge_meshes,
     normalize_vertices,
     tight_bbox,
     unit_sphere,
@@ -348,7 +346,7 @@ def _tool_scene(seed):
     rng = np.random.default_rng(seed)
     scene = []
     for k, model in enumerate((needle_holder_model(), tweezers_model())):
-        mesh = articulate(model, ArticulationState(float(rng.uniform())))
+        mesh = articulate(model, float(rng.uniform()))
         t = np.array(
             [(-1) ** k * 0.015 + rng.uniform(-0.01, 0.01), rng.uniform(-0.03, 0.03), rng.uniform(0.75, 1.05)]
         )
@@ -432,7 +430,9 @@ class TestBatchedMatchesReference:
             monkeypatch.setattr(raster, "CHUNK_PIXELS", chunk)
         scene = _tool_scene(3)
         mesh, pose = scene[0]
-        doubled = merge_meshes(mesh, mesh)
+        doubled = TriMesh(
+            np.concatenate([mesh.vertices, mesh.vertices]), np.concatenate([mesh.faces, mesh.faces + mesh.n_vertices])
+        )
         # the copy's faces tie the originals exactly but carry other values
         coords = np.random.default_rng(3).random((doubled.n_vertices, 3))
         tied = [(doubled, pose), (mesh, pose)] + scene[1:] + [scene[0]]

@@ -14,7 +14,6 @@ from artipose.errors import ConfigError, DegenerateMesh, ParseError
 from artipose.formats import canonical_json, encode_pose, read_mask_pgm
 from artipose.meshes import (
     ArticulatedModel,
-    ArticulationState,
     TriMesh,
     articulate,
     normalize_vertices,
@@ -41,7 +40,6 @@ from artipose.simulate import (
     generate_sequence,
     load_correspondence,
     load_dataset,
-    model_corr_bbox,
     needle_holder_model,
     sample_pose,
     tweezers_model,
@@ -220,7 +218,7 @@ class TestCorrespondenceRecovery:
         models = (needle_holder_model(), tweezers_model())
         for frame in walk[:3]:
             for obj in frame.objects:
-                box = model_corr_bbox(models[obj.model_index])
+                box = models[obj.model_index].corr_box
                 pairs = pairs_from_map(obj.corr, box)
                 res = pnp_ransac(pairs, DEFAULT_CAMERA, seed=0)
                 assert geodesic_angle(res.pose.R, obj.pose.R) < math.radians(0.1)
@@ -230,10 +228,10 @@ class TestCorrespondenceRecovery:
         # the box of every sampled articulated mesh, bit for bit
         for model in (needle_holder_model(), tweezers_model()):
             boxes = [
-                tight_bbox(articulate(model, ArticulationState(float(a))))
+                tight_bbox(articulate(model, float(a)))
                 for a in np.linspace(0.0, 1.0, 21)
             ]
-            lo, hi = model_corr_bbox(model)
+            lo, hi = model.corr_box
             assert lo.tobytes() == (np.min([b[0] for b in boxes], axis=0) - 1e-4).tobytes()
             assert hi.tobytes() == (np.max([b[1] for b in boxes], axis=0) + 1e-4).tobytes()
 
@@ -249,7 +247,7 @@ class TestCorrespondenceRecovery:
             hinge_axis=np.array([0.0, 0.0, 1.0]),
         )
         with pytest.raises(DegenerateMesh, match="extent"):
-            model_corr_bbox(model)
+            model.corr_box
 
     def test_valid_pixels_lie_inside_visible_mask_fraction(self, walk):
         # occluded pixels are dropped from the map, so validity cannot
@@ -293,7 +291,7 @@ def _assert_matches_composition(monkeypatch, config, n_frames, edit_scene=None):
 
     monkeypatch.setattr(simulate, "rasterize_scene", recording)
     frames = generate_sequence(config, n_frames)
-    corr_boxes = [model_corr_bbox(m) for m in config.models]
+    corr_boxes = [m.corr_box for m in config.models]
     n_obj = len(config.models)
     for frame, scene in zip(frames, scenes):
         hand, objects = _composed_frame(scene, n_obj, corr_boxes)
@@ -366,7 +364,7 @@ class TestOnePassPerGrid:
         # reach past it
         cam = DEFAULT_CAMERA
         lanes = [(0.0, 4.0, 150.0, 330.0), (420.0, 560.0, cam.height - 4.0, float(cam.height))]
-        monkeypatch.setattr(simulate, "_lane_regions", lambda config, boxes: lanes)
+        monkeypatch.setattr(simulate, "_lane_regions", lambda config: lanes)
         frames, _ = _assert_matches_composition(monkeypatch, two_tool_config(seed=23), 4)
         for frame in frames:
             left, bottom = frame.objects
@@ -475,7 +473,7 @@ class TestExport:
         ds = load_dataset(gt_path)
         models = (needle_holder_model(), tweezers_model())
         rec = ds.frames[3].objects[0]
-        mesh = articulate(models[rec.model_index], ArticulationState(rec.articulation))
+        mesh = articulate(models[rec.model_index], rec.articulation)
         mask = render_amodal(mesh, rec.pose, ds.camera)
         assert mask_iou(mask, frames[3].objects[0].amodal_mask) >= 0.99
 
