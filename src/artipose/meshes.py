@@ -94,8 +94,10 @@ class ArticulatedModel:
         origin = np.asarray(self.hinge_origin, dtype=float).reshape(3)
         axis = np.asarray(self.hinge_axis, dtype=float).reshape(3)
         norm = math.sqrt(float(axis @ axis))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"hinge axis must be unit length, norm is {norm}")
+        if not (np.isfinite(origin).all() and math.isfinite(self.angle_min) and math.isfinite(self.angle_max)):
+            raise ValueError("hinge origin and angle limits must be finite")
         if not self.angle_min < self.angle_max:
             raise ValueError("angle_min must be below angle_max")
         object.__setattr__(self, "hinge_origin", origin)

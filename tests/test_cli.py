@@ -128,8 +128,21 @@ class TestExitCodes:
             ("hinge_origin", [0.0, 0.0]),
             ("fixed_mesh", 5),
             (None, 5),
+            ("hinge_axis", [float("nan"), 0.0, 0.0]),
+            ("hinge_origin", [0.0, float("nan"), 0.0]),
+            ("angle_max", float("inf")),
         ],
-        ids=["non_unit_axis", "empty_angle_range", "non_integer_class", "short_origin", "numeric_mesh_path", "not_object"],
+        ids=[
+            "non_unit_axis",
+            "empty_angle_range",
+            "non_integer_class",
+            "short_origin",
+            "numeric_mesh_path",
+            "not_object",
+            "nan_axis",
+            "nan_origin",
+            "inf_angle",
+        ],
     )
     def test_malformed_model_manifest_is_exit_2(self, field, value, dataset, tmp_path, capsys):
         # angle_min 0.6 meets the manifest's angle_max 0.6; a None field
