@@ -51,12 +51,6 @@ class CameraIntrinsics:
         if not (0 <= self.px < self.width and 0 <= self.py < self.height):
             raise ValueError("principal point must lie inside the image")
 
-    @property
-    def K(self) -> np.ndarray:
-        return np.array(
-            [[self.f, 0.0, self.px], [0.0, self.f, self.py], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class BBox:
@@ -157,14 +151,6 @@ class Rot6D:
 
     r1: np.ndarray
     r2: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.r1, float), np.asarray(self.r2, float)])
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "Rot6D":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(r1=v[:3].copy(), r2=v[3:].copy())
 
 
 def rot6d_to_matrix(g: Rot6D) -> np.ndarray:

@@ -127,7 +127,12 @@ def write_fmap(data: np.ndarray, path: str | Path) -> None:
 
 
 def read_fmap(path: str | Path) -> np.ndarray:
-    """Read an FMAP file back as a (h, w, c) float32 array."""
+    """Read an FMAP file back as a (h, w, c) float32 array.
+
+    Raises:
+        ParseError: a bad header or size, or a NaN or infinite value,
+            naming the file.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != FMAP_MAGIC:
         raise ParseError(f"{path}: missing FMAP magic")
@@ -139,4 +144,6 @@ def read_fmap(path: str | Path) -> np.ndarray:
             f"found {len(blob)}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=16)
+    if not np.isfinite(data).all():
+        raise ParseError(f"{path}: FMAP holds non-finite values")
     return data.reshape(h, w, c).copy()

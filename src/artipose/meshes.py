@@ -231,12 +231,20 @@ def sample_surface_points(mesh: TriMesh, n: int, seed: int) -> np.ndarray:
 
 
 def load_mesh(path: str | Path) -> TriMesh:
-    """Load a mesh from an ``.obj`` file."""
+    """Load a mesh from an ``.obj`` file.
+
+    Raises:
+        ParseError: another extension, malformed OBJ content or a
+            degenerate mesh, naming the file.
+    """
     path = Path(path)
     suffix = path.suffix.lower()
-    if suffix == ".obj":
+    if suffix != ".obj":
+        raise ParseError(f"{path}: unsupported mesh extension {suffix!r}")
+    try:
         return _parse_obj(path.read_text())
-    raise ParseError(f"unsupported mesh extension {suffix!r}")
+    except (ParseError, DegenerateMesh) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _parse_obj(text: str) -> TriMesh:
@@ -296,7 +304,8 @@ def load_model_manifest(path: str | Path) -> ArticulatedModel:
     angle limits fall back to the 0..0.6 rad default range.
 
     Raises:
-        ParseError: a missing or malformed field, naming the manifest.
+        ParseError: a missing or malformed field or mesh file, naming the
+            manifest.
     """
     path = Path(path)
     try:
@@ -322,6 +331,8 @@ def load_model_manifest(path: str | Path) -> ArticulatedModel:
             angle_max=float(doc.get("angle_max", DEFAULT_ANGLE_MAX)),
             class_id=class_id,
         )
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad manifest: {exc}") from None
 

@@ -40,14 +40,14 @@ allocating frame-sized arrays.
 One pass over a sampling grid yields everything a scene needs there.
 Besides the owner of each pixel, the pass records every pixel each mesh
 covers, whichever mesh owns it: that is the mesh's amodal mask, the
-render of the mesh alone.  Attributes come from the attribute mesh's own
-nearest surface, so a hidden pixel keeps the values of the surface
-behind the occluder.  When an earlier mesh has drawn on the grid, the
-attribute mesh tests its candidates against a depth buffer of its own as
-well as the shared one; otherwise the two buffers agree and one test
-serves both.  A mesh in front of the near plane whose projected vertex
-box holds no pixel center of the grid is skipped before its faces are
-looked at.
+render of the mesh alone.  Attributes are interpolated for the first
+mesh only, and it is drawn first: while it draws, the one depth buffer
+holds nothing but its own surface, so a pixel that a later mesh hides
+keeps the values of the surface behind the occluder.  Drawing it first
+also decides the tie rule for it: on an exact depth tie with another
+mesh, the pixel is the first mesh's.  A mesh in front of the near plane
+whose projected vertex box holds no pixel center of the grid is skipped
+before its faces are looked at.
 
 A ``MaskImage`` keeps only a window of its image, every pixel outside
 it being 0.  A full-frame render rasterizes the window of pixel centers
@@ -110,11 +110,6 @@ class MaskImage:
         if data.max(initial=0) > 1:
             raise ValueError("mask values must be 0 or 1")
         object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_array(cls, data: np.ndarray) -> "MaskImage":
-        data = np.asarray(data)
-        return cls(width=data.shape[1], height=data.shape[0], data=data != 0)
 
     @property
     def window(self) -> tuple[int, int, int, int]:
@@ -214,7 +209,6 @@ def _raster_core(
     camera: CameraIntrinsics,
     grid: _Grid,
     attributes: np.ndarray | None = None,
-    attr_mesh: int = 0,
 ):
     """Depth-buffered rasterization over an arbitrary sampling grid.
 
@@ -222,9 +216,10 @@ def _raster_core(
     the front-most mesh per pixel (-1 for none).  ``covered[i]`` is a
     mask over the grid of the pixels mesh i covers, whichever mesh owns
     them, kept over the window of its faces' boxes.  ``attr`` holds the
-    per-vertex attributes of mesh ``attr_mesh`` interpolated on that
-    mesh's own nearest surface, 0 where it covers nothing (None when
-    ``attributes`` is None).
+    per-vertex attributes of mesh 0 interpolated on its nearest surface,
+    0 where it covers nothing (None when ``attributes`` is None).  Mesh 0
+    is drawn first, so the shared depth buffer holds its own surface when
+    it is interpolated, and it wins every exact depth tie.
     """
     h, w = grid.height, grid.width
     depth = np.full(h * w, np.inf)
@@ -241,12 +236,8 @@ def _raster_core(
         faces, box, area2, gx, gy, z = drawn
         tz = z[faces]
         tri_attr = None
-        own_depth, own_owner = depth, owner
-        if attributes is not None and mesh_idx == attr_mesh:
+        if attributes is not None and mesh_idx == 0:
             tri_attr = attributes[faces] / tz[:, :, None]
-            if (owner >= 0).any():
-                own_depth = np.full(h * w, np.inf)
-                own_owner = np.full(h * w, -1, dtype=np.int32)
         band, y_lo = _band(box, w)
         for t, pix, w0, w1, w2 in _covered_pixels(faces, box, area2, gx, gy, w):
             band[pix - y_lo * w] = True
@@ -254,8 +245,6 @@ def _raster_core(
             win = _front_most(pix, z_pix, depth, owner, mesh_idx)
             if tri_attr is None:
                 continue
-            if own_depth is not depth:
-                win = _front_most(pix, z_pix, own_depth, own_owner, mesh_idx)
             t = t[win]
             num = (
                 w0[win, None] * tri_attr[t, 0]
@@ -554,7 +543,6 @@ def render_correspondence(
     crop: BBox,
     out_size: int = 64,
     others: Sequence[tuple[TriMesh, Pose]] = (),
-    index: int = 0,
 ) -> CorrespondenceMap:
     """Rasterize per-vertex normalized coordinates over a crop window.
 
@@ -562,9 +550,8 @@ def render_correspondence(
     each pixel the mesh covers receives the perspective-correct
     interpolation of its own front-most triangle, clipped to [0, 1], even
     where another mesh hides it.  ``others`` are the rest of the scene,
-    in draw order, with the mesh drawn at place ``index`` among them so
-    that exact depth ties go as in the scene; ``valid`` marks the pixels
-    the mesh owns there.
+    in draw order; the mesh is drawn before them, so it wins an exact
+    depth tie with any of them.  ``valid`` marks the pixels the mesh owns.
 
     Raises:
         EmptyRender: the crop misses the image or the mesh covers no pixel.
@@ -574,15 +561,14 @@ def render_correspondence(
     coords = np.asarray(normalized_coords, dtype=float)
     if coords.shape != mesh.vertices.shape:
         raise ValueError("one normalized coordinate triple per vertex required")
-    scene = [*others[:index], (mesh, pose), *others[index:]]
     grid = _Grid.from_crop(crop, out_size)
-    _, owner, covered, attr = _raster_core(scene, camera, grid, coords, index)
-    if not covered[index].data.any():
+    _, owner, covered, attr = _raster_core([(mesh, pose), *others], camera, grid, coords)
+    if not covered[0].data.any():
         raise EmptyRender("mesh covers no pixel of the crop")
     return CorrespondenceMap(
         width=out_size,
         height=out_size,
         data=np.clip(attr, 0.0, 1.0).astype(np.float32),
-        valid=MaskImage(out_size, out_size, owner == index),
+        valid=MaskImage(out_size, out_size, owner == 0),
         crop=crop,
     )

@@ -302,7 +302,7 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
             coords = normalize_vertices(meshes[k], model.corr_box)
             others = scene[:k] + scene[k + 1 :]
             corr = render_correspondence(
-                meshes[k], coords, poses[k], cam, square_crop(box), CROP_OUT_SIZE, others, k
+                meshes[k], coords, poses[k], cam, square_crop(box), CROP_OUT_SIZE, others
             )
             objects.append(
                 RenderedObject(

@@ -109,7 +109,8 @@ def test_criterion_2_rot6d_validity(criteria_report):
     worst_orth = 0.0
     worst_det = 0.0
     for _ in range(10**4):
-        R = rot6d_to_matrix(Rot6D.from_vector(rng.standard_normal(6)))
+        v = rng.standard_normal(6)
+        R = rot6d_to_matrix(Rot6D(r1=v[:3], r2=v[3:]))
         worst_orth = max(worst_orth, float(np.linalg.norm(R.T @ R - np.eye(3), "fro")))
         worst_det = max(worst_det, abs(float(np.linalg.det(R)) - 1.0))
     worst_scale = 0.0

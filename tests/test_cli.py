@@ -162,6 +162,45 @@ class TestExitCodes:
         assert f"{manifest}: " in capsys.readouterr().err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [("f ", "f 1 1 2"), ("v ", "v 0 0 x")],
+        ids=["zero_area_face", "bad_vertex_number"],
+    )
+    def test_malformed_mesh_file_is_exit_2(self, line, bad, dataset, tmp_path, capsys):
+        # the first face or vertex line of a part's OBJ file gets broken
+        broken = tmp_path / "ds"
+        shutil.copytree(dataset, broken)
+        obj = broken / "models" / "needle_holder_fixed.obj"
+        lines = obj.read_text().splitlines()
+        first = next(i for i, text in enumerate(lines) if text.startswith(line))
+        lines[first] = bad
+        obj.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out" / "p.jsonl"
+        rc = main(["estimate", "--dataset", str(broken), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{broken / 'models' / 'needle_holder.json'}: {obj}: " in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "losses"])
+    def test_non_finite_fmap_is_exit_2(self, command, dataset, predictions, tmp_path, capsys):
+        broken = tmp_path / "ds"
+        shutil.copytree(dataset, broken)
+        fmap = broken / "fmaps" / "000001_obj0.fmap"
+        data = read_fmap(fmap)
+        i, j = np.argwhere(data[..., 3] > 0)[0]
+        data[i, j, 0] = np.nan
+        write_fmap(data, fmap)
+        out = tmp_path / "out" / "r.json"
+        argv = [command, "--dataset", str(broken), "--out", str(out)]
+        if command == "losses":
+            argv += ["--predictions", str(predictions)]
+        rc = main(argv)
+        assert rc == 2
+        assert f"{fmap}: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("models", [[1], "abc"], ids=["number", "string"])
     def test_malformed_model_list_is_exit_2(self, models, dataset, tmp_path, capsys):
         broken = tmp_path / "ds"

@@ -2,6 +2,7 @@
 record codec."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestPoseCodec:
 class TestPgm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        mask = MaskImage.from_array(rng.random((33, 41)) > 0.5)
+        mask = MaskImage(41, 33, rng.random((33, 41)) > 0.5)
         path = tmp_path / "m.pgm"
         write_mask_pgm(mask, path)
         again = read_mask_pgm(path)
@@ -73,7 +74,7 @@ class TestPgm:
         elif kind == "full":
             data[:] = 1
         first, second = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        write_mask_pgm(MaskImage.from_array(data), first)
+        write_mask_pgm(MaskImage(40, 30, data), first)
         mask = read_mask_pgm(first)
         if kind == "blob":
             assert mask.window == (22, 7, 31, 19)
@@ -82,14 +83,14 @@ class TestPgm:
         np.testing.assert_array_equal(mask.full(), data)
 
     def test_byte_stability(self, tmp_path):
-        mask = MaskImage.from_array(np.eye(8, dtype=np.uint8))
+        mask = MaskImage(8, 8, np.eye(8, dtype=np.uint8))
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         write_mask_pgm(mask, a)
         write_mask_pgm(mask, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_header_layout(self, tmp_path):
-        mask = MaskImage.from_array(np.ones((2, 3), dtype=np.uint8))
+        mask = MaskImage(3, 2, np.ones((2, 3), dtype=np.uint8))
         path = tmp_path / "m.pgm"
         write_mask_pgm(mask, path)
         assert path.read_bytes() == b"P5\n3 2\n255\n" + b"\xff" * 6
@@ -130,7 +131,7 @@ class TestPgm:
         data = np.zeros((480, 640), dtype=np.uint8)
         data[0, 5] = data[479, 7] = data[9, 0] = data[11, 639] = 1
         path = tmp_path / "m.pgm"
-        write_mask_pgm(MaskImage.from_array(data), path)
+        write_mask_pgm(MaskImage(640, 480, data), path)
         mask = read_mask_pgm(path)
         assert mask.window == (0, 0, 640, 480)
         np.testing.assert_array_equal(mask.data, data)
@@ -181,4 +182,13 @@ class TestFmap:
 
         path.write_bytes(b"FMAP" + struct.pack("<III", 4, 4, 1) + b"\0" * 10)
         with pytest.raises(ParseError, match="size mismatch"):
+            read_fmap(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, tmp_path, value):
+        data = np.zeros((3, 4, 4), dtype=np.float32)
+        data[1, 2, 0] = value
+        path = tmp_path / "bad.fmap"
+        write_fmap(data, path)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: FMAP holds non-finite values")):
             read_fmap(path)

@@ -99,6 +99,12 @@ class TestObjParsing:
         with pytest.raises(ParseError, match="missing vertex"):
             load_mesh(path)
 
+    def test_zero_area_face_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 1 2\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: mesh contains a zero-area face")):
+            load_mesh(path)
+
     def test_unsupported_element(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("vn 0 0 1\n")

@@ -224,12 +224,12 @@ class TestMaskImage:
             MaskImage(2, 2, np.full((2, 2), 3, dtype=np.uint8))
 
 
-def _reference_core(meshes, camera, grid, attributes=None, attr_mesh=0):
+def _reference_core(meshes, camera, grid, attributes=None):
     """One triangle at a time: the loop the batched rasterizer replaced.
 
     Same contract as ``_raster_core``; kept here only as its oracle.  The
-    attribute mesh always tests its triangles against a depth buffer of
-    its own, besides the shared one.
+    attributes are mesh 0's, and it tests its triangles against a depth
+    buffer of its own besides the shared one.
     """
     h, w = grid.height, grid.width
     depth = np.full((h, w), np.inf)
@@ -244,7 +244,7 @@ def _reference_core(meshes, camera, grid, attributes=None, attr_mesh=0):
         z = cam_pts[:, 2]
         gx = (camera.f * cam_pts[:, 0] / z + camera.px - grid.x0) / grid.sx
         gy = (camera.f * cam_pts[:, 1] / z + camera.py - grid.y0) / grid.sy
-        vert_attr = attributes if (attributes is not None and mesh_idx == attr_mesh) else None
+        vert_attr = attributes if (attributes is not None and mesh_idx == 0) else None
         for face in mesh.faces:
             if z[face[0]] <= NEAR_PLANE or z[face[1]] <= NEAR_PLANE or z[face[2]] <= NEAR_PLANE:
                 continue
@@ -303,10 +303,10 @@ def _reference_triangle(depth, owner, covered, mesh_idx, tx, ty, tz, own):
     attr[window][mine] = num[mine] * z_pix[mine][:, None]
 
 
-def _assert_matches_reference(meshes, camera, grid, attributes=None, attr_mesh=0):
-    depth, owner, covered, attr = _raster_core(meshes, camera, grid, attributes, attr_mesh)
+def _assert_matches_reference(meshes, camera, grid, attributes=None):
+    depth, owner, covered, attr = _raster_core(meshes, camera, grid, attributes)
     got = depth, owner, np.array([c.full() for c in covered], dtype=bool), attr
-    want = _reference_core(meshes, camera, grid, attributes, attr_mesh)
+    want = _reference_core(meshes, camera, grid, attributes)
     for name, g, r in zip(("depth", "owner", "covered", "attr"), got, want):
         if r is None:
             assert g is None
@@ -416,12 +416,14 @@ class TestBatchedMatchesReference:
         _assert_matches_reference(scene, camera, grid)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("attr_mesh", [0, 1])
-    def test_correspondence(self, camera, seed, attr_mesh):
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_correspondence(self, camera, seed, first):
+        # either tool drawn first, the other among the scene behind it
         scene = _tool_scene(seed)
         grid = _Grid.from_crop(_tool_crop(scene, camera), 64)
-        coords = np.random.default_rng(seed).random((scene[attr_mesh][0].n_vertices, 3))
-        _assert_matches_reference(scene, camera, grid, coords, attr_mesh)
+        scene = [scene[first], scene[1 - first], *scene[2:]]
+        coords = np.random.default_rng(seed).random((scene[0][0].n_vertices, 3))
+        _assert_matches_reference(scene, camera, grid, coords)
 
     @pytest.mark.parametrize("chunk", [None, 100, 1 << 20])
     def test_duplicated_meshes_tie_exactly(self, camera, monkeypatch, chunk):
@@ -439,7 +441,7 @@ class TestBatchedMatchesReference:
         _, owner, _, _ = _assert_matches_reference(tied, camera, _Grid.full_image(640, 480))
         assert not (owner == 1).any() and not (owner == len(tied) - 1).any()
         grid = _Grid.from_crop(_tool_crop(scene, camera), 64)
-        _assert_matches_reference(tied, camera, grid, coords, 0)
+        _assert_matches_reference(tied, camera, grid, coords)
 
     def test_awkward_faces(self, camera):
         mesh = _awkward_mesh()
@@ -462,7 +464,7 @@ class TestBatchedMatchesReference:
             _assert_matches_reference([(mesh, pose)], camera, grid)
             _assert_matches_reference(scene + [(mesh, pose)], camera, grid)
             coords = np.random.default_rng(4).random((mesh.n_vertices, 3))
-            _assert_matches_reference([(mesh, pose)] + scene, camera, grid, coords, 0)
+            _assert_matches_reference([(mesh, pose)] + scene, camera, grid, coords)
 
     def test_near_triangle_larger_than_a_chunk(self, camera):
         near = TriMesh(
@@ -662,19 +664,32 @@ class TestSharedPasses:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("index", [0, 1])
     def test_correspondence_among_others(self, camera, seed, index):
-        # the lone render's map, valid where the scene's crop pass gives
-        # the mesh the pixel
+        # the lone render's map, valid where a crop pass that draws the
+        # mesh first gives it the pixel
         scene = _tool_scene(seed)
         mesh, pose = scene[index]
         others = scene[:index] + scene[index + 1 :]
         coords = normalize_vertices(mesh, tight_bbox(mesh))
         crop = _tool_crop(scene, camera)
-        shared = render_correspondence(mesh, coords, pose, camera, crop, 64, others, index)
+        shared = render_correspondence(mesh, coords, pose, camera, crop, 64, others)
         alone = render_correspondence(mesh, coords, pose, camera, crop, 64)
-        visible = rasterize_crop(scene, camera, crop, 64)[index]
+        visible = rasterize_crop([(mesh, pose), *others], camera, crop, 64)[0]
         assert shared.data.tobytes() == alone.data.tobytes()
         np.testing.assert_array_equal(shared.valid.data, alone.valid.data & visible.data)
         assert (alone.valid.data & ~visible.data.astype(bool)).any()
+
+    def test_exact_ties_go_to_the_correspondence_mesh(self, camera):
+        # a twin with the same geometry and pose ties every pixel exactly
+        scene = _tool_scene(0)
+        mesh, pose = scene[0]
+        twin = TriMesh(mesh.vertices.copy(), mesh.faces.copy())
+        coords = normalize_vertices(mesh, tight_bbox(mesh))
+        crop = _tool_crop(scene, camera)
+        tied = render_correspondence(mesh, coords, pose, camera, crop, 64, [(twin, pose)])
+        alone = render_correspondence(mesh, coords, pose, camera, crop, 64)
+        assert alone.valid.data.any()
+        np.testing.assert_array_equal(tied.valid.data, alone.valid.data)
+        assert tied.data.tobytes() == alone.data.tobytes()
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_skip_rule_at_the_cull_boundary(self, axis):

@@ -408,9 +408,9 @@ class TestOnePassPerGrid:
         passes = []
         core = raster._raster_core
 
-        def counting(meshes, camera, grid, attributes=None, attr_mesh=0):
-            passes.append((len(meshes), grid.sx, grid.width, attr_mesh if attributes is not None else None))
-            return core(meshes, camera, grid, attributes, attr_mesh)
+        def counting(meshes, camera, grid, attributes=None):
+            passes.append((len(meshes), grid.sx, grid.width, attributes is not None))
+            return core(meshes, camera, grid, attributes)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("generate_sequence renders a mesh on its own")
@@ -426,8 +426,8 @@ class TestOnePassPerGrid:
         generate_sequence(config, 2)
         for frame in (passes[:3], passes[3:]):
             (n, sx, width, attr), *crops = frame
-            assert (n, sx, attr) == (6, 1.0, None) and width < DEFAULT_CAMERA.width
-            assert [(n, width, attr) for n, _, width, attr in crops] == [(6, CROP_OUT_SIZE, 0), (6, CROP_OUT_SIZE, 1)]
+            assert (n, sx, attr) == (6, 1.0, False) and width < DEFAULT_CAMERA.width
+            assert [(n, width, attr) for n, _, width, attr in crops] == [(6, CROP_OUT_SIZE, True)] * 2
         assert len(passes) == 6
 
 
