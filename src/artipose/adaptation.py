@@ -3,9 +3,13 @@
 One round runs: track the detections, keep frames with a stable streak
 and a confident box, re-estimate the pose there, reproject the model to
 tighten the box, then keep only pose labels that pass the confidence,
-outlier and reprojection gates.  A round returns plain values: its
-detection labels (``Detection`` records flagged ``refined``), its pose
-labels as (frame_id, PoseEstimate) pairs, and its ``RoundMetrics``.
+outlier and reprojection gates.  The estimator (``RenderEstimator``,
+which ``estimate`` asks too) answers from each object's stored
+correspondence map, so labels see the tools as the frames show them,
+occluders included, and it solves each set of stored pairs once.  A
+round returns plain values: its detection labels (``Detection`` records
+flagged ``refined``), its pose labels as (frame_id, PoseEstimate) pairs,
+and its ``RoundMetrics``.
 Rounds chain by feeding the detection labels back in as the next round's
 detections.  Actual network training is out of scope; the product is
 the label sets.
@@ -24,12 +28,13 @@ from .errors import (
     EmptySequence,
     InputError,
     ParseError,
+    TooFewCorrespondences,
 )
 from .formats import canonical_json, decode_pose, encode_pose
-from .meshes import ArticulatedModel, articulate, normalize_vertices
-from .pnp import CorrSet, PnPResult, pairs_from_map, pnp_ransac
-from .raster import render_amodal, render_correspondence
-from .simulate import CROP_OUT_SIZE, square_crop
+from .meshes import ArticulatedModel, articulate
+from .pnp import MIN_CORRESPONDENCES, CorrSet, PnPResult, pairs_from_map, pnp_ransac
+from .raster import render_amodal
+from .simulate import load_correspondence, square_crop
 from .tracking import STREAK_MIN, Detection, run_tracker
 
 DEFAULT_CONF_MIN = 0.85
@@ -118,20 +123,21 @@ def solve_object(
 
 
 class RenderEstimator:
-    """Stand-in for the trained network: renders the known object into the
-    requested crop, adds ``sigma`` px of Gaussian noise to the pixel
-    observations, and solves the pose back.  Deterministic for a fixed
-    seed; the noise draw depends only on (seed, frame_id, class_id), so an
-    answer depends only on (frame_id, crop, class_id) and a repeated
-    request reuses it.  The ground truth is the poses of ``frames``,
-    rendered or loaded."""
+    """Stand-in for the trained network: answers from each object's stored
+    correspondence map, as the frame shows the tool, occluders included.
+
+    A request ``(frame_id, crop, class_id)`` keeps the object's stored
+    2D-3D pairs whose pixel centre lies inside ``crop``, in stored order,
+    and solves them with ``solve_object``.  The map is the dataset's FMAP
+    for a loaded frame and ``corr`` for an in-memory one.  The noise draw
+    depends only on (seed, frame_id, class_id), so an answer depends only
+    on (frame, pairs kept, class) and is cached on the pairs kept, not on
+    the crop: two crops that hold the same pairs cost one solve.  At an
+    object's stored crop every pair is kept, which is how ``estimate``
+    asks.  The articulation is the frame's own, copied."""
 
     def __init__(self, frames, models, camera: CameraIntrinsics, sigma: float = 0.0, seed: int = 0):
-        self.gt = {
-            (f.frame_id, obj.class_id): (obj.pose, obj.articulation)
-            for f in frames
-            for obj in f.objects
-        }
+        self.objects = {(f.frame_id, obj.class_id): obj for f in frames for obj in f.objects}
         self.models = dict(models)
         self.camera = camera
         self.sigma = sigma
@@ -142,43 +148,53 @@ class RenderEstimator:
         self._answers = {}
 
     def __call__(self, frame_id: int, crop: BBox, class_id: int) -> PoseEstimate:
-        key = (frame_id, crop, class_id)
+        pairs = self._object_pairs(frame_id, class_id)
+        u, v = pairs.uv
+        inside = (u >= crop.x0) & (u <= crop.x1) & (v >= crop.y0) & (v <= crop.y1)
+        key = (frame_id, class_id, np.packbits(inside).tobytes())
         if key not in self._answers:
-            self._answers[key] = self._estimate(frame_id, crop, class_id)
+            n = int(inside.sum())
+            if n < MIN_CORRESPONDENCES:
+                raise TooFewCorrespondences(
+                    f"crop holds {n} stored pairs, need {MIN_CORRESPONDENCES}"
+                )
+            kept = pairs.subset(np.flatnonzero(inside))
+            result, confidence = solve_object(
+                kept, self.camera, self.sigma, self.seed, frame_id, class_id
+            )
+            self._answers[key] = PoseEstimate(
+                class_id=class_id,
+                class_confidence=confidence,
+                articulation=self.objects[(frame_id, class_id)].articulation,
+                pnp=result,
+            )
         return self._answers[key]
 
-    def _estimate(self, frame_id: int, crop: BBox, class_id: int) -> PoseEstimate:
-        key = (frame_id, class_id)
-        if key not in self.gt:
-            raise InputError(f"no ground truth for frame {frame_id} class {class_id}")
+    def _object_pairs(self, frame_id: int, class_id: int) -> CorrSet:
+        """The object's stored pairs, read afresh for each request, so no
+        pair array outlives the answer."""
+        obj = self.objects.get((frame_id, class_id))
+        if obj is None:
+            raise InputError(f"no object of class {class_id} in frame {frame_id}")
         if class_id not in self.models:
             raise InputError(f"no model registered for class {class_id}")
-        pose, articulation = self.gt[key]
-        model = self.models[class_id]
-        box = model.corr_box
-        mesh = articulate(model, articulation)
-        coords = normalize_vertices(mesh, box)
-        cmap = render_correspondence(mesh, coords, pose, self.camera, crop, CROP_OUT_SIZE)
-        result, confidence = solve_object(
-            pairs_from_map(cmap, box), self.camera, self.sigma, self.seed, frame_id, class_id
-        )
-        return PoseEstimate(
-            class_id=class_id,
-            class_confidence=confidence,
-            articulation=articulation,
-            pnp=result,
-        )
+        if hasattr(obj, "corr"):  # an in-memory RenderedObject
+            cmap = obj.corr
+        else:
+            cmap = load_correspondence(obj.corr_path, obj.crop)
+        return pairs_from_map(cmap, self.models[class_id].corr_box)
 
 
-def encode_estimate(frame_id: int, class_id: int, confidence: float, articulation: float, result: PnPResult) -> dict:
+def encode_estimate(frame_id: int, est: PoseEstimate) -> dict:
     """One estimate record: a line of the estimate JSONL and an entry of
     a label manifest's ``pose_labels``.  ``load_estimates`` reads it back."""
+    result = est.pnp
     return {
         "frame_id": int(frame_id),
-        "class": int(class_id),
+        "class": int(est.class_id),
         **encode_pose(result.pose),
-        "articulation": float(articulation),
-        "confidence": float(confidence),
+        "articulation": float(est.articulation),
+        "confidence": float(est.class_confidence),
         "inliers": int(result.inlier_count),
         "outliers": int(result.outlier_count),
         "reproj_err": float(result.mean_reproj_err),
@@ -379,10 +395,7 @@ def write_pseudo_labels(path, detection_labels, pose_labels, thresholds: FilterT
             }
             for lab in detection_labels
         ],
-        "pose_labels": [
-            encode_estimate(frame_id, est.class_id, est.class_confidence, est.articulation, est.pnp)
-            for frame_id, est in pose_labels
-        ],
+        "pose_labels": [encode_estimate(frame_id, est) for frame_id, est in pose_labels],
         "thresholds": asdict(thresholds),
         "mixing_ratio": mixing_ratio,
     }

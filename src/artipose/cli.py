@@ -33,7 +33,6 @@ from .adaptation import (
     encode_estimate,
     load_detections,
     load_estimates,
-    solve_object,
     write_pseudo_labels,
 )
 from .camera import BBox, ego_to_allo, encode_translation, matrix_to_rot6d
@@ -55,7 +54,6 @@ from .meshes import (
     save_model_manifest,
 )
 from .metrics import Matches, iter_annotations
-from .pnp import pairs_from_map
 from .raster import rasterize_crop, render_amodal, render_correspondence
 from .simulate import (
     CROP_OUT_SIZE,
@@ -228,42 +226,24 @@ def cmd_simgen(args):
 # estimate
 
 
-def _estimate_frame(frame, ds, models, sigma, seed):
-    """(estimate records, failure class names) of a frame's objects."""
-    records = []
-    skipped = []
-    for obj in frame.objects:
-        cmap = load_correspondence(obj.corr_path, obj.crop)
-        # read outside the try: a model without a box fails the command
-        box = models[obj.model_index].corr_box
-        try:
-            res, confidence = solve_object(
-                pairs_from_map(cmap, box),
-                ds.camera,
-                sigma,
-                seed,
-                frame.frame_id,
-                obj.class_id,
-            )
-        except InputError:
-            raise
-        except ArtiposeError as exc:
-            skipped.append(type(exc).__name__)
-            continue
-        records.append(
-            encode_estimate(frame.frame_id, obj.class_id, confidence, obj.articulation, res)
-        )
-    return records, skipped
-
-
 def cmd_estimate(args):
     ds = _open_dataset(args.dataset)
-    models, _ = _dataset_models(ds)
+    _, models_by_class = _dataset_models(ds)
+    estimator = RenderEstimator(ds.frames, models_by_class, ds.camera, args.noise_sigma, args.seed)
+    lines = []
+    failures = Counter()
+    for frame in ds.frames:
+        for obj in frame.objects:
+            try:
+                est = estimator(frame.frame_id, obj.crop, obj.class_id)
+            except InputError:
+                raise
+            except ArtiposeError as exc:
+                failures[type(exc).__name__] += 1
+                continue
+            lines.append(json.dumps(encode_estimate(frame.frame_id, est), sort_keys=True))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    results = [_estimate_frame(frame, ds, models, args.noise_sigma, args.seed) for frame in ds.frames]
-    failures = Counter(name for _, names in results for name in names)
-    lines = [json.dumps(rec, sort_keys=True) for recs, _ in results for rec in recs]
     out.write_text("\n".join(lines) + ("\n" if lines else ""))
     _write_snapshot(
         out.with_name(out.stem + "_config.json"),

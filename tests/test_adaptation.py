@@ -1,22 +1,30 @@
 """Pseudo-label loop: selection rules, threshold gates, box refinement
 against rendered ground truth, and round chaining."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from artipose.camera import BBox, Pose, bbox_iou, project_points
+from artipose.cli import main
 from artipose.errors import (
     ConfigError,
     EmptySequence,
     InputError,
     NoConsensus,
     ParseError,
+    TooFewCorrespondences,
 )
-from artipose.pnp import CorrSet, PnPResult, pnp_ransac
+from artipose.formats import read_fmap
+from artipose.meshes import denormalize_coords, load_model_manifest
+from artipose.pnp import CorrSet, PnPResult, pairs_from_map, pnp_ransac
 from artipose.simulate import (
     DEFAULT_CAMERA,
     SceneConfig,
     generate_sequence,
+    load_correspondence,
+    load_dataset,
     needle_holder_model,
     tweezers_model,
 )
@@ -44,10 +52,6 @@ MODELS = {0: needle_holder_model(), 1: tweezers_model()}
 
 def det(frame, cx, cy, w=100.0, h=100.0, cls=0, conf=1.0):
     return Detection(frame_id=frame, class_id=cls, confidence=conf, bbox=BBox(cx=cx, cy=cy, w=w, h=h))
-
-
-def label_record(frame_id, est):
-    return encode_estimate(frame_id, est.class_id, est.class_confidence, est.articulation, est.pnp)
 
 
 def fake_estimate(conf=0.95, outliers=0, inliers=80, reproj=0.5, art=0.3, cls=0):
@@ -227,31 +231,162 @@ class TestRefineBbox:
             refine_bbox(det(999, 200, 150), estimator, MODELS[0], DEFAULT_CAMERA)
 
 
-class TestRenderEstimatorReuse:
-    def test_repeated_request_skips_the_solve(self, scene, monkeypatch):
-        import artipose.adaptation as adaptation
+def _counting_pnp(monkeypatch):
+    """Count (and keep the pairs of) every ``pnp_ransac`` call the
+    estimator makes."""
+    import artipose.adaptation as adaptation
 
-        frames, dets, _ = scene
-        calls = []
-        solve = adaptation.pnp_ransac
-        monkeypatch.setattr(
-            adaptation, "pnp_ransac", lambda *a, **k: calls.append(a) or solve(*a, **k)
-        )
+    calls = []
+    solve = adaptation.pnp_ransac
+    monkeypatch.setattr(
+        adaptation, "pnp_ransac", lambda *a, **k: calls.append(a[0]) or solve(*a, **k)
+    )
+    return calls
+
+
+def _stored_pairs(frame, class_id):
+    obj = next(o for o in frame.objects if o.class_id == class_id)
+    return obj, pairs_from_map(obj.corr, MODELS[class_id].corr_box)
+
+
+class TestRenderEstimatorReuse:
+    def test_crops_holding_the_same_pairs_share_one_solve(self, scene, monkeypatch):
+        frames, _, _ = scene
+        calls = _counting_pnp(monkeypatch)
+        obj, pairs = _stored_pairs(frames[10], 0)
         estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)
-        d = dets[10]
-        first = estimator(d.frame_id, d.bbox, d.class_id)
-        same_box = BBox(cx=d.bbox.cx, cy=d.bbox.cy, w=d.bbox.w, h=d.bbox.h)
-        assert estimator(d.frame_id, same_box, d.class_id) is first
+        crop = obj.corr.crop
+        first = estimator(10, crop, 0)
+        # every stored pair lies in the stored crop, so a wider, shifted
+        # crop holds the same pairs
+        wider = BBox(cx=crop.cx + 3.0, cy=crop.cy, w=1.5 * crop.w, h=1.5 * crop.h)
+        assert estimator(10, wider, 0) is first
         assert len(calls) == 1
-        estimator(d.frame_id, square_crop(d.bbox), d.class_id)
-        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0].pts3d, pairs.pts3d)
         # a fresh estimator computes the reused answer anew, bit for bit
-        fresh = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)
-        again = fresh(d.frame_id, d.bbox, d.class_id)
-        assert len(calls) == 3
+        again = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)(10, wider, 0)
+        assert len(calls) == 2
         np.testing.assert_array_equal(again.pose.R, first.pose.R)
         np.testing.assert_array_equal(again.pose.t, first.pose.t)
         assert again.class_confidence == first.class_confidence
+
+    def test_a_crop_that_adds_pairs_solves_again(self, scene, monkeypatch):
+        frames, _, _ = scene
+        calls = _counting_pnp(monkeypatch)
+        obj, pairs = _stored_pairs(frames[10], 0)
+        u = pairs.pts2d[:, 0]
+        crop = obj.corr.crop
+        # the stored crop's left part, up to the median pair
+        cut = np.median(u)
+        left = BBox(cx=(crop.x0 + cut) / 2, cy=crop.cy, w=cut - crop.x0, h=crop.h)
+        held = (u <= left.x1).sum()
+        assert 6 <= held < len(u)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)
+        part = estimator(10, left, 0)
+        assert len(calls[0].pts3d) == held
+        whole = estimator(10, crop, 0)
+        assert len(calls) == 2
+        assert len(calls[1].pts3d) == len(u)
+        assert whole is not part
+
+    def test_a_crop_under_six_pairs_keeps_the_detection_box(self, scene, monkeypatch):
+        frames, _, _ = scene
+        calls = _counting_pnp(monkeypatch)
+        _, pairs = _stored_pairs(frames[10], 0)
+        u, v = pairs.pts2d[0]
+        # narrower than the map's pixel pitch: one stored pair
+        one = BBox(cx=u, cy=v, w=0.1, h=0.1)
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)
+        with pytest.raises(TooFewCorrespondences, match="holds 1 stored pairs"):
+            estimator(10, one, 0)
+        d = Detection(frame_id=10, class_id=0, confidence=1.0, bbox=one)
+        assert refine_bbox(d, estimator, MODELS[0], DEFAULT_CAMERA) == (one, None)
+        assert calls == []
+
+    def test_adaptation_renders_no_correspondence_map(self, scene, monkeypatch):
+        import sys
+
+        frames, dets, gt_boxes = scene
+        renders = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("artipose") and hasattr(module, "render_correspondence"):
+                monkeypatch.setattr(module, "render_correspondence", lambda *a, **k: renders.append(a))
+        estimator = RenderEstimator(frames, MODELS, DEFAULT_CAMERA, 0.5)
+        results = adaptation_loop(
+            dets, estimator, MODELS, DEFAULT_CAMERA, rounds=2, gt_boxes=gt_boxes
+        )
+        assert len(results) == 2 and results[1][2].n_pose_labels > 0
+        assert renders == []
+
+
+class TestStoredMapAnswers:
+    """The estimator ``estimate`` asks and the one ``adapt`` asks are the
+    same: at an object's stored crop it solves on its FMAP's pairs."""
+
+    @pytest.fixture(scope="class")
+    def occluded(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("occluded")
+        ds = root / "ds"
+        scene_json = Path(__file__).parents[1] / "perfbench" / "scene.json"
+        argv = ["simgen", "--out", str(ds), "--config", str(scene_json), "--frames", "6"]
+        assert main([*argv, "--seed", "7010"]) == 0
+        return ds
+
+    def test_stored_crop_solves_on_every_valid_pair_in_order(self, occluded, monkeypatch):
+        calls = _counting_pnp(monkeypatch)
+        ds = load_dataset(occluded / "scene_gt.json")
+        models = {m.class_id: m for m in map(load_model_manifest, ds.model_paths)}
+        estimator = RenderEstimator(ds.frames, models, ds.camera)
+        n = 0
+        for frame in ds.frames:
+            for obj in frame.objects:
+                estimator(frame.frame_id, obj.crop, obj.class_id)
+                arr = read_fmap(obj.corr_path)
+                ii, jj = np.nonzero(arr[:, :, 3] > 0.5)
+                crop = obj.crop
+                u = crop.x0 + (jj + 0.5) * crop.w / arr.shape[1]
+                v = crop.y0 + (ii + 0.5) * crop.h / arr.shape[0]
+                box = models[obj.class_id].corr_box
+                got = calls[n]
+                n += 1
+                np.testing.assert_array_equal(
+                    got.pts3d, denormalize_coords(arr[ii, jj, :3].astype(float), box)
+                )
+                np.testing.assert_array_equal(got.pts2d, np.stack([u, v], axis=1))
+        assert n == len(calls) == 12
+
+    def test_an_adapt_label_holding_every_pair_is_the_estimate(self, occluded, tmp_path):
+        import json
+
+        preds = tmp_path / "preds.jsonl"
+        adapt = tmp_path / "adapt"
+        flags = ["--seed", "4", "--noise-sigma", "1"]
+        assert main(["estimate", "--dataset", str(occluded), "--out", str(preds), *flags]) == 0
+        assert main(["adapt", "--dataset", str(occluded), "--out", str(adapt), *flags]) == 0
+        estimates = {}
+        for line in preds.read_text().splitlines():
+            rec = json.loads(line)
+            estimates[(rec["frame_id"], rec["class"])] = rec
+        ds = load_dataset(occluded / "scene_gt.json")
+        models = {m.class_id: m for m in map(load_model_manifest, ds.model_paths)}
+        objects = {(f.frame_id, o.class_id): o for f in ds.frames for o in f.objects}
+        compared = 0
+        for path in sorted(adapt.glob("labels_round*.json")):
+            manifest = json.loads(path.read_text())
+            boxes = {
+                (lab["frame_id"], lab["class"]): BBox.from_list(lab["bbox"])
+                for lab in manifest["detection_labels"]
+            }
+            for lab in manifest["pose_labels"]:
+                key = (lab["frame_id"], lab["class"])
+                obj = objects[key]
+                crop = square_crop(boxes[key])
+                cmap = load_correspondence(obj.corr_path, obj.crop)
+                u, v = pairs_from_map(cmap, models[key[1]].corr_box).pts2d.T
+                if ((u >= crop.x0) & (u <= crop.x1) & (v >= crop.y0) & (v <= crop.y1)).all():
+                    assert lab == estimates[key]
+                    compared += 1
+        assert compared >= 10
 
 
 class TestRound:
@@ -344,7 +479,7 @@ class TestIO:
 
         _, pose_labels, _ = clean_round
         path = tmp_path / "estimates.jsonl"
-        lines = [json.dumps(label_record(f, e)) for f, e in pose_labels]
+        lines = [json.dumps(encode_estimate(f, e)) for f, e in pose_labels]
         path.write_text("\n".join(lines) + "\n")
         loaded = load_estimates(path)
         assert len(loaded) == len(pose_labels)
@@ -371,8 +506,8 @@ class TestIO:
     def test_repeated_estimate_rejected(self, tmp_path):
         import json
 
-        line = json.dumps(label_record(3, fake_estimate()))
-        other = json.dumps(label_record(4, fake_estimate()))
+        line = json.dumps(encode_estimate(3, fake_estimate()))
+        other = json.dumps(encode_estimate(4, fake_estimate()))
         path = tmp_path / "estimates.jsonl"
         path.write_text("\n".join([line, other, "", line]) + "\n")
         with pytest.raises(ParseError, match=r":4: second estimate for frame 3 class 0, first on line 1"):
@@ -391,7 +526,7 @@ class TestIO:
         path = tmp_path / "estimates.jsonl"
         path.write_text("".join(json.dumps(e) + "\n" for e in entries))
         loaded = load_estimates(path)
-        again = [label_record(e["frame_id"], loaded[(e["frame_id"], e["class"])]) for e in entries]
+        again = [encode_estimate(e["frame_id"], loaded[(e["frame_id"], e["class"])]) for e in entries]
         assert json.dumps(again, sort_keys=True) == json.dumps(entries, sort_keys=True)
 
     def test_detections_roundtrip(self, tmp_path):

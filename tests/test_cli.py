@@ -199,7 +199,7 @@ class TestExitCodes:
         rc = main(argv)
         assert rc == 2
         assert f"{fmap}: " in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("models", [[1], "abc"], ids=["number", "string"])
     def test_malformed_model_list_is_exit_2(self, models, dataset, tmp_path, capsys):
@@ -392,7 +392,7 @@ class TestEstimate:
         for line in predictions.read_text().splitlines():
             rec = json.loads(line)
             est = estimates[(rec["frame_id"], rec["class"])]
-            again = encode_estimate(rec["frame_id"], est.class_id, est.class_confidence, est.articulation, est.pnp)
+            again = encode_estimate(rec["frame_id"], est)
             assert json.dumps(again, sort_keys=True) == line
 
     def test_rerun_identical(self, dataset, predictions, tmp_path):
