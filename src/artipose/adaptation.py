@@ -138,13 +138,11 @@ class RenderEstimator:
 
     def __init__(self, frames, models, camera: CameraIntrinsics, sigma: float = 0.0, seed: int = 0):
         self.objects = {(f.frame_id, obj.class_id): obj for f in frames for obj in f.objects}
-        self.models = dict(models)
+        # a model without a box fails here, not as every estimate's failure
+        self.boxes = {class_id: model.corr_box for class_id, model in dict(models).items()}
         self.camera = camera
         self.sigma = sigma
         self.seed = seed
-        # a model without a box fails here, not as every estimate's failure
-        for model in self.models.values():
-            model.corr_box
         self._answers = {}
 
     def __call__(self, frame_id: int, crop: BBox, class_id: int) -> PoseEstimate:
@@ -176,13 +174,13 @@ class RenderEstimator:
         obj = self.objects.get((frame_id, class_id))
         if obj is None:
             raise InputError(f"no object of class {class_id} in frame {frame_id}")
-        if class_id not in self.models:
+        if class_id not in self.boxes:
             raise InputError(f"no model registered for class {class_id}")
         if hasattr(obj, "corr"):  # an in-memory RenderedObject
             cmap = obj.corr
         else:
             cmap = load_correspondence(obj.corr_path, obj.crop)
-        return pairs_from_map(cmap, self.models[class_id].corr_box)
+        return pairs_from_map(cmap, self.boxes[class_id])
 
 
 def encode_estimate(frame_id: int, est: PoseEstimate) -> dict:
