@@ -315,9 +315,6 @@ def cmd_evaluate(args):
     and renders are dropped once matched, so memory stays flat."""
     ds = _open_dataset(args.dataset)
     _, models_by_class = _dataset_models(ds)
-    frames = iter_annotations(
-        _require_file(Path(args.dataset) / "annotations.json", "annotations")
-    )
     estimates = load_estimates(_require_file(args.predictions, "predictions file"))
     by_frame = {}
     for order, (frame_id, class_id) in enumerate(sorted(estimates)):
@@ -325,7 +322,7 @@ def cmd_evaluate(args):
             raise InputError(f"prediction for unknown class {class_id}")
         by_frame.setdefault(frame_id, []).append((order, class_id))
     matches = Matches()
-    for ann in frames:
+    for ann in iter_annotations(ds):
         keys = by_frame.pop(ann.frame_id, [])
         preds = _frame_predictions(ann.frame_id, keys, estimates, models_by_class, ds.camera)
         matches.add(ann.frame_id, preds, ann)

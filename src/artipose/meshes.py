@@ -318,8 +318,8 @@ def load_model_manifest(path: str | Path) -> ArticulatedModel:
         if key not in doc:
             raise ParseError(f"{path}: manifest misses field {key!r}")
     class_id = doc["class_id"]
-    if isinstance(class_id, bool) or not isinstance(class_id, int):
-        raise ParseError(f"{path}: class_id must be an integer, got {class_id!r}")
+    if isinstance(class_id, bool) or not isinstance(class_id, int) or class_id < 0:
+        raise ParseError(f"{path}: class_id must be a non-negative integer, got {class_id!r}")
     base = path.parent
     try:
         return ArticulatedModel(

@@ -16,9 +16,7 @@ instance per class and frame, so matching and its tie rule
 (``_class_ap``) work on these precomputed IoUs.
 """
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -36,21 +34,20 @@ RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 class FrameAnnotation:
     """Ground truth for one frame: per-class tool masks plus the hand mask.
 
-    ``tool_masks`` are the annotated masks the metric matches against;
-    ``visible_masks`` and ``amodal_masks`` only feed the visibility rule.
+    ``tool_masks`` are the visible masks the metric matches against; with
+    ``amodal_masks`` they also feed the visibility rule.
     """
 
     frame_id: int
     tool_masks: dict
     hand_mask: MaskImage
-    visible_masks: dict = field(default_factory=dict)
     amodal_masks: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.frame_id < 0:
             raise ValueError(f"frame_id must be >= 0, got {self.frame_id}")
         shape = (self.hand_mask.height, self.hand_mask.width)
-        for group in (self.tool_masks, self.visible_masks, self.amodal_masks):
+        for group in (self.tool_masks, self.amodal_masks):
             for cls, mask in group.items():
                 if (mask.height, mask.width) != shape:
                     raise ValueError(
@@ -229,7 +226,7 @@ class Matches:
                 raise InputError(f"frame {frame_id} is annotated twice")
             self.frames.add(frame_id)
             for cls in sorted(ann.tool_masks.keys() | ann.amodal_masks.keys()):
-                vis, amodal = ann.visible_masks.get(cls), ann.amodal_masks.get(cls)
+                vis, amodal = ann.tool_masks.get(cls), ann.amodal_masks.get(cls)
                 removed = (
                     vis is not None
                     and amodal is not None
@@ -254,39 +251,23 @@ class Matches:
             )
 
 
-def iter_annotations(index_path):
-    """Yield the frames of an annotation index, reading each frame's PGM
-    masks only when it is reached.
+def iter_annotations(ds):
+    """Yield the frames of a loaded ``simulate.SceneDataset``, reading the
+    PGM masks scene_gt.json lists for a frame only when it is reached.
 
-    The visible tool masks double as the annotated masks the metric
-    matches against.
+    Raises:
+        ParseError: a frame's masks differ in size, naming the frame.
     """
-    index_path = Path(index_path)
-    root = index_path.parent
-    try:
-        payload = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"annotation index is not valid JSON: {exc}") from None
-    frames = payload.get("frames") if isinstance(payload, dict) else None
-    if not isinstance(frames, list):
-        raise ParseError(f"{index_path}: annotation index must be an object with a 'frames' list")
-    for pos, entry in enumerate(frames):
-        where = f"entry {pos}"
+    for frame in ds.frames:
         try:
-            where = f"frame {entry['frame_id']}"
-            masks = {
-                int(cls): read_mask_pgm(root / p) for cls, p in entry["masks"].items()
-            }
             ann = FrameAnnotation(
-                frame_id=int(entry["frame_id"]),
-                tool_masks=masks,
-                hand_mask=read_mask_pgm(root / entry["hand_mask"]),
-                visible_masks=masks,
-                amodal_masks={
-                    int(cls): read_mask_pgm(root / p)
-                    for cls, p in entry.get("amodal", {}).items()
-                },
+                frame_id=frame.frame_id,
+                tool_masks={o.class_id: read_mask_pgm(o.visible_mask_path) for o in frame.objects},
+                hand_mask=read_mask_pgm(frame.hand_mask_path),
+                amodal_masks={o.class_id: read_mask_pgm(o.amodal_mask_path) for o in frame.objects},
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{index_path}: malformed annotation, {where}: {exc}") from None
+        except ValueError as exc:
+            raise ParseError(
+                f"{ds.root / 'scene_gt.json'}: malformed annotation, frame {frame.frame_id}: {exc}"
+            ) from None
         yield ann

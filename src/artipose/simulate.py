@@ -321,29 +321,27 @@ def generate_sequence(config: SceneConfig, n_frames: int) -> list:
 
 
 def export_gt(frames, out_dir, camera: CameraIntrinsics, model_paths=()) -> Path:
-    """Write all frame artifacts plus scene_gt.json and annotations.json.
+    """Write all frame artifacts plus scene_gt.json, the one index that
+    names every mask and map path.
 
     Masks go to ``masks/`` as PGM, correspondence maps to ``fmaps/`` as
     4-channel FMAP (three coordinates plus validity).  Returns the
     scene_gt.json path.
 
     Raises:
-        ConfigError: two objects share a class (annotations key by class).
+        ConfigError: two objects share a class (evaluation keys by class).
     """
     out_dir = Path(out_dir)
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     (out_dir / "fmaps").mkdir(parents=True, exist_ok=True)
     gt_frames = []
-    ann_frames = []
     for frame in frames:
         classes = [obj.class_id for obj in frame.objects]
         if len(set(classes)) != len(classes):
-            raise ConfigError("duplicate class in one frame; annotations key by class")
+            raise ConfigError("duplicate class in one frame; evaluation keys by class")
         hand_rel = f"masks/{frame.frame_id:06d}_hand.pgm"
         write_mask_pgm(frame.hand_mask, out_dir / hand_rel)
         entries = []
-        ann_masks = {}
-        ann_amodal = {}
         for obj in frame.objects:
             vis_rel = f"masks/{frame.frame_id:06d}_obj{obj.model_index}_vis.pgm"
             full_rel = f"masks/{frame.frame_id:06d}_obj{obj.model_index}_full.pgm"
@@ -369,18 +367,8 @@ def export_gt(frames, out_dir, camera: CameraIntrinsics, model_paths=()) -> Path
                     "corr_map": corr_rel,
                 }
             )
-            ann_masks[str(obj.class_id)] = vis_rel
-            ann_amodal[str(obj.class_id)] = full_rel
         gt_frames.append(
             {"frame_id": frame.frame_id, "hand_mask": hand_rel, "objects": entries}
-        )
-        ann_frames.append(
-            {
-                "frame_id": frame.frame_id,
-                "masks": ann_masks,
-                "amodal": ann_amodal,
-                "hand_mask": hand_rel,
-            }
         )
     payload = {
         "camera": {
@@ -395,7 +383,6 @@ def export_gt(frames, out_dir, camera: CameraIntrinsics, model_paths=()) -> Path
     }
     gt_path = out_dir / "scene_gt.json"
     gt_path.write_text(canonical_json(payload))
-    (out_dir / "annotations.json").write_text(canonical_json({"frames": ann_frames}))
     return gt_path
 
 
@@ -434,9 +421,14 @@ class SceneDataset:
 def load_dataset(scene_gt_path) -> SceneDataset:
     """Read scene_gt.json back into poses, boxes, and artifact paths.
 
+    Frame ids and classes key the evaluation and seed the noise, so each
+    must be non-negative, each frame listed once and each class once per
+    frame.
+
     Raises:
-        ParseError: missing or malformed fields, or an ``R`` that is not
-            a rotation, with the frame id and object index.
+        ParseError: missing or malformed fields, an ``R`` that is not a
+            rotation, or an id that breaks the rule above, with the frame
+            id and object index.
     """
     scene_gt_path = Path(scene_gt_path)
     root = scene_gt_path.parent
@@ -455,16 +447,28 @@ def load_dataset(scene_gt_path) -> SceneDataset:
             height=int(cam["height"]),
         )
         frames = []
+        frame_ids = set()
         for pos, entry in enumerate(payload["frames"]):
             where = f" (frame entry {pos})"
             frame_id = int(entry["frame_id"])
+            where = f" (frame {frame_id})"
+            if frame_id < 0:
+                raise ValueError("frame_id must be >= 0")
+            if frame_id in frame_ids:
+                raise ValueError("frame listed twice")
+            frame_ids.add(frame_id)
             objects = []
             for index, rec in enumerate(entry["objects"]):
                 where = f" (frame {frame_id}, object {index})"
+                class_id = int(rec["class"])
+                if class_id < 0:
+                    raise ValueError(f"class must be >= 0, got {class_id}")
+                if any(o.class_id == class_id for o in objects):
+                    raise ValueError(f"class {class_id} listed twice")
                 visible = rec["bbox_visible"]
                 objects.append(
                     ObjectGT(
-                        class_id=int(rec["class"]),
+                        class_id=class_id,
                         model_index=int(rec["model"]),
                         pose=decode_pose(rec),
                         articulation=float(rec["articulation"]),

@@ -59,16 +59,17 @@ class TestExitCodes:
         assert rc == 2
 
     def test_runtime_failure_is_exit_3(self, dataset, predictions, tmp_path):
-        # valid inputs, but the annotation index holds no frames, so
-        # scoring has nothing to match against
+        # valid inputs, but scene_gt.json annotates no frame, so scoring
+        # has nothing to match against
         broken = tmp_path / "ds"
         broken.mkdir()
-        (broken / "scene_gt.json").write_text((dataset / "scene_gt.json").read_text())
+        payload = json.loads((dataset / "scene_gt.json").read_text())
+        payload["frames"] = []
+        (broken / "scene_gt.json").write_text(json.dumps(payload))
         models_dir = broken / "models"
         models_dir.mkdir()
         for p in (dataset / "models").iterdir():
             (models_dir / p.name).write_bytes(p.read_bytes())
-        (broken / "annotations.json").write_text('{"frames": []}\n')
         rc = main(
             ["evaluate", "--dataset", str(broken), "--predictions", str(predictions), "--out", str(tmp_path / "r.json")]
         )
@@ -90,34 +91,67 @@ class TestExitCodes:
             assert "not a rotation" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "fault", ["negative_frame_id", "mask_size", "index_not_object", "masks_not_object", "amodal_not_object"]
+        "fault, message",
+        [
+            ("negative_frame_id", "malformed scene_gt (frame -1): frame_id must be >= 0"),
+            ("mask_size", "malformed annotation, frame 1: mask for class 0 does not match"),
+        ],
+        ids=["negative_frame_id", "mask_size"],
     )
-    def test_malformed_annotation_is_exit_2(self, fault, dataset, predictions, tmp_path, capsys):
+    def test_malformed_annotation_is_exit_2(self, fault, message, dataset, predictions, tmp_path, capsys):
         broken = tmp_path / "ds"
         shutil.copytree(dataset, broken)
-        index = json.loads((broken / "annotations.json").read_text())
-        entry = index["frames"][1]
+        payload = json.loads((broken / "scene_gt.json").read_text())
+        entry = payload["frames"][1]
         if fault == "negative_frame_id":
             entry["frame_id"] = -1
-        elif fault == "mask_size":
-            (broken / "small.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
-            entry["masks"]["0"] = "small.pgm"
-        elif fault == "index_not_object":
-            index = index["frames"]
-        elif fault == "masks_not_object":
-            entry["masks"] = list(entry["masks"].values())
         else:
-            entry["amodal"] = list(entry["amodal"].values())
-        (broken / "annotations.json").write_text(json.dumps(index))
+            (broken / "small.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+            entry["objects"][0]["visible_mask"] = "small.pgm"
+        (broken / "scene_gt.json").write_text(json.dumps(payload))
         out = tmp_path / "out" / "r.json"
         rc = main(["evaluate", "--dataset", str(broken), "--predictions", str(predictions), "--out", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert f"{broken / 'annotations.json'}: " in err
-        if fault != "index_not_object":
-            frame_id = -1 if fault == "negative_frame_id" else 1
-            assert f"malformed annotation, frame {frame_id}:" in err
+        assert f"{broken / 'scene_gt.json'}: {message}" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "fault, where",
+        [
+            ("negative_frame_id", "frame -1"),
+            ("negative_class", "frame 1, object 0"),
+            ("repeated_frame", "frame 1"),
+            ("repeated_class", "frame 1, object 1"),
+        ],
+        ids=["negative_frame_id", "negative_class", "repeated_frame", "repeated_class"],
+    )
+    def test_unkeyable_ids_are_exit_2(self, fault, where, dataset, predictions, tmp_path, capsys):
+        # frame ids and classes key the evaluation and seed each object's
+        # noise: numpy refuses a negative seed entry, and a repeated id
+        # would be estimated twice
+        broken = tmp_path / "ds"
+        shutil.copytree(dataset, broken)
+        payload = json.loads((broken / "scene_gt.json").read_text())
+        frames = payload["frames"]
+        if fault == "negative_frame_id":
+            frames[1]["frame_id"] = -1
+        elif fault == "negative_class":
+            frames[1]["objects"][0]["class"] = -1
+        elif fault == "repeated_frame":
+            frames.insert(2, frames[1])
+        else:
+            frames[1]["objects"][1]["class"] = frames[1]["objects"][0]["class"]
+        (broken / "scene_gt.json").write_text(json.dumps(payload))
+        for command in ("estimate", "evaluate", "losses", "adapt"):
+            out = tmp_path / command / "out.json"
+            argv = [command, "--dataset", str(broken), "--out", str(out)]
+            if command in ("evaluate", "losses"):
+                argv += ["--predictions", str(predictions)]
+            else:
+                argv += ["--noise-sigma", "0.5"]
+            assert main(argv) == 2, command
+            assert f"{broken / 'scene_gt.json'}: malformed scene_gt ({where}): " in capsys.readouterr().err
+            assert not out.parent.exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -125,6 +159,7 @@ class TestExitCodes:
             ("hinge_axis", [0.0, 0.0, 2.0]),
             ("angle_min", 0.6),
             ("class_id", "zero"),
+            ("class_id", -1),
             ("hinge_origin", [0.0, 0.0]),
             ("fixed_mesh", 5),
             (None, 5),
@@ -136,6 +171,7 @@ class TestExitCodes:
             "non_unit_axis",
             "empty_angle_range",
             "non_integer_class",
+            "negative_class",
             "short_origin",
             "numeric_mesh_path",
             "not_object",
@@ -449,6 +485,37 @@ class TestEvaluate:
                 ["evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--out", str(path)]
             ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_scene_gt_is_the_only_index(self, tmp_path):
+        # a simgen tree holds scene_gt.json, its config snapshot, the
+        # paths scene_gt.json names and the OBJ files its manifests name,
+        # and nothing else; evaluate needs no other file
+        full = tmp_path / "full"
+        preds = tmp_path / "preds.jsonl"
+        assert main(["simgen", "--out", str(full), "--frames", "3", "--seed", "5"]) == 0
+        assert main(["estimate", "--dataset", str(full), "--out", str(preds)]) == 0
+        gt = json.loads((full / "scene_gt.json").read_text())
+        named = {"scene_gt.json", "simgen_config.json", *gt["models"]}
+        for frame in gt["frames"]:
+            named.add(frame["hand_mask"])
+            for obj in frame["objects"]:
+                named.update(obj[key] for key in ("visible_mask", "amodal_mask", "corr_map"))
+        for rel in gt["models"]:
+            manifest = json.loads((full / rel).read_text())
+            named.update((Path(rel).parent / manifest[key]).as_posix() for key in ("fixed_mesh", "moving_mesh"))
+        files = {p.relative_to(full).as_posix() for p in full.rglob("*") if p.is_file()}
+        assert files <= named, sorted(files - named)
+        only = tmp_path / "only"
+        for rel in named:
+            (only / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(full / rel, only / rel)
+        reports = []
+        for root in (full, only):
+            out = root.with_name(root.name + "_report.json")
+            assert main(["evaluate", "--dataset", str(root), "--predictions", str(preds), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        for key in ("pose_ap", "detection_ap", "n_predictions", "n_frames"):
+            assert reports[0][key] == reports[1][key]
 
 
 # A process's ru_maxrss starts from the memory of the process that spawned

@@ -27,6 +27,7 @@ from artipose.metrics import (
     visibility_fraction,
 )
 from artipose.raster import MaskImage
+from artipose.simulate import load_dataset
 
 W, H = 160, 120
 
@@ -60,14 +61,41 @@ def class_ap(predictions, annotations, class_id):
     return matches(predictions, annotations).pose.class_ap(class_id)
 
 
-def frame(frame_id, tools, hand=None, visible=None, amodal=None):
+def frame(frame_id, tools, hand=None, amodal=None):
     return FrameAnnotation(
         frame_id=frame_id,
         tool_masks=tools,
         hand_mask=hand if hand is not None else empty_mask(),
-        visible_masks=visible if visible is not None else {},
         amodal_masks=amodal if amodal is not None else {},
     )
+
+
+def write_scene_gt(root, frames):
+    """A scene_gt.json over (frame_id, hand mask path, {class: (visible
+    mask path, amodal mask path)}) frames; only the mask paths matter to
+    the annotations, so every pose is the identity."""
+    def obj(cls, vis, amodal):
+        return {
+            "class": cls, "model": cls, "R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t_mm": [0, 0, 1000],
+            "articulation": 0.0, "bbox_amodal": [1, 1, 1, 1], "bbox_visible": None,
+            "visibility": 1.0, "crop": [1, 1, 1, 1], "visible_mask": vis,
+            "amodal_mask": amodal, "corr_map": "unused.fmap",
+        }
+
+    payload = {
+        "camera": {"f": 100.0, "px": W / 2, "py": H / 2, "width": W, "height": H},
+        "frames": [
+            {
+                "frame_id": fid,
+                "hand_mask": hand,
+                "objects": [obj(cls, *paths) for cls, paths in objects.items()],
+            }
+            for fid, hand, objects in frames
+        ],
+    }
+    path = root / "scene_gt.json"
+    path.write_text(json.dumps(payload))
+    return load_dataset(path)
 
 
 class TestMaskOps:
@@ -179,10 +207,10 @@ class TestApOverThresholds:
         visible = mask_from_rect(10, 10, 4, 20)  # 8% visible
         good = mask_from_rect(80, 40, 30, 20)
         annotations = [
-            frame(0, {0: amodal}, visible={0: visible}, amodal={0: amodal}),
-            frame(1, {0: good}, visible={0: good}, amodal={0: good}),
+            frame(0, {0: visible}, amodal={0: amodal}),
+            frame(1, {0: good}, amodal={0: good}),
         ]
-        preds = [(0, 0, 0.95, amodal), (1, 0, 0.90, good)]
+        preds = [(0, 0, 0.95, visible), (1, 0, 0.90, good)]
         # the confident hit on the removed instance must not poison AP
         assert class_ap(preds, annotations, 0) == 1.0
 
@@ -341,8 +369,8 @@ class TestDetectionAp:
         visible = mask_from_rect(10, 10, 4, 20)  # 8% visible
         good = mask_from_rect(80, 40, 30, 20)
         annotations = [
-            frame(0, {0: visible}, visible={0: visible}, amodal={0: amodal}),
-            frame(1, {0: good}, visible={0: good}, amodal={0: good}),
+            frame(0, {0: visible}, amodal={0: amodal}),
+            frame(1, {0: good}, amodal={0: good}),
         ]
         m = matches([(0, 0, 0.95, amodal), (1, 0, 0.90, good)], annotations)
         assert m.detection.gt[0] == {0: True, 1: False}
@@ -357,7 +385,7 @@ class TestDetectionAp:
         visible = mask_from_rect(10, 10, 40, 30)
         amodal = mask_from_rect(10, 10, 100, 30)
         hand = mask_from_rect(50, 10, 60, 30)
-        ann = frame(0, {0: visible}, hand=hand, visible={0: visible}, amodal={0: amodal})
+        ann = frame(0, {0: visible}, hand=hand, amodal={0: amodal})
         m = Matches()
         m.add(0, [(0, 0, 0.9, visible)], ann)
         assert m.frames == {0}
@@ -451,18 +479,8 @@ class TestIo:
         hand = mask_from_rect(20, 10, 10, 30)
         write_mask_pgm(tool, tmp_path / "tool0.pgm")
         write_mask_pgm(hand, tmp_path / "hand0.pgm")
-        index = {
-            "frames": [
-                {
-                    "frame_id": 0,
-                    "masks": {"0": "tool0.pgm"},
-                    "amodal": {"0": "tool0.pgm"},
-                    "hand_mask": "hand0.pgm",
-                }
-            ]
-        }
-        (tmp_path / "annotations.json").write_text(json.dumps(index))
-        annotations = list(iter_annotations(tmp_path / "annotations.json"))
+        ds = write_scene_gt(tmp_path, [(0, "hand0.pgm", {0: ("tool0.pgm", "tool0.pgm")})])
+        annotations = list(iter_annotations(ds))
         preds = [(0, 0, 0.9, read_mask_pgm(tmp_path / "tool0.pgm"))]
         assert len(annotations) == 1
         assert annotations[0].tool_masks[0].pixel_count() == tool.pixel_count()
@@ -476,10 +494,21 @@ class TestIo:
         assert recs[0].bbox == BBox(cx=10.0, cy=20.0, w=5.0, h=5.0)
 
     def test_malformed_index_raises(self, tmp_path):
-        p = tmp_path / "annotations.json"
-        p.write_text("{not json")
-        with pytest.raises(ParseError):
-            list(iter_annotations(p))
+        # frame 1's scene_gt.json entry names a visible mask of another size
+        write_mask_pgm(mask_from_rect(10, 10, 40, 30), tmp_path / "tool.pgm")
+        write_mask_pgm(MaskImage(4, 4, np.ones((4, 4), dtype=np.uint8)), tmp_path / "small.pgm")
+        write_mask_pgm(empty_mask(), tmp_path / "hand.pgm")
+        ds = write_scene_gt(
+            tmp_path,
+            [
+                (0, "hand.pgm", {0: ("tool.pgm", "tool.pgm")}),
+                (1, "hand.pgm", {0: ("small.pgm", "tool.pgm")}),
+            ],
+        )
+        frames = iter_annotations(ds)
+        assert next(frames).frame_id == 0
+        with pytest.raises(ParseError, match=r"scene_gt\.json: malformed annotation, frame 1: "):
+            next(frames)
 
     def test_malformed_prediction_line_raises(self, tmp_path):
         p = tmp_path / "predictions.jsonl"

@@ -479,7 +479,7 @@ class TestExport:
 
     def test_annotations_feed_the_metrics_loader(self, clean_run):
         frames, gt_path = clean_run
-        bundle = list(iter_annotations(gt_path.parent / "annotations.json"))
+        bundle = list(iter_annotations(load_dataset(gt_path)))
         assert [a.frame_id for a in bundle] == [f.frame_id for f in frames]
         ann = bundle[0]
         assert set(ann.tool_masks) == {0, 1}
