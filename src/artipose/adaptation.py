@@ -58,7 +58,7 @@ class FilterThresholds:
             raise ConfigError(
                 f"outlier_max_frac must be in [0, 1], got {self.outlier_max_frac}"
             )
-        if self.reproj_max_px <= 0.0:
+        if not self.reproj_max_px > 0.0:
             raise ConfigError(f"reproj_max_px must be > 0, got {self.reproj_max_px}")
 
 

@@ -19,7 +19,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,12 +183,13 @@ def cmd_simgen(args):
         frames_n = args.frames if args.frames is not None else _config_int(cfg, "frames", 200)
         seed = args.seed if args.seed is not None else _config_int(cfg, "seed", 0)
         occ_cfg = cfg.get("occluders", {})
-        occ_enabled = bool(occ_cfg.get("enabled", True)) and not args.no_occluders
         occluder = OccluderConfig(
-            enabled=occ_enabled,
+            enabled=occ_cfg.get("enabled", True),
             count_range=tuple(occ_cfg.get("count_range", (1, 2))),
             size_range=tuple(occ_cfg.get("size_range", (0.015, 0.04))),
         )
+        if args.no_occluders:
+            occluder = replace(occluder, enabled=False)
         depth_range = tuple(cfg.get("depth_range", (0.75, 1.05)))
         scene = SceneConfig(
             models=models,

@@ -1,18 +1,19 @@
 """Pose from 2D-3D correspondences: minimal solve, refinement, robust loop.
 
-The minimal stage is Grunert's three-point solution (P3P) in closed
-form, the sample's other points choosing among its roots; refinement runs
-Levenberg-Marquardt with rotation increments in the tangent space, and
-stops converged at a short step or where a try moves the cost by no more
-than rounding.  The robust loop scores hypotheses with a truncated
-quadratic (MSAC), fits each point set once and is deterministic for a
-fixed seed.  Inliers are counted in a band scaled to the pixel noise that
-the leading hypothesis's residuals show, in the spirit of MAGSAC++'s
-sigma-consensus (Barath et al., CVPR 2020), so that noise is not taken
-for outliers and the adaptive exit fires on noisy maps.  A nearly planar
-support also gets the planar two-fold check of IPPE (Collins and
-Bartoli, IJCV 2014): the mirrored pose is polished and kept when it fits
-clearly better.
+The minimal stage is Grunert's three-point solution (P3P), its quartic's
+roots taken as ``np.roots`` takes them, as the real eigenvalues of the
+companion matrix, and the sample's other points choosing among them.
+Refinement runs Levenberg-Marquardt with rotation increments in the
+tangent space, and stops converged at a short step or where a try moves
+the cost by no more than rounding.  The robust loop scores hypotheses
+with a truncated quadratic (MSAC), fits each point set once and is
+deterministic for a fixed seed.  Inliers are counted in a band scaled to
+the pixel noise that the leading hypothesis's residuals show, in the
+spirit of MAGSAC++'s sigma-consensus (Barath et al., CVPR 2020), so that
+noise is not taken for outliers and the adaptive exit fires on noisy
+maps.  A nearly planar support also gets the planar two-fold check of
+IPPE (Collins and Bartoli, IJCV 2014): the mirrored pose is polished and
+kept when it fits clearly better.
 
 The robust loop works on blocks of minimal samples rather than one at a
 time.  Block sizes double (1, 2, 4, ...) up to ``MAX_BLOCK``, and never
@@ -27,11 +28,12 @@ sample.  The samples come from the same stream as one-at-a-time draws,
 so the loop stops at the same sample and returns what a
 one-sample-at-a-time loop returns.
 
-Refinement is a single-pose kernel.  A ``CorrSet`` keeps its model points
-as contiguous (3, N) rows, so a pose maps them as ``R @ P + t`` (scoring
-maps a chunk of hypotheses as (B, 3, 3) @ (3, N)), and its residuals are
-one (2, N) array against the pixels' offsets from the principal point.
-LM builds its 6 x 6 normal equations from that array, and turns each
+One projection kernel (``_project``) serves P3P's choice among roots,
+scoring, local optimization, LM and the planar check.  A ``CorrSet``
+keeps its model points as contiguous (3, N) rows, so a pose maps them as
+``R @ P + t``, a stack of poses broadcasting, and its residuals are one
+(2, N) array against the pixels' offsets from the principal point.  LM
+builds its 6 x 6 normal equations from that array, and turns each
 rotation increment into a matrix in closed form.
 """
 
@@ -172,76 +174,46 @@ def pairs_from_map(
     return CorrSet(pts3d, np.stack([u, v], axis=1))
 
 
-def _project(pts3d, pts2d, camera, R, t):
-    """Points at or behind ``MIN_DEPTH`` and residuals in u and in v, all
-    (B, M), of poses (B, 3, 3) and (B, 3) on point sets of their own,
-    (B, M, 3) and (B, M, 2); the residuals of masked points are finite."""
-    pc = pts3d @ R.transpose(0, 2, 1) + t[:, None, :]
-    z = pc[..., 2]
-    behind = z <= MIN_DEPTH
-    z = np.where(behind, 1.0, z)
-    du = camera.f * pc[..., 0] / z + camera.px - pts2d[..., 0]
-    dv = camera.f * pc[..., 1] / z + camera.py - pts2d[..., 1]
-    return behind, du, dv
-
-
 def _offsets(corr, camera):
     """The (2, N) pixel observations as offsets from the principal point."""
     return corr.uv - np.array([[camera.px], [camera.py]])
 
 
-def _residuals(P, obs, f, R, t):
-    """Camera points (3, N) of one pose and its stacked (2, N) residuals
-    against the offsets ``obs``; None in place of the residuals when a
-    point is at or behind ``MIN_DEPTH``."""
-    pc = R @ P + t[:, None]
-    z = pc[2]
-    if z.min() <= MIN_DEPTH:
-        return pc, None
-    return pc, pc[:2] * (f / z) - obs
+def _project(P, obs, f, R, t):
+    """Camera points ``R @ P + t`` (..., 3, N), residuals (..., 2, N) in u
+    and in v against the pixel offsets ``obs``, and the mask (..., N) of
+    points at or behind ``MIN_DEPTH``, whose residuals are taken at depth
+    1 so that they stay finite.  The pose is one, (3, 3) and (3,), or a
+    stack, (..., 3, 3) and (..., 3); model points (..., 3, N) broadcast."""
+    pc = R @ P + t[..., None]
+    z = pc[..., 2, :]
+    behind = z <= MIN_DEPTH
+    r = pc[..., :2, :] * (f / np.where(behind, 1.0, z))[..., None, :] - obs
+    return pc, r, behind
 
 
 def _reproj_errors(corr: CorrSet, camera: CameraIntrinsics, R: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-point pixel errors of a pose, (3, 3) and (3,) to (N,), or of a
     stack of them, (B, 3, 3) and (B, 3) to (B, N); inf behind the camera."""
-    pc = R @ corr.P + t[..., None]
-    z = pc[..., 2, :]
-    behind = z <= MIN_DEPTH
-    d = pc[..., :2, :] * (camera.f / np.where(behind, 1.0, z))[..., None, :] - _offsets(corr, camera)
+    _, d, behind = _project(corr.P, _offsets(corr, camera), camera.f, R, t)
     err = np.sqrt((d * d).sum(axis=-2))
     err[behind] = np.inf
     return err
 
 
-def _quartic_roots(A):
+def _real_roots(A):
     """Real roots of the quartics ``A[:, 0] x^4 + ... + A[:, 4]``, (B, 4),
-    NaN in place of complex ones.
-
-    Ferrari's method in real arithmetic: the largest real root m of the
-    resolvent cubic (Cardano's or the trigonometric form) splits the
-    depressed quartic y^4 + p y^2 + q y + r into two real quadratics.
-    """
-    b, c, d, e = (A[:, 1:] / A[:, :1]).T
-    bb = b * b
-    p = c - 0.375 * bb
-    q = d - 0.5 * b * c + 0.125 * bb * b
-    r = e - 0.25 * b * d + 0.0625 * bb * c - 0.01171875 * bb * bb
-    # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8, depressed by m = z - p/3
-    P = -p * p / 12.0 - r
-    Q = -p * p * p / 108.0 + p * r / 3.0 - 0.125 * q * q
-    disc = 0.25 * Q * Q + P * P * P / 27.0
-    one = -np.where(Q < 0.0, -1.0, 1.0) * np.cbrt(np.abs(0.5 * Q) + np.sqrt(np.maximum(disc, 0.0)))
-    one -= P / (3.0 * np.where(one == 0.0, 1.0, one))
-    rad = np.sqrt(np.maximum(-P / 3.0, 0.0))
-    cos = np.clip(-0.5 * Q / np.where(rad == 0.0, 1.0, rad) ** 3, -1.0, 1.0)
-    m = np.maximum(np.where(disc > 0.0, one, 2.0 * rad * np.cos(np.arccos(cos) / 3.0)) - p / 3.0, 0.0)
-    # y^4 + p y^2 + q y + r = (y^2 + p/2 + m)^2 - (s y - w)^2, s = sqrt(2 m)
-    s = np.sqrt(2.0 * m)
-    w = np.where(q < 0.0, -1.0, 1.0) * np.sqrt(np.maximum((m + 0.5 * p) ** 2 - r, 0.0))
-    h = -2.0 * (m + p)
-    r1 = np.sqrt(np.where(h >= 4.0 * w, h - 4.0 * w, np.nan))
-    r2 = np.sqrt(np.where(h >= -4.0 * w, h + 4.0 * w, np.nan))
-    return 0.5 * np.stack([s + r1, s - r1, r2 - s, -s - r2], axis=1) - 0.25 * b[:, None]
+    NaN in place of complex ones, as ``np.roots`` finds them: the
+    eigenvalues of each companion matrix whose imaginary part LAPACK
+    returns as exactly 0.  A quartic whose companion matrix is not finite
+    (a vanishing leading coefficient, or repeated points) has none."""
+    C = np.zeros((A.shape[0], 4, 4))
+    C[:, 0] = -A[:, 1:] / A[:, :1]
+    C[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    finite = np.isfinite(C[:, 0]).all(axis=1)
+    C[~finite, 0] = 0.0
+    w = np.linalg.eigvals(C)
+    return np.where(finite[:, None] & (w.imag == 0.0), w.real, np.nan)
 
 
 def _p3p_depths(P, ray):
@@ -272,7 +244,7 @@ def _p3p_depths(P, ray):
         axis=1,
     )
     a2, b2, c2, ca, cb, cg, amc = (x[:, None] for x in (a2, b2, c2, ca, cb, cg, amc))
-    v = _quartic_roots(A)
+    v = _real_roots(A)
     u = ((amc - 1.0) * v * v - 2.0 * amc * cb * v + 1.0 + amc) / (2.0 * (cg - v * ca))
     s1 = np.sqrt(b2 / (1.0 + v * v - 2.0 * v * cb))
     s2, s3 = u * s1, v * s1
@@ -306,9 +278,8 @@ def _p3p(pts3d, pts2d, camera):
     """
     B = pts3d.shape[0]
     P = pts3d[:, :3]
-    ray = np.concatenate(
-        [(pts2d[:, :3] - (camera.px, camera.py)) / camera.f, np.ones((B, 3, 1))], axis=2
-    )
+    obs = pts2d - (camera.px, camera.py)
+    ray = np.concatenate([obs[:, :3] / camera.f, np.ones((B, 3, 1))], axis=2)
     ray /= np.sqrt((ray * ray).sum(axis=2))[..., None]
     e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
     cross = e1[:, [1, 2, 0]] * e2[:, [2, 0, 1]] - e1[:, [2, 0, 1]] * e2[:, [1, 2, 0]]
@@ -323,11 +294,10 @@ def _p3p(pts3d, pts2d, camera):
     U, _, Vt = np.linalg.svd((X - mx[:, None]).transpose(0, 2, 1) @ (P - mp[:, None]))
     R = _proper(U, Vt)
     t = mx - (R @ mp[..., None])[..., 0]
-    behind, du, dv = _project(
-        np.repeat(pts3d, 4, axis=0), np.repeat(pts2d, 4, axis=0), camera, R, t
-    )
-    cost = (du[:, 3:] ** 2).sum(axis=1) + (dv[:, 3:] ** 2).sum(axis=1)
-    cost = np.where(root.ravel() & ~behind.any(axis=1), cost, np.inf).reshape(B, 4)
+    # each sample's four poses on its M points: (B, 4, 3, 3) @ (B, 1, 3, M)
+    P6, obs6 = pts3d.transpose(0, 2, 1)[:, None], obs.transpose(0, 2, 1)[:, None]
+    _, r, behind = _project(P6, obs6, camera.f, R.reshape(B, 4, 3, 3), t.reshape(B, 4, 3))
+    cost = np.where(root & ~behind.any(axis=2), (r[..., 3:] ** 2).sum(axis=(2, 3)), np.inf)
     pick = cost.argmin(axis=1)
     k = 4 * np.arange(B) + pick
     return R[k], t[k], np.isfinite(cost[np.arange(B), pick])
@@ -392,7 +362,7 @@ def _normal_equations(pc, t, r, f):
     return J @ J.copy().T, J @ r.ravel()
 
 
-def _lm(corr: CorrSet, camera: CameraIntrinsics, init: Pose, max_iters: int, tol: float) -> tuple[Pose, bool]:
+def _lm(corr: CorrSet, camera: CameraIntrinsics, init: Pose) -> tuple[Pose, bool]:
     """Levenberg-Marquardt over (rotation tangent, translation).
 
     Damping starts at 1e-3, falls by 3 after an accepted step and rises by
@@ -400,9 +370,9 @@ def _lm(corr: CorrSet, camera: CameraIntrinsics, init: Pose, max_iters: int, tol
     ends behind the camera and the cost does not rise.  An iteration ends
     at the first accepted step, or after ``LM_DAMPING_TRIES`` rejected
     ones, which stalls the run.  The run stops converged when an accepted
-    step is shorter than ``tol`` or when a try that keeps every point in
+    step is shorter than ``LM_TOL`` or when a try that keeps every point in
     front moves the cost by at most ``LM_RTOL`` of it (the minimum, up to
-    rounding), and unconverged when it stalls or after ``max_iters``.
+    rounding), and unconverged when it stalls or after ``LM_MAX_ITERS``.
 
     Raises:
         NonFiniteResidual: the start pose has a point behind the camera or
@@ -410,13 +380,13 @@ def _lm(corr: CorrSet, camera: CameraIntrinsics, init: Pose, max_iters: int, tol
     """
     P, obs, f = corr.P, _offsets(corr, camera), camera.f
     R, t = init.R, init.t
-    pc, r = _residuals(P, obs, f, R, t)
-    if r is None or not np.isfinite(r).all():
+    pc, r, behind = _project(P, obs, f, R, t)
+    if behind.any() or not np.isfinite(r).all():
         raise NonFiniteResidual("refinement cannot start from this pose")
     cost = np.vdot(r, r)
     lam = 1e-3
     converged = False
-    for _ in range(max_iters):
+    for _ in range(LM_MAX_ITERS):
         H, g = _normal_equations(pc, t, r, f)
         g = -g
         D = np.diag(np.maximum(H.diagonal(), 1e-12))
@@ -429,8 +399,8 @@ def _lm(corr: CorrSet, camera: CameraIntrinsics, init: Pose, max_iters: int, tol
                 continue
             R_new = _rodrigues(delta[:3]) @ R
             t_new = t + delta[3:]
-            pc_new, r_new = _residuals(P, obs, f, R_new, t_new)
-            if r_new is None:
+            pc_new, r_new, behind = _project(P, obs, f, R_new, t_new)
+            if behind.any():
                 lam *= 10.0
                 continue
             cost_new = np.vdot(r_new, r_new)
@@ -443,7 +413,7 @@ def _lm(corr: CorrSet, camera: CameraIntrinsics, init: Pose, max_iters: int, tol
             R, t, pc, r, cost = R_new, t_new, pc_new, r_new, cost_new
             lam = max(lam / 3.0, 1e-12)
             stepped = True
-            converged = converged or bool(delta @ delta < tol * tol)
+            converged = converged or bool(delta @ delta < LM_TOL * LM_TOL)
             break
         if converged or not stepped:
             break
@@ -457,30 +427,22 @@ def _draw(rng, n, count):
     return np.array([rng.choice(n, size=MIN_CORRESPONDENCES, replace=False) for _ in range(count)])
 
 
-def _score(corr, camera, R, t):
-    """MSAC scores of hypotheses (R, t), ``SCORE_CHUNK`` hypothesis-point
-    pairs at a time."""
-    B = R.shape[0]
-    thr_sq = INLIER_PX * INLIER_PX
-    score = np.empty(B)
-    step = max(1, SCORE_CHUNK // corr.n)
-    for s in range(0, B, step):
-        errs = _reproj_errors(corr, camera, R[s : s + step], t[s : s + step])
-        score[s : s + step] = np.minimum(errs * errs, thr_sq).sum(axis=1)
-    return score
-
-
 def _hypotheses(corr, camera, samples):
     """Hypotheses of a block of minimal samples, with MSAC scores.
 
     Each sample is solved by P3P on its first three points, the other
     three choosing among the solutions (see ``_p3p``).  ``ok`` is False
     for samples left without a pose; only the others are scored over the
-    whole map.
+    whole map, ``SCORE_CHUNK`` hypothesis-point pairs at a time.
     """
     R, t, ok = _p3p(corr.pts3d[samples], corr.pts2d[samples], camera)
     score = np.full(len(samples), np.inf)
-    score[ok] = _score(corr, camera, R[ok], t[ok])
+    kept = np.flatnonzero(ok)
+    step = max(1, SCORE_CHUNK // corr.n)
+    for s in range(0, kept.size, step):
+        k = kept[s : s + step]
+        errs = _reproj_errors(corr, camera, R[k], t[k])
+        score[k] = np.minimum(errs * errs, INLIER_PX * INLIER_PX).sum(axis=1)
     return R, t, ok, score
 
 
@@ -532,7 +494,7 @@ def _flipped(corr, camera, pose, errs, tau):
     Q = _rodrigues(axis * (math.atan2(s, 2.0 * cos * cos - 1.0) / s))
     start = Pose(R=Q @ pose.R, t=Q @ (pose.t - c) + c)
     try:
-        flip, converged = _lm(corr.subset(inliers), camera, start, LM_MAX_ITERS, LM_TOL)
+        flip, converged = _lm(corr.subset(inliers), camera, start)
     except NonFiniteResidual:
         return None
     ferrs = _reproj_errors(corr, camera, flip.R, flip.t)
@@ -589,8 +551,8 @@ def pnp_ransac(
     needed = max_iters
     i = 0
     block = 1
-    while i < min(max_iters, needed):
-        count = min(block, min(max_iters, needed) - i)
+    while i < needed:
+        count = min(block, needed - i)
         block = min(2 * block, MAX_BLOCK)
         samples = _draw(rng, n, count)
         R, t, ok, raw = _hypotheses(corr, camera, samples)
@@ -612,9 +574,7 @@ def pnp_ransac(
                     if int(mask.sum()) < MIN_CORRESPONDENCES or np.array_equal(mask, fit):
                         continue
                     try:
-                        local, local_converged = _lm(
-                            corr.subset(np.flatnonzero(mask)), camera, hyp, LM_MAX_ITERS, LM_TOL
-                        )
+                        local, local_converged = _lm(corr.subset(np.flatnonzero(mask)), camera, hyp)
                     except NonFiniteResidual:
                         break
                     lerrs = _reproj_errors(corr, camera, local.R, local.t)
@@ -643,7 +603,7 @@ def pnp_ransac(
         refined, converged = best_pose, True  # already this set's converged fit
     else:
         support = corr.subset(np.flatnonzero(inliers))
-        refined, converged = _lm(support, camera, best_pose, LM_MAX_ITERS, LM_TOL)
+        refined, converged = _lm(support, camera, best_pose)
     final_errs = _reproj_errors(corr, camera, refined.R, refined.t)
     final_inliers = final_errs < tau
     if int(final_inliers.sum()) >= MIN_CORRESPONDENCES:

@@ -45,9 +45,7 @@ mesh only, and it is drawn first: while it draws, the one depth buffer
 holds nothing but its own surface, so a pixel that a later mesh hides
 keeps the values of the surface behind the occluder.  Drawing it first
 also decides the tie rule for it: on an exact depth tie with another
-mesh, the pixel is the first mesh's.  A mesh in front of the near plane
-whose projected vertex box holds no pixel center of the grid is skipped
-before its faces are looked at.
+mesh, the pixel is the first mesh's.
 
 A ``MaskImage`` keeps only a window of its image, every pixel outside
 it being 0.  A full-frame render rasterizes the window of pixel centers
@@ -292,8 +290,6 @@ def _faces_on_grid(mesh: TriMesh, pose: Pose, camera: CameraIntrinsics, grid: _G
     z = cam_pts[:, 2]
     gx = (camera.f * cam_pts[:, 0] / z + camera.px - grid.x0) / grid.sx
     gy = (camera.f * cam_pts[:, 1] / z + camera.py - grid.y0) / grid.sy
-    if _off_grid(gx, gy, z, grid.width, grid.height):
-        return None
     faces, box, area2 = _triangle_boxes(mesh.faces, gx, gy, z, grid.width, grid.height)
     if faces.shape[0] == 0:
         return None
@@ -315,23 +311,6 @@ def _band_mask(band, box, width, height) -> MaskImage:
     """``_band``'s rows as a mask kept over the window of the faces' boxes."""
     x_lo, x_hi, y_lo = int(box[0].min()), int(box[1].max()), int(box[2].min())
     return MaskImage(width, height, band.reshape(-1, width)[:, x_lo : x_hi + 1], x_lo, y_lo)
-
-
-def _off_grid(gx, gy, z, width, height) -> bool:
-    """Whether no face can reach a pixel center of the grid.
-
-    Only decided when every vertex lies beyond ``NEAR_PLANE``: then each
-    face's box lies inside the vertex box, so a vertex box that holds no
-    pixel center leaves every face box empty after clipping.
-    """
-    if not (z > NEAR_PLANE).all():
-        return False
-    return (
-        math.ceil(gx.min() - 0.5) > width - 1
-        or math.floor(gx.max() - 0.5) < 0
-        or math.ceil(gy.min() - 0.5) > height - 1
-        or math.floor(gy.max() - 0.5) < 0
-    )
 
 
 def _triangle_boxes(faces, gx, gy, z, width, height):

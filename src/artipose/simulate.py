@@ -54,9 +54,13 @@ class OccluderConfig:
     size_range: tuple = (0.015, 0.04)
 
     def __post_init__(self):
+        # JSON booleans and integers only: bool("no") is True, and a count
+        # of 1.5 would be truncated
+        if type(self.enabled) is not bool:
+            raise ConfigError(f"enabled must be a boolean, got {self.enabled!r}")
         lo, hi = self.count_range
-        if not (0 <= lo <= hi):
-            raise ConfigError(f"count_range must satisfy 0 <= lo <= hi, got {self.count_range}")
+        if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi):
+            raise ConfigError(f"count_range must be integers with 0 <= lo <= hi, got {self.count_range}")
         slo, shi = self.size_range
         if not (0.0 < slo <= shi):
             raise ConfigError(f"size_range must satisfy 0 < lo <= hi, got {self.size_range}")
@@ -75,8 +79,8 @@ class SceneConfig:
             raise ConfigError("at least one model is required")
         object.__setattr__(self, "models", tuple(self.models))
         zmin, zmax = self.depth_range
-        if not (0.0 < zmin < zmax):
-            raise ConfigError(f"depth_range must satisfy 0 < zmin < zmax, got {self.depth_range}")
+        if not (0.0 < zmin < zmax < math.inf):
+            raise ConfigError(f"depth_range must satisfy 0 < zmin < zmax < inf, got {self.depth_range}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

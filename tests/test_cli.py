@@ -329,8 +329,14 @@ class TestExitCodes:
             ({"frames": 2.7}, []),
             ({"seed": 2.7}, ["--frames", "1"]),
             ({"frames": True}, []),
+            ({"depth_range": [0.75, 1e400]}, ["--frames", "1"]),
+            ({"occluders": {"enabled": "no"}}, ["--frames", "1"]),
+            ({"occluders": {"count_range": [1.5, 2]}}, ["--frames", "1"]),
         ],
-        ids=["depth_range", "config_seed", "zero_frames", "fractional_frames", "fractional_seed", "boolean_frames"],
+        ids=[
+            "depth_range", "config_seed", "zero_frames", "fractional_frames", "fractional_seed", "boolean_frames",
+            "infinite_depth", "text_enabled", "fractional_count",
+        ],
     )
     def test_bad_simgen_config_writes_nothing(self, cfg, flags, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -351,8 +357,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "cfg",
-        [{"thresholds": {"conf_min": "high"}}, {"thresholds": [0.5]}, {"mixing_ratio": "half"}, {"mixing_ratio": 1.5}],
-        ids=["threshold_text", "thresholds_list", "mixing_text", "mixing_range"],
+        [
+            {"thresholds": {"conf_min": "high"}},
+            {"thresholds": [0.5]},
+            {"thresholds": {"reproj_max_px": float("nan")}},
+            {"mixing_ratio": "half"},
+            {"mixing_ratio": 1.5},
+        ],
+        ids=["threshold_text", "thresholds_list", "threshold_nan", "mixing_text", "mixing_range"],
     )
     def test_bad_adapt_config_is_exit_2_before_any_round(self, cfg, dataset, tmp_path, monkeypatch, capsys):
         import artipose.cli as cli

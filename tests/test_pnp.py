@@ -59,7 +59,7 @@ def p3p(corr, camera):
 
 def refine(corr, camera, init):
     """Levenberg-Marquardt with the robust loop's final-refit settings."""
-    pose, _ = pnp_module._lm(corr, camera, init, LM_MAX_ITERS, LM_TOL)
+    pose, _ = pnp_module._lm(corr, camera, init)
     return pose
 
 
@@ -127,6 +127,65 @@ class TestP3P:
         _, ok = p3p(CorrSet(pts, project_points(pts, pose, camera)), camera)
         assert not ok
 
+    def test_roots_are_numpy_roots(self, camera, monkeypatch):
+        # the quartics P3P builds for random and degenerate samples have
+        # exactly np.roots' real roots, in its order, bit for bit; a
+        # quartic whose companion matrix is not finite has none
+        seen = []
+        real_roots = pnp_module._real_roots
+
+        def recording(A):
+            seen.append((A.copy(), real_roots(A)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(pnp_module, "_real_roots", recording)
+        rng = np.random.default_rng(104)
+        _, corr = _noisy_set(rng, camera, 300, 2.0, frac=0.3)
+        samples = np.array([rng.choice(300, size=6, replace=False) for _ in range(200)])
+        pts3d, pts2d = corr.pts3d[samples], corr.pts2d[samples]
+        pts3d[0] = np.stack([np.linspace(0, 0.1, 6), np.zeros(6), np.zeros(6)], axis=1)  # collinear
+        pts3d[1, 1], pts2d[1, 1] = pts3d[1, 0], pts2d[1, 0]  # a repeated point
+        pts3d[2, 2] = pts3d[2, 0]  # a repeated model point seen apart
+        pnp_module._p3p(pts3d, pts2d, camera)
+        # a vanishing leading coefficient, a NaN, and four real roots
+        crafted = np.array([[0.0, 1.0, -2.0, 0.5, 1.0], [np.nan, 1.0, 2.0, 3.0, 4.0], [1.0, 0.0, -5.0, 0.0, 4.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            seen.append((crafted, real_roots(crafted)))
+            finite = [np.isfinite(-A[:, 1:] / A[:, :1]).all(axis=1) for A, _ in seen]
+        for (A, roots), ok in zip(seen, finite):
+            for a, row, companion_finite in zip(A, roots, ok):
+                if not companion_finite:
+                    assert np.isnan(row).all()
+                    continue
+                w = np.roots(a)
+                assert len(w) == 4
+                np.testing.assert_array_equal(row, np.where(w.imag == 0.0, w.real, np.nan))
+        found = np.concatenate([roots for _, roots in seen])
+        assert 200 < np.isfinite(found).sum() < found.size
+
+    @pytest.mark.parametrize(
+        "spread, fov_deg",
+        [(0.1, 40.0), (1e-3, 40.0), (0.1, 3.0)],
+        ids=["generic", "near_equal_depths", "view_3deg"],
+    )
+    def test_depths_of_exact_triangles(self, spread, fov_deg):
+        # 20,000 exact triangles 0.5-1.2 m away, their depths within a
+        # relative spread and their rays within a field of view: at most 5
+        # have no root within 1e-6 (relative) of the true depths (measured:
+        # 2, 3 and 2)
+        rng = np.random.default_rng(105)
+        n = 20000
+        half = math.tan(math.radians(fov_deg / 2.0))
+        ray = np.concatenate([rng.uniform(-half, half, (n, 3, 2)), np.ones((n, 3, 1))], axis=2)
+        ray /= np.linalg.norm(ray, axis=2, keepdims=True)
+        depth = rng.uniform(0.5, 1.2, (n, 1)) * (1.0 + spread * rng.uniform(-1.0, 1.0, (n, 3)))
+        # only the sides matter, so the model points are the camera points
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = pnp_module._p3p_depths(depth[..., None] * ray, ray)
+            err = np.abs(s - depth[:, None]).max(axis=2) / depth.max(axis=1)[:, None]
+        missed = int((~(err <= 1e-6).any(axis=1)).sum())
+        assert missed <= 5, missed
+
     def test_too_few_points(self, camera):
         # the robust loop refuses fewer pairs than a sample holds
         pts = cube_corners()[:5]
@@ -183,7 +242,7 @@ class TestRefineLm:
         start = Pose(R=np.eye(3), t=np.array([0.0, 0.0, 1e-3]))
         center = np.array([camera.px, camera.py])
         uv = center + 1e6 * (project_points(pts, start, camera) - center)
-        pose, converged = pnp_module._lm(CorrSet(pts, uv), camera, start, LM_MAX_ITERS, LM_TOL)
+        pose, converged = pnp_module._lm(CorrSet(pts, uv), camera, start)
         np.testing.assert_array_equal(pose.t, start.t)
         assert not converged
 
@@ -201,10 +260,10 @@ class TestRefineLm:
         monkeypatch.setattr(pnp_module, "_normal_equations", counting)
         for _ in range(6):
             truth, corr = _noisy_set(rng, camera, 300, 1.0)
-            optimum, converged = pnp_module._lm(corr, camera, truth, LM_MAX_ITERS, LM_TOL)
+            optimum, converged = pnp_module._lm(corr, camera, truth)
             assert converged
             builds.clear()
-            again, converged = pnp_module._lm(corr, camera, optimum, LM_MAX_ITERS, LM_TOL)
+            again, converged = pnp_module._lm(corr, camera, optimum)
             assert converged and len(builds) <= 1
             np.testing.assert_allclose(again.R, optimum.R, rtol=0, atol=1e-9)
             np.testing.assert_allclose(again.t, optimum.t, rtol=0, atol=1e-9)
@@ -222,9 +281,10 @@ class TestKernel:
 
     def test_normal_equations_match_explicit_jacobian(self, camera):
         corr, pose = self._posed(camera)
-        pc, r = pnp_module._residuals(
+        pc, r, behind = pnp_module._project(
             corr.P, pnp_module._offsets(corr, camera), camera.f, pose.R, pose.t
         )
+        assert not behind.any()
         H, g = pnp_module._normal_equations(pc, pose.t, r, camera.f)
         J = _reference_jacobian(pc.T, pose.t, camera.f)
         # the residuals interleaved as the reference orders its rows
@@ -233,11 +293,19 @@ class TestKernel:
         np.testing.assert_allclose(g, J.T @ r.T.ravel(), rtol=1e-12)
 
     def test_residuals_behind_camera_are_none(self, camera):
+        # a point behind the camera has no residual: the kernel masks it,
+        # and projects it from depth 1 so that its masked value is finite
         corr, pose = self._posed(camera)
-        pc, r = pnp_module._residuals(
-            corr.P, pnp_module._offsets(corr, camera), camera.f, pose.R, pose.t - [0.0, 0.0, 10.0]
-        )
-        assert r is None and (pc[2] < 0).all()
+        obs = pnp_module._offsets(corr, camera)
+        t = pose.t - [0.0, 0.0, 10.0]
+        pc, r, behind = pnp_module._project(corr.P, obs, camera.f, pose.R, t)
+        assert behind.all() and (pc[2] < 0).all()
+        np.testing.assert_array_equal(r, pc[:2] * camera.f - obs)
+        # one pose or a stack of them: each pose's row is its own result
+        stack = pnp_module._project(corr.P, obs, camera.f, np.stack([pose.R, pose.R]), np.stack([pose.t, t]))
+        for k, one in enumerate((pnp_module._project(corr.P, obs, camera.f, pose.R, pose.t), (pc, r, behind))):
+            for a, b in zip(stack, one):
+                np.testing.assert_array_equal(a[k], b)
 
     def test_reproj_errors_match_reference(self, camera):
         corr, pose = self._posed(camera)
@@ -569,7 +637,7 @@ class TestBatchedLoop:
                 R=rotation_about_axis(axis / np.linalg.norm(axis), math.radians(3.0)) @ pose.R,
                 t=pose.t + rng.standard_normal(3) * 0.01,
             )
-            a, _ = pnp_module._lm(corr, camera, init, pnp_module.LM_MAX_ITERS, pnp_module.LM_TOL)
+            a, _ = pnp_module._lm(corr, camera, init)
             b, _ = _reference_lm(corr, camera, init, pnp_module.LM_MAX_ITERS, pnp_module.LM_TOL)
             np.testing.assert_allclose(a.R, b.R, rtol=0, atol=1e-8)
             np.testing.assert_allclose(a.t, b.t, rtol=0, atol=1e-8)
@@ -630,9 +698,9 @@ class TestBatchedLoop:
         sizes = []
         lm = pnp_module._lm
 
-        def recording_lm(corr, camera, init, max_iters, tol):
+        def recording_lm(corr, camera, init):
             sizes.append(corr.n)
-            pose, converged = lm(corr, camera, init, max_iters, tol)
+            pose, converged = lm(corr, camera, init)
             calls.append(
                 (corr.pts3d.tobytes(), (init.R.tobytes(), init.t.tobytes()),
                  (pose.R.tobytes(), pose.t.tobytes()), converged)
@@ -665,10 +733,10 @@ class TestBatchedLoop:
         # deterministic work counts of one solve, about 10 % above the
         # normal-equation builds and projections that P3P samples take (16
         # and 37 at 0.5 px, 28 and 54 at 2 px); linear six-point samples
-        # with their LM polish took 143 and 188, 171 and 216.  A projection
-        # is a P3P block's (_project), an LM start's or try's (_residuals),
-        # or a scoring chunk's or one pose's errors (_reproj_errors)
-        counts = {"_normal_equations": 0, "_project": 0, "_residuals": 0, "_reproj_errors": 0}
+        # with their LM polish took 143 and 188, 171 and 216.  Every
+        # projection is one call of the kernel: a P3P block's, an LM
+        # start's or try's, or a scoring chunk's or one pose's errors
+        counts = {"_normal_equations": 0, "_project": 0}
         for name in counts:
             original = getattr(pnp_module, name)
 

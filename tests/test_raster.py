@@ -690,21 +690,3 @@ class TestSharedPasses:
         assert alone.valid.data.any()
         np.testing.assert_array_equal(tied.valid.data, alone.valid.data)
         assert tied.data.tobytes() == alone.data.tobytes()
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_skip_rule_at_the_cull_boundary(self, axis):
-        # vertex boxes reaching exactly to the first or last pixel-center
-        # line, or one ulp short of it: a mesh is skipped exactly when no
-        # face keeps a box
-        faces = np.array([[0, 1, 2], [0, 2, 3]])
-        z = np.ones(4)
-        other = np.array([3.0, 4.0, 3.5, 3.2])
-        for edge, away in ((0.5, -1.0), (7.5, 1.0)):
-            for tip in (edge, np.nextafter(edge, edge + away)):
-                coord = tip + away * np.array([0.0, 2.0, 1.0, 3.0])
-                gx, gy = (coord, other) if axis == 0 else (other, coord)
-                kept = raster._triangle_boxes(faces, gx, gy, z, 8, 8)[0]
-                assert raster._off_grid(gx, gy, z, 8, 8) == (kept.shape[0] == 0)
-                assert raster._off_grid(gx, gy, z, 8, 8) == (tip != edge)
-        # a vertex at or before the near plane leaves the decision to the faces
-        assert not raster._off_grid(np.full(4, -9.0), other, np.array([1.0, 1.0, NEAR_PLANE, 1.0]), 8, 8)
